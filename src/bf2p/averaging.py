@@ -115,18 +115,22 @@ def log_ml(model: ModelId, d: TwoByTwoData, params: ApproachParams) -> float:
     All four marginals include the shared binomial coefficients, so
     cross-approach ratios are ratios of true data probabilities.
     """
+    return _log_ml(model, d, params)[0]
+
+
+def _log_ml(model, d, params) -> tuple[float, float]:
+    """(log marginal, error estimate) of one model; IB is exact."""
     if not isinstance(model, ModelId):
         raise ConfigError(f"expected a ModelId, got {model!r}")
     if not isinstance(params, ApproachParams):
         raise ConfigError(f"expected ApproachParams, got {type(params).__name__}")
     if model.approach is Approach.IB:
         if model.hypothesis is Hypothesis.H0:
-            return ib.log_ml_h0_ib(d, params.ib.a)
-        return ib.log_ml_h1_ib(d, params.ib.a)
+            return ib.log_ml_h0_ib(d, params.ib.a), 0.0
+        return ib.log_ml_h1_ib(d, params.ib.a), 0.0
     p = params.lt
-    if model.hypothesis is Hypothesis.H0:
-        return lt.log_ml_h0_lt(d, p.sigma_beta, beta_prior=p.beta_prior)
-    return lt.log_ml_h1_lt(d, p.sigma_beta, p.sigma_psi, beta_prior=p.beta_prior)
+    sigma_psi = None if model.hypothesis is Hypothesis.H0 else p.sigma_psi
+    return lt._log_ml(d, model.hypothesis, p.sigma_beta, sigma_psi, p.beta_prior, lt.DEFAULT_REL_TOL)
 
 
 def _warn_if_mixed(num_models, den_models):
@@ -162,14 +166,15 @@ def bf_avg01(
         raise ConfigError("all alternative-model weights are zero")
     _warn_if_mixed([m for m, _ in num], [m for m, _ in den])
 
-    mls = {m: log_ml(m, d, params) for m, _ in num + den}
-    log_num = logsumexp([math.log(w) + mls[m] for m, w in num])
-    log_den = logsumexp([math.log(w) + mls[m] for m, w in den])
+    mls = {m: _log_ml(m, d, params) for m, _ in num + den}
+    log_num = logsumexp([math.log(w) + mls[m][0] for m, w in num])
+    log_den = logsumexp([math.log(w) + mls[m][0] for m, w in den])
     any_lt = any(m.approach is Approach.LT for m, _ in num + den)
     return EvidenceResult.from_log_marginals(
         log_ml_h0=float(log_num),
         log_ml_h1=float(log_den),
-        abs_error_estimate=0.0 if not any_lt else 2 * lt.DEFAULT_REL_TOL,
+        # a log marginal moves its weighted log-sum by at most its own error
+        abs_error_estimate=sum(err for _, err in mls.values()),
         method_tag=Method.QUADRATURE if any_lt else Method.ANALYTIC,
     )
 

@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="input CSV path, or 'bundled' for the shipped 39-study corpus",
     )
     p.add_argument("--methods", help="comma-separated subset of ib,lt,dep_ib,avg")
-    p.add_argument("--grid", choices=("default",), default="default")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")

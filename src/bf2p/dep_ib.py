@@ -14,10 +14,18 @@ so the prior places point mass exactly at rates 0 and 1.  The null model
 pins eta = 0 and keeps the same zeta prior, mirroring the shared-rate
 construction of the other two tests.
 
-Marginal likelihoods are computed by adaptive 2D quadrature with the
-integration domain split along the clamp boundaries; the clamped wedges
-contribute only when the corresponding count sits at 0 or n (elsewhere
-the likelihood vanishes on them exactly).
+Marginal likelihoods use the quadrature engine of ``bf2p.lt`` in
+log-odds coordinates, where each rate's Jacobian theta (1 - theta)
+turns its counts into (y + 1, n + 2) and the truncated-Gaussian priors
+are pulled back through the rates.  Under H0 the engine integrates over
+the shared rate's log odds.  Under H1 the domain splits along the clamp
+boundaries: on the core, where both rates are interior, the engine
+integrates over LT's (beta, psi); a clamped wedge, where one rate sits
+on 0 or 1, carries likelihood only when that group's count sits on the
+same bound, and its prior eta integral is a difference of two normal
+CDFs, leaving a 1-D tanh-sinh integral over the free rate's log odds.
+The error estimate sums the engine's estimates for H0, the core and the
+wedges, each weighted by its share of its marginal.
 """
 
 from __future__ import annotations
@@ -25,18 +33,31 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy.integrate import tanhsinh
+from scipy.special import expit, logsumexp
 from scipy.stats import truncnorm
 
+from .lt import (
+    DEFAULT_REL_TOL,
+    _LOGITS,
+    _binom_grad_curv,
+    _empirical_logit,
+    _laplace_gh,
+    _log_binom_lik,
+    _newton,
+    _tanhsinh_opts,
+    _to_beta_psi,
+)
 from .model import (
     DepIBPrior,
     EvidenceResult,
     Method,
+    NumericalError,
     ProportionPair,
     TwoByTwoData,
     validate_data,
 )
-from .special import log_density_truncated_gaussian
+from .special import _log_gaussian_mass, log_density_truncated_gaussian
 from .ib import log_binomial_coeff
 
 __all__ = [
@@ -48,7 +69,6 @@ __all__ = [
     "prior_correlation_depib",
 ]
 
-
 def clamped_rates(eta: float, zeta: float) -> ProportionPair:
     """Map (eta, zeta) to rates, clamping each into [0, 1]."""
     return ProportionPair(
@@ -57,174 +77,138 @@ def clamped_rates(eta: float, zeta: float) -> ProportionPair:
     )
 
 
-def _log_lik_at(d: TwoByTwoData, t1, t2):
-    """Joint log likelihood at rates (t1, t2), coefficients included.
-
-    Accepts clamped rates: a rate of exactly 0 or 1 is fine and yields
-    -inf only when the data contradict it.
-    """
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            np.where(d.y1 == 0, 0.0, d.y1 * np.log(t1))
-            + np.where(d.n1 - d.y1 == 0, 0.0, (d.n1 - d.y1) * np.log1p(-t1))
-            + np.where(d.y2 == 0, 0.0, d.y2 * np.log(t2))
-            + np.where(d.n2 - d.y2 == 0, 0.0, (d.n2 - d.y2) * np.log1p(-t2))
-        )
-    return out + log_binomial_coeff(d.n1, d.y1) + log_binomial_coeff(d.n2, d.y2)
-
-
-def _log_prior_eta(e, cfg: DepIBPrior):
-    return log_density_truncated_gaussian(e, cfg.sigma_eta, -1.0, 1.0)
-
-
 def _log_prior_zeta(z, cfg: DepIBPrior):
-    return log_density_truncated_gaussian(
-        z, cfg.sigma_zeta, 0.0, 1.0, center=cfg.zeta_center
+    return log_density_truncated_gaussian(z, cfg.sigma_zeta, 0.0, 1.0, center=cfg.zeta_center)
+
+
+def _log_coeffs(d: TwoByTwoData) -> float:
+    return log_binomial_coeff(d.n1, d.y1) + log_binomial_coeff(d.n2, d.y2)
+
+
+def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
+    """(log marginal, error estimate) with eta = 0, over the shared rate's log odds."""
+    y, n = d.pooled
+    zc, sz2 = cfg.zeta_center, cfg.sigma_zeta**2
+
+    def logf(v):
+        return _log_binom_lik(y + 1, n + 2, v[..., 0]) + _log_prior_zeta(expit(v[..., 0]), cfg)
+
+    def grad_hess(v):
+        t, c = expit(v[0]), expit(-v[0])
+        dt = t * c
+        b = -(t - zc) / sz2  # d log p(zeta) / d zeta
+        g, w = _binom_grad_curv(y + 1, n + 2, v[0])
+        return np.array([g + b * dt]), np.array([[b * dt * (c - t) - dt * dt / sz2 - w]])
+
+    what = "dep-IB H0 marginal"
+    mode, cov = _newton(logf, grad_hess, [_empirical_logit(y + 1, n + 2)], what)
+    val, err = _laplace_gh(logf, mode, cov, DEFAULT_REL_TOL, what)
+    return _log_coeffs(d) + val, err
+
+
+def _core(d: TwoByTwoData, cfg: DepIBPrior):
+    """(log f, gradient and Hessian, Newton start) of the H1 core in (beta, psi)."""
+    ys, ns = np.array([[d.y1 + 1, d.y2 + 1], [d.n1 + 2, d.n2 + 2]], dtype=float)
+    zc, se2, sz2 = cfg.zeta_center, cfg.sigma_eta**2, cfg.sigma_zeta**2
+    # Hessian of the log prior in the rates, eta = t2 - t1, zeta = (t1 + t2)/2
+    diag, off = -1.0 / se2 - 0.25 / sz2, 1.0 / se2 - 0.25 / sz2
+    h_theta = np.array([[diag, off], [off, diag]])
+
+    def logf(v):
+        x = v @ _LOGITS.T
+        t = expit(x)
+        return (
+            np.sum(_log_binom_lik(ys, ns, x), axis=-1)
+            + log_density_truncated_gaussian(t[..., 1] - t[..., 0], cfg.sigma_eta, -1.0, 1.0)
+            + _log_prior_zeta(0.5 * (t[..., 0] + t[..., 1]), cfg)
+        )
+
+    def grad_hess(v):
+        x = _LOGITS @ v
+        t, c = expit(x), expit(-x)
+        dt = t * c
+        a = -(t[1] - t[0]) / se2  # d log p(eta) / d eta
+        b = -(0.5 * (t[0] + t[1]) - zc) / sz2  # d log p(zeta) / d zeta
+        g_theta = np.array([0.5 * b - a, 0.5 * b + a])
+        g, w = _binom_grad_curv(ys, ns, x)
+        h = h_theta * np.outer(dt, dt) + np.diag(g_theta * dt * (c - t) - w)
+        return _to_beta_psi(g + g_theta * dt, h)
+
+    x1, x2 = _empirical_logit(ys, ns)
+    return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
+
+
+def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float):
+    """(log integral, relative error) over one clamped wedge.
+
+    The free rate u is measured from its partner's bound (theta at 0,
+    1 - theta at 1), as are its counts (y, n) and the zeta prior's
+    ``center``.  Given u, e = |eta| runs over (u, min(2u, 1)) with
+    zeta = u - e/2, and the product of the two priors is Gaussian in e.
+    """
+    se, sz = cfg.sigma_eta, cfg.sigma_zeta
+    s_w = math.hypot(sz, 0.5 * se)  # sd of u - center, marginal over e
+    s_e = se * sz / s_w  # sd of e given u
+    log_norm = _log_gaussian_mass(-1.0, 1.0, 0.0, se) + _log_gaussian_mass(0.0, 1.0, center, sz)
+    log_norm += math.log(s_w) + 0.5 * math.log(2.0 * math.pi)
+
+    def logf(x):
+        u = expit(x)
+        w = u - center  # the mean of e given u is proportional to w
+        log_mass = _log_gaussian_mass(u, np.minimum(2.0 * u, 1.0), 0.5 * (se / s_w) ** 2 * w, s_e)
+        return _log_binom_lik(y + 1, n + 2, x) - 0.5 * (w / s_w) ** 2 + log_mass - log_norm
+
+    # the e window's upper end has a kink at u = 1/2, i.e. x = 0
+    opts = _tanhsinh_opts(log_scale, DEFAULT_REL_TOL / 100.0)
+    res = tanhsinh(logf, [-np.inf, 0.0], [0.0, np.inf], **opts)
+    if np.any(res.status != 0):
+        raise NumericalError(f"dep-IB clamped wedge did not converge to {DEFAULT_REL_TOL}")
+    val = float(logsumexp(res.integral))
+    return val, math.exp(float(logsumexp(res.error)) - val)
+
+
+def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
+    """(log marginal, error estimate) of the free-(eta, zeta) model."""
+    what = "dep-IB H1 marginal"
+    logf, grad_hess, x0 = _core(d, cfg)
+    mode, cov = _newton(logf, grad_hess, x0, what)
+    parts = [_laplace_gh(logf, mode, cov, DEFAULT_REL_TOL, what)]
+    zc = cfg.zeta_center
+    wedges = (
+        (d.y1 == 0, d.y2, d.n2, zc),  # theta1 clamped to 0
+        (d.y2 == d.n2, d.n1 - d.y1, d.n1, 1.0 - zc),  # theta2 clamped to 1
+        (d.y2 == 0, d.y1, d.n1, zc),  # theta2 clamped to 0
+        (d.y1 == d.n1, d.n2 - d.y2, d.n2, 1.0 - zc),  # theta1 clamped to 1
     )
+    # wedge tolerances are judged against the core, a lower bound of the total
+    parts += [_log_wedge(y, n, c, cfg, parts[0][0]) for on, y, n, c in wedges if on]
+    total = float(logsumexp([v for v, _ in parts]))
+    err = sum(e * math.exp(v - total) for v, e in parts)
+    return _log_coeffs(d) + total, err
 
 
 def log_ml_h0_depib(d: TwoByTwoData, cfg: DepIBPrior) -> float:
     """Log marginal with eta = 0: a single rate zeta under its truncated prior."""
     validate_data(d)
-    y, n = d.pooled
-
-    # shift by the maximum of the log integrand for a safe linear-scale quad
-    grid = np.linspace(1e-9, 1 - 1e-9, 2001)
-    lg = _log_lik_at(d, grid, grid) + _log_prior_zeta(grid, cfg)
-    m = float(np.max(lg))
-
-    def f(z):
-        return math.exp(
-            float(_log_lik_at(d, z, z)) + float(_log_prior_zeta(z, cfg)) - m
-        )
-
-    val, _ = integrate.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-10, limit=400)
-    return m + math.log(val)
-
-
-def _h1_pieces(d: TwoByTwoData, cfg: DepIBPrior):
-    """(eta bounds, zeta bounds, vectorized log integrand) covering the box.
-
-    The clamped wedges mostly carry zero likelihood and are omitted
-    unless the corresponding count sits at 0 or n.
-    """
-
-    def interior(z, e):
-        return (
-            _log_lik_at(d, z - 0.5 * e, z + 0.5 * e)
-            + _log_prior_eta(e, cfg)
-            + _log_prior_zeta(z, cfg)
-        )
-
-    pieces = [
-        # unclamped core: zeta in (|eta|/2, 1 - |eta|/2), valid for all eta
-        (-1.0, 1.0, lambda e: 0.5 * abs(e), lambda e: 1.0 - 0.5 * abs(e), interior)
-    ]
-    if d.y1 == 0:
-        # theta1 clamps to 0 below zeta = eta/2 (eta > 0)
-        pieces.append(
-            (
-                0.0,
-                1.0,
-                lambda e: 0.0,
-                lambda e: 0.5 * e,
-                lambda z, e: _log_lik_at(d, 0.0, z + 0.5 * e)
-                + _log_prior_eta(e, cfg)
-                + _log_prior_zeta(z, cfg),
-            )
-        )
-    if d.y2 == d.n2:
-        # theta2 clamps to 1 above zeta = 1 - eta/2 (eta > 0)
-        pieces.append(
-            (
-                0.0,
-                1.0,
-                lambda e: 1.0 - 0.5 * e,
-                lambda e: 1.0,
-                lambda z, e: _log_lik_at(d, z - 0.5 * e, 1.0)
-                + _log_prior_eta(e, cfg)
-                + _log_prior_zeta(z, cfg),
-            )
-        )
-    if d.y2 == 0:
-        # theta2 clamps to 0 below zeta = -eta/2 (eta < 0)
-        pieces.append(
-            (
-                -1.0,
-                0.0,
-                lambda e: 0.0,
-                lambda e: -0.5 * e,
-                lambda z, e: _log_lik_at(d, z - 0.5 * e, 0.0)
-                + _log_prior_eta(e, cfg)
-                + _log_prior_zeta(z, cfg),
-            )
-        )
-    if d.y1 == d.n1:
-        # theta1 clamps to 1 above zeta = 1 + eta/2 (eta < 0)
-        pieces.append(
-            (
-                -1.0,
-                0.0,
-                lambda e: 1.0 + 0.5 * e,
-                lambda e: 1.0,
-                lambda z, e: _log_lik_at(d, 1.0, z + 0.5 * e)
-                + _log_prior_eta(e, cfg)
-                + _log_prior_zeta(z, cfg),
-            )
-        )
-    return pieces
-
-
-def _coarse_max(pieces) -> float:
-    """Shift constant: max of the log integrand over a scan of every piece.
-
-    Scanning the clamped wedges too matters: with all-zero counts their
-    peak can sit far above the unclamped core's, and an exp() against a
-    core-only shift would overflow there.
-    """
-    m = -np.inf
-    for e_lo, e_hi, g, h, logf in pieces:
-        for e in np.linspace(e_lo, e_hi, 201)[1:-1]:
-            lo, hi = g(e), h(e)
-            if not lo < hi:
-                continue
-            z = np.linspace(lo, hi, 201)[1:-1]
-            vals = logf(z, np.full_like(z, e))
-            m = max(m, float(np.max(vals)))
-    return m
+    return _log_ml_h0(d, cfg)[0]
 
 
 def log_ml_h1_depib(d: TwoByTwoData, cfg: DepIBPrior) -> float:
-    """Log marginal of the free-(eta, zeta) model by split adaptive quadrature."""
+    """Log marginal of the free-(eta, zeta) model: core plus clamped wedges."""
     validate_data(d)
-    pieces = _h1_pieces(d, cfg)
-    m = _coarse_max(pieces)
-    total = 0.0
-    for e_lo, e_hi, g, h, logf in pieces:
-        val, _ = integrate.dblquad(
-            lambda z, e: math.exp(float(logf(z, e)) - m),
-            e_lo,
-            e_hi,
-            g,
-            h,
-            epsabs=1e-12,
-            epsrel=1e-9,
-        )
-        total += val
-    return m + math.log(total)
+    return _log_ml_h1(d, cfg)[0]
 
 
 def bf01_depib(d: TwoByTwoData, cfg: DepIBPrior | None = None) -> EvidenceResult:
     """Bayes factor for eta = 0 under the clamped truncated-Gaussian prior."""
     cfg = cfg if cfg is not None else DepIBPrior()
-    ml0 = log_ml_h0_depib(d, cfg)
-    ml1 = log_ml_h1_depib(d, cfg)
+    validate_data(d)
+    ml0, err0 = _log_ml_h0(d, cfg)
+    ml1, err1 = _log_ml_h1(d, cfg)
     return EvidenceResult.from_log_marginals(
         log_ml_h0=ml0,
         log_ml_h1=ml1,
-        abs_error_estimate=2e-6 * (abs(ml0) + abs(ml1)),
+        abs_error_estimate=err0 + err1,
         method_tag=Method.QUADRATURE,
     )
 

@@ -13,24 +13,17 @@ factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from scipy.special import betaln, gammaln
 
 from .model import (
     EvidenceResult,
+    IBPrior,
     Method,
     TwoByTwoData,
-    ValidationError,
     validate_data,
 )
-
-
-def _check_a(a: float) -> float:
-    if not (math.isfinite(a) and a >= 1.0):
-        raise ValidationError(f"IB prior requires a >= 1, got a={a!r}")
-    return float(a)
 
 
 def log_binomial_coeff(n: int, y: int) -> float:
@@ -51,7 +44,7 @@ def log_ml_h0_ib(d: TwoByTwoData, a: float = 1.0) -> float:
     ln[ C(n1,y1) C(n2,y2) B(a + y1+y2, a + n1+n2-y1-y2) / B(a, a) ].
     """
     validate_data(d)
-    _check_a(a)
+    IBPrior(a)  # validates a
     y, n = d.pooled
     return (
         log_binomial_coeff(d.n1, d.y1)
@@ -68,7 +61,7 @@ def log_ml_h1_ib(d: TwoByTwoData, a: float = 1.0) -> float:
     other, so this equals the product of two beta-binomial marginals.
     """
     validate_data(d)
-    _check_a(a)
+    IBPrior(a)  # validates a
 
     def group(y, n):
         return log_binomial_coeff(n, y) + _betaln_sym(a + y, a + (n - y)) - betaln(a, a)
@@ -101,7 +94,7 @@ class IBPosterior:
 def ib_posterior(d: TwoByTwoData, a: float = 1.0) -> IBPosterior:
     """Conjugate update: theta_i | data ~ Beta(a + y_i, a + n_i - y_i)."""
     validate_data(d)
-    _check_a(a)
+    IBPrior(a)  # validates a
     return IBPosterior(
         a1_post=a + d.y1,
         b1_post=a + (d.n1 - d.y1),

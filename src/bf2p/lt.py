@@ -1,17 +1,25 @@
-"""Logit-transformation Bayes factor via deterministic quadrature.
+"""Logit-transformation Bayes factor, and the quadrature engine that
+every non-conjugate marginal likelihood in the package shares.
 
 The model places priors on the grand-mean log odds ``beta`` (both
 hypotheses) and the log odds ratio ``psi`` (H1 only; the null pins
-psi = 0).  Neither marginal likelihood is available in closed form, so
-both are computed by Gauss-Hermite quadrature centered on the integrand
-mode and whitened by the local Laplace covariance.  Centering matters:
-for large trials with rare events the likelihood sits many prior
-standard deviations away from zero, and a prior-centered rule would
-silently miss essentially all of the mass.
+psi = 0).  Neither marginal likelihood is available in closed form.
 
-The node count doubles (61, 121, 241, 481, 961 per dimension) until two
-successive log-marginal estimates agree to ``rel_tol``; the final gap is
-reported as the error estimate.  Estimates are fully deterministic.
+The engine (adaptive Gauss-Hermite; Liu & Pierce 1994) integrates a
+smooth log density on R^1 or R^2.  A damped Newton iteration finds the
+mode, stopping on the scale-free Newton decrement g'(-H)^-1 g;
+likelihood gradients are written y*sigma(-x) - (n-y)*sigma(x), so data
+with all events or none, and their event-swapped mirrors, converge
+alike.  Gauss-Hermite quadrature centred on the mode and whitened by
+the Laplace covariance then doubles its node count (61, 121, 241, 481,
+961 per dimension) until two successive log-marginal estimates agree to
+``rel_tol``; the final gap is the error estimate.  Centering matters:
+for large trials with rare events the likelihood sits many prior
+standard deviations away from zero, where a prior-centered rule would
+silently miss the mass.  Only when the schedule is exhausted does
+nested tanh-sinh quadrature in the same whitened coordinates take over,
+with its own error estimate.  The dependent variant (``bf2p.dep_ib``)
+uses the same engine.  Estimates are fully deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp, roots_hermite
+from scipy.integrate import tanhsinh
+from scipy.special import expit, logsumexp, roots_hermite
 
 from .model import (
     BetaPriorKind,
@@ -35,6 +44,7 @@ from .model import (
     validate_data,
 )
 from .ib import log_binomial_coeff
+from .special import log_density_gaussian
 
 __all__ = [
     "QuadratureSpec",
@@ -46,12 +56,29 @@ __all__ = [
     "bf01_lt",
 ]
 
-#: Node counts tried per dimension, roughly doubling; the cap is a hard
-#: error ("needs more than 1025 nodes" means the problem deserves a look,
-#: not a bigger rule).
+#: Node counts tried per dimension, roughly doubling; past the cap the
+#: integrand is too far from Gaussian for more nodes to help.
 NODE_SCHEDULE = (61, 121, 241, 481, 961)
 
 DEFAULT_REL_TOL = 1e-8
+
+#: Newton stops once the decrement g'(-H)^-1 g, twice the gain (nats) a
+#: full step predicts, is this small.
+_DECREMENT_TOL = 1e-20
+
+#: Steps predicted to gain less than this (nats) skip the ascent check,
+#: whose float resolution would stall the iteration near the optimum.
+_UNCHECKED_GAIN = 1e-6
+
+#: Level cap of tanh-sinh rules: nested 2-D rules stay within tens of MB
+#: here, where an unreachable tolerance would otherwise run to GBs.
+_TANHSINH_MAXLEVEL = 7
+
+#: Gauss-Hermite points per integrand call.
+_BLOCK = 16384
+
+#: d(x1, x2) / d(beta, psi) for group log odds x1, x2 = beta -/+ psi/2.
+_LOGITS = np.array([[1.0, -0.5], [1.0, 0.5]])
 
 
 def _check_scales(sigma_beta: float, sigma_psi: float | None = None) -> None:
@@ -66,7 +93,7 @@ def _check_scales(sigma_beta: float, sigma_psi: float | None = None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _log_binom_lik(y: int, n: int, x):
+def _log_binom_lik(y, n, x):
     """Log binomial likelihood of y/n at log odds x, without the coefficient.
 
     y*log(sigma(x)) + (n-y)*log(1-sigma(x)) written with log1p-style
@@ -77,13 +104,63 @@ def _log_binom_lik(y: int, n: int, x):
     return -y * np.logaddexp(0.0, -x) - (n - y) * np.logaddexp(0.0, x)
 
 
+def _binom_grad_curv(y, n, x):
+    """First derivative of :func:`_log_binom_lik` in x, and minus the second."""
+    s, c = expit(x), expit(-x)
+    return y * c - (n - y) * s, n * s * c
+
+
+def _to_beta_psi(g_x, h_x):
+    """Gradient and Hessian in (x1, x2) carried over to (beta, psi)."""
+    return _LOGITS.T @ g_x, _LOGITS.T @ h_x @ _LOGITS
+
+
+def _empirical_logit(y, n):
+    return np.log((y + 0.5) / (n - y + 0.5))
+
+
 def _log_prior_beta(beta, sigma: float, kind: BetaPriorKind):
     beta = np.asarray(beta, dtype=float)
     if kind is BetaPriorKind.GAUSSIAN:
-        return -0.5 * (beta / sigma) ** 2 - math.log(sigma) - 0.5 * math.log(2 * math.pi)
+        return log_density_gaussian(beta, sigma)
     # logistic(0, sigma), written symmetrically for stability on both tails
     z = np.abs(beta) / sigma
     return -z - 2.0 * np.logaddexp(0.0, -z) - math.log(sigma)
+
+
+def _beta_prior_grad_hess(beta: float, sigma: float, kind: BetaPriorKind):
+    if kind is BetaPriorKind.GAUSSIAN:
+        return -beta / sigma**2, -1.0 / sigma**2
+    t = math.tanh(beta / (2.0 * sigma))
+    grad = -t / sigma
+    hess = -(1.0 - t * t) / (2.0 * sigma**2)
+    return grad, hess
+
+
+def _log_integrand_h1(d, beta, psi, sigma_beta, sigma_psi, beta_prior):
+    beta = np.asarray(beta, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    out = (
+        log_binomial_coeff(d.n1, d.y1)
+        + log_binomial_coeff(d.n2, d.y2)
+        + _log_binom_lik(d.y1, d.n1, beta - 0.5 * psi)
+        + _log_binom_lik(d.y2, d.n2, beta + 0.5 * psi)
+        + _log_prior_beta(beta, sigma_beta, beta_prior)
+        + log_density_gaussian(psi, sigma_psi)
+    )
+    return out if out.ndim else float(out)
+
+
+def _log_integrand_h0(d, beta, sigma_beta, beta_prior):
+    beta = np.asarray(beta, dtype=float)
+    y, n = d.pooled
+    out = (
+        log_binomial_coeff(d.n1, d.y1)
+        + log_binomial_coeff(d.n2, d.y2)
+        + _log_binom_lik(y, n, beta)
+        + _log_prior_beta(beta, sigma_beta, beta_prior)
+    )
+    return out if out.ndim else float(out)
 
 
 def log_integrand_h1_lt(
@@ -97,19 +174,7 @@ def log_integrand_h1_lt(
     """Log of likelihood x priors at (beta, psi); the H1 evidence integrand."""
     validate_data(d)
     _check_scales(sigma_beta, sigma_psi)
-    beta = np.asarray(beta, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    out = (
-        log_binomial_coeff(d.n1, d.y1)
-        + log_binomial_coeff(d.n2, d.y2)
-        + _log_binom_lik(d.y1, d.n1, beta - 0.5 * psi)
-        + _log_binom_lik(d.y2, d.n2, beta + 0.5 * psi)
-        + _log_prior_beta(beta, sigma_beta, beta_prior)
-        - 0.5 * (psi / sigma_psi) ** 2
-        - math.log(sigma_psi)
-        - 0.5 * math.log(2 * math.pi)
-    )
-    return out if out.ndim else float(out)
+    return _log_integrand_h1(d, beta, psi, sigma_beta, sigma_psi, beta_prior)
 
 
 def log_integrand_h0_lt(
@@ -121,48 +186,85 @@ def log_integrand_h0_lt(
     """Log of likelihood x prior at beta with psi fixed to 0."""
     validate_data(d)
     _check_scales(sigma_beta)
-    beta = np.asarray(beta, dtype=float)
-    y, n = d.pooled
-    out = (
-        log_binomial_coeff(d.n1, d.y1)
-        + log_binomial_coeff(d.n2, d.y2)
-        + _log_binom_lik(y, n, beta)
-        + _log_prior_beta(beta, sigma_beta, beta_prior)
-    )
-    return out if out.ndim else float(out)
+    return _log_integrand_h0(d, beta, sigma_beta, beta_prior)
+
+
+def _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior):
+    """(log f, gradient and Hessian, Newton start) of one LT integrand.
+
+    The coordinates are (beta,) under H0 and (beta, psi) under H1; log f
+    takes them on the last axis.
+    """
+    if hypothesis is Hypothesis.H0:
+        y, n = d.pooled
+
+        def logf(v):
+            return _log_integrand_h0(d, v[..., 0], sigma_beta, beta_prior)
+
+        def grad_hess(v):
+            g, w = _binom_grad_curv(y, n, v[0])
+            pg, ph = _beta_prior_grad_hess(v[0], sigma_beta, beta_prior)
+            return np.array([g + pg]), np.array([[ph - w]])
+
+        return logf, grad_hess, [_empirical_logit(y, n)]
+
+    ys, ns = np.array([[d.y1, d.y2], [d.n1, d.n2]], dtype=float)
+
+    def logf(v):
+        return _log_integrand_h1(d, v[..., 0], v[..., 1], sigma_beta, sigma_psi, beta_prior)
+
+    def grad_hess(v):
+        g, w = _binom_grad_curv(ys, ns, _LOGITS @ v)
+        g, h = _to_beta_psi(g, np.diag(-w))
+        pg, ph = _beta_prior_grad_hess(v[0], sigma_beta, beta_prior)
+        return g + [pg, -v[1] / sigma_psi**2], h + np.diag([ph, -1.0 / sigma_psi**2])
+
+    x1, x2 = _empirical_logit(ys, ns)
+    return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
 
 
 # --------------------------------------------------------------------------
-# Mode finding (damped Newton; the log integrand is strictly concave)
+# The engine: Newton to the mode, Gauss-Hermite, tanh-sinh fallback
 # --------------------------------------------------------------------------
+
+
+def _newton(logf, grad_hess, x0, what: str, max_iter: int = 200):
+    """(mode, Laplace covariance (-H)^-1) of a log density on R^1 or R^2.
+
+    Steps are halved until they ascend.  Where the density is not
+    log-concave, the step uses -H shifted to be positive definite.
+    """
+    x = np.array(x0, dtype=float)
+    f = logf(x)
+    for _ in range(max_iter):
+        g, h = grad_hess(x)
+        curv = -h
+        lowest = float(np.linalg.eigvalsh(curv)[0])
+        if lowest <= 0.0:
+            curv = curv + (1.0 - lowest) * np.eye(x.size)
+        step = np.linalg.solve(curv, g)
+        dec = float(g @ step)
+        if lowest > 0.0 and dec <= _DECREMENT_TOL:
+            return x, np.linalg.inv(curv)
+        t = 1.0
+        while 0.5 * t * dec > _UNCHECKED_GAIN and not logf(x + t * step) >= f:
+            t *= 0.5
+        x = x + t * step
+        f = logf(x)
+    raise NumericalError(f"{what} did not converge in {max_iter} Newton iterations", last_iterate=x)
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureSpec:
-    """Mode-centered quadrature geometry for one marginal-likelihood integral.
+    """Mode and Laplace covariance of one LT marginal-likelihood integrand.
 
-    ``scale`` is the Laplace covariance (inverse negative Hessian at the
-    mode): 2x2 under H1, and under H0 the 1x1 beta-variance embedded in a
-    2x2 matrix with an inert unit psi block.
+    ``scale`` is the inverse negative Hessian at the mode: 2x2 under H1,
+    and under H0 the 1x1 beta-variance embedded in a 2x2 matrix with an
+    inert unit psi block.
     """
 
-    node_count_per_dim: int
     mode: LogitCoords
     scale: np.ndarray
-    rel_tol: float = DEFAULT_REL_TOL
-
-
-def _sigmoid_arr(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def _beta_prior_grad_hess(beta: float, sigma: float, kind: BetaPriorKind):
-    if kind is BetaPriorKind.GAUSSIAN:
-        return -beta / sigma**2, -1.0 / sigma**2
-    t = math.tanh(beta / (2.0 * sigma))
-    grad = -t / sigma
-    hess = -(1.0 - t * t) / (2.0 * sigma**2)
-    return grad, hess
 
 
 def find_mode_and_scale(
@@ -172,98 +274,25 @@ def find_mode_and_scale(
     sigma_psi: float | None = None,
     beta_prior: BetaPriorKind = BetaPriorKind.GAUSSIAN,
     max_iter: int = 200,
-    grad_tol: float = 1e-10,
 ) -> QuadratureSpec:
     """Newton iteration to the integrand mode; scale = inverse negative Hessian.
 
-    1D in beta under H0, 2D in (beta, psi) under H1.  Steps are halved
-    whenever they fail to increase the log integrand, which cannot cycle
-    because the objective is strictly concave.
+    1D in beta under H0, 2D in (beta, psi) under H1.  The log integrand
+    is strictly concave, so the mode is unique.
     """
     validate_data(d)
     if hypothesis is Hypothesis.H1 and sigma_psi is None:
         raise ValidationError("sigma_psi is required under H1")
     _check_scales(sigma_beta, sigma_psi)
-
+    logf, grad_hess, x0 = _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior)
+    try:
+        mode, cov = _newton(logf, grad_hess, x0, f"{hypothesis.name} mode finding", max_iter)
+    except NumericalError as exc:
+        last = LogitCoords(*np.append(exc.last_iterate, 0.0)[:2])
+        raise NumericalError(str(exc), last_iterate=last) from None
     if hypothesis is Hypothesis.H0:
-        y, n = d.pooled
-
-        def logf(b):
-            return float(log_integrand_h0_lt(d, b, sigma_beta, beta_prior))
-
-        b = 0.0
-        f = logf(b)
-        for _ in range(max_iter):
-            s = float(_sigmoid_arr(np.asarray(b)))
-            pg, ph = _beta_prior_grad_hess(b, sigma_beta, beta_prior)
-            g = y - n * s + pg
-            h = -n * s * (1.0 - s) + ph
-            if abs(g) <= grad_tol:
-                var = -1.0 / h
-                scale = np.array([[var, 0.0], [0.0, 1.0]])
-                return QuadratureSpec(NODE_SCHEDULE[0], LogitCoords(b, 0.0), scale)
-            step = -g / h
-            # damp only meaningfully-sized steps; near the optimum the
-            # objective change falls below float resolution and a
-            # monotonicity check would stall the iteration
-            tiny = 1e-6 * (1.0 + abs(b))
-            if abs(step) > tiny:
-                while True:
-                    f_new = logf(b + step)
-                    if f_new >= f or abs(step) <= tiny:
-                        break
-                    step *= 0.5
-            b = b + step
-            f = logf(b)
-        raise NumericalError(
-            f"H0 mode finding did not reach |grad| <= {grad_tol} in {max_iter} iterations",
-            last_iterate=LogitCoords(b, 0.0),
-        )
-
-    def logf2(v):
-        return float(log_integrand_h1_lt(d, v[0], v[1], sigma_beta, sigma_psi, beta_prior))
-
-    v = np.zeros(2)
-    f = logf2(v)
-    for _ in range(max_iter):
-        x1 = v[0] - 0.5 * v[1]
-        x2 = v[0] + 0.5 * v[1]
-        s1 = float(_sigmoid_arr(np.asarray(x1)))
-        s2 = float(_sigmoid_arr(np.asarray(x2)))
-        g1 = d.y1 - d.n1 * s1
-        g2 = d.y2 - d.n2 * s2
-        h1 = d.n1 * s1 * (1.0 - s1)
-        h2 = d.n2 * s2 * (1.0 - s2)
-        pg, ph = _beta_prior_grad_hess(v[0], sigma_beta, beta_prior)
-        grad = np.array([g1 + g2 + pg, 0.5 * (g2 - g1) - v[1] / sigma_psi**2])
-        hess = np.array(
-            [
-                [-(h1 + h2) + ph, 0.5 * (h1 - h2)],
-                [0.5 * (h1 - h2), -0.25 * (h1 + h2) - 1.0 / sigma_psi**2],
-            ]
-        )
-        if float(np.linalg.norm(grad)) <= grad_tol:
-            scale = np.linalg.inv(-hess)
-            return QuadratureSpec(NODE_SCHEDULE[0], LogitCoords(v[0], v[1]), scale)
-        step = np.linalg.solve(hess, -grad)
-        tiny = 1e-6 * (1.0 + float(np.max(np.abs(v))))
-        if float(np.max(np.abs(step))) > tiny:
-            while True:
-                f_new = logf2(v + step)
-                if f_new >= f or float(np.max(np.abs(step))) <= tiny:
-                    break
-                step *= 0.5
-        v = v + step
-        f = logf2(v)
-    raise NumericalError(
-        f"H1 mode finding did not reach |grad| <= {grad_tol} in {max_iter} iterations",
-        last_iterate=LogitCoords(v[0], v[1]),
-    )
-
-
-# --------------------------------------------------------------------------
-# Gauss-Hermite machinery
-# --------------------------------------------------------------------------
+        return QuadratureSpec(LogitCoords(mode[0], 0.0), np.diag([cov[0, 0], 1.0]))
+    return QuadratureSpec(LogitCoords(mode[0], mode[1]), cov)
 
 
 @lru_cache(maxsize=32)
@@ -293,40 +322,80 @@ def _gauss_hermite(n: int):
     return x, lam
 
 
-def _gh_log_integral_1d(logf, mu: float, sd: float, n: int) -> float:
-    x, lam = _gauss_hermite(n)
-    vals = logf(mu + math.sqrt(2.0) * sd * x)
-    return 0.5 * math.log(2.0) + math.log(sd) + float(logsumexp(lam + vals))
-
-
-def _gh_log_integral_2d(logf, mode: np.ndarray, chol: np.ndarray, n: int) -> float:
-    x, lam = _gauss_hermite(n)
-    u = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-    pts = mode + math.sqrt(2.0) * u @ chol.T
-    vals = logf(pts[:, 0], pts[:, 1])
-    lw = (lam[:, None] + lam[None, :]).reshape(-1)
-    return (
-        math.log(2.0)
-        + float(np.sum(np.log(np.diag(chol))))
-        + float(logsumexp(lw + vals))
-    )
-
-
-def _converge(eval_at, rel_tol: float, what: str) -> tuple[float, float, int]:
-    """Run the node-doubling schedule until successive estimates agree."""
+def _laplace_gh(logf, mode, cov, rel_tol: float, what: str) -> tuple[float, float]:
+    """(log of the integral of exp(logf) over R^k, error estimate), k = 1, 2."""
+    k = mode.size
+    chol = np.linalg.cholesky(cov)
+    log_det = float(np.sum(np.log(np.diag(chol))))
     prev = None
     for n in NODE_SCHEDULE:
-        cur = eval_at(n)
-        if prev is not None:
-            gap = abs(cur - prev)
-            if gap <= rel_tol:
-                return cur, gap, n
+        x, lam = _gauss_hermite(n)
+        # tensor rule by broadcasting, summed in row blocks to bound logf's temporaries
+        axes = np.ix_(*[math.sqrt(2.0) * x] * k)
+        pts = mode + sum(a[..., None] * chol[:, i] for i, a in enumerate(axes))
+        blocks = -(-(n**k) // _BLOCK)
+        lw = np.array_split(sum(np.ix_(*[lam] * k)), blocks)
+        sums = [logsumexp(w + logf(p)) for w, p in zip(lw, np.array_split(pts, blocks))]
+        cur = 0.5 * k * math.log(2.0) + log_det + float(logsumexp(sums))
+        if prev is not None and abs(cur - prev) <= rel_tol:
+            return cur, abs(cur - prev)
         prev = cur
-    raise NumericalError(
-        f"{what}: log marginal did not converge to {rel_tol} within "
-        f"{NODE_SCHEDULE[-1]} nodes per dimension",
-        last_iterate=prev,
-    )
+    val, err = _whitened_tanhsinh(logf, mode, chol, rel_tol, what)
+    return val + log_det, err
+
+
+def _tanhsinh_opts(log_scale: float, tol: float) -> dict:
+    """Options of a ``tanhsinh(log=True)`` rule aiming at relative ``tol``.
+
+    The absolute tolerance, tol / 100 times exp(log_scale), stops
+    negligible far tails short of the level cap.  Levels below 5 claimed
+    1e-12 on dep-IB integrands while off by 1e-10 to 1e-5.
+    """
+    with np.errstate(divide="ignore"):
+        rtol = float(np.log(tol))
+    atol = log_scale + rtol - math.log(100.0)
+    return dict(log=True, minlevel=5, maxlevel=_TANHSINH_MAXLEVEL, rtol=rtol, atol=atol)
+
+
+def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str):
+    """(log integral over z, error) by tanh-sinh, where x = mode + chol z.
+
+    In 2-D an outer rule over z1 integrates inner rules over z2, which aim
+    100 times tighter so that their noise cannot stall it; their errors,
+    integrated over z1, join its own.  The sum must meet ``rel_tol``.
+    """
+    peak = float(logf(mode))
+    opts = _tanhsinh_opts(peak, rel_tol / 100.0)
+    inner_opts = _tanhsinh_opts(peak, rel_tol / 1e4)
+
+    def at(*z):
+        return logf(mode + np.stack(np.broadcast_arrays(*z), axis=-1) @ chol.T)
+
+    slices = []  # (z1, log error) of every inner rule
+
+    def inner(z1):
+        lo = np.full(np.shape(z1), -np.inf)
+        r = tanhsinh(lambda z2, z1: at(z1, z2), lo, np.inf, args=(z1,), **inner_opts)
+        # a slice that underflows everywhere ends with status -3 and is
+        # zero; the outer rule also evaluates, and ignores, its infinite ends
+        zero = r.status == -3
+        live = np.isfinite(z1) & ~zero
+        slices.append((z1[live], r.error[live]))
+        return np.where(zero, -np.inf, r.integral)
+
+    res = tanhsinh(at if mode.size == 1 else inner, -np.inf, np.inf, **opts)
+    val = float(res.integral)
+    err = math.exp(float(res.error) - val)
+    if slices:
+        z1, log_err = (np.concatenate(a) for a in zip(*slices))
+        order = np.argsort(z1)
+        err += float(np.trapezoid(np.exp(log_err[order] - val), z1[order]))
+    if res.status != 0 or not err <= rel_tol:
+        raise NumericalError(
+            f"{what}: log marginal did not converge to {rel_tol} within {NODE_SCHEDULE[-1]} "
+            f"Gauss-Hermite nodes per dimension or {_TANHSINH_MAXLEVEL} tanh-sinh levels"
+        )
+    return val, err
 
 
 # --------------------------------------------------------------------------
@@ -334,37 +403,13 @@ def _converge(eval_at, rel_tol: float, what: str) -> tuple[float, float, int]:
 # --------------------------------------------------------------------------
 
 
-def _log_ml_h0(d, sigma_beta, beta_prior, rel_tol):
-    spec = find_mode_and_scale(d, Hypothesis.H0, sigma_beta, beta_prior=beta_prior)
-    sd = math.sqrt(float(spec.scale[0, 0]))
-
-    def at(n):
-        return _gh_log_integral_1d(
-            lambda b: log_integrand_h0_lt(d, b, sigma_beta, beta_prior),
-            spec.mode.beta,
-            sd,
-            n,
-        )
-
-    return _converge(at, rel_tol, "H0 marginal")
-
-
-def _log_ml_h1(d, sigma_beta, sigma_psi, beta_prior, rel_tol):
-    spec = find_mode_and_scale(
-        d, Hypothesis.H1, sigma_beta, sigma_psi, beta_prior=beta_prior
-    )
-    chol = np.linalg.cholesky(spec.scale)
-    mode = np.array([spec.mode.beta, spec.mode.psi])
-
-    def at(n):
-        return _gh_log_integral_2d(
-            lambda b, p: log_integrand_h1_lt(d, b, p, sigma_beta, sigma_psi, beta_prior),
-            mode,
-            chol,
-            n,
-        )
-
-    return _converge(at, rel_tol, "H1 marginal")
+def _log_ml(d, hypothesis, sigma_beta, sigma_psi, beta_prior, rel_tol):
+    """(log marginal, error estimate) under one hypothesis."""
+    spec = find_mode_and_scale(d, hypothesis, sigma_beta, sigma_psi, beta_prior)
+    logf, _, _ = _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior)
+    k = 1 if hypothesis is Hypothesis.H0 else 2
+    mode = np.array([spec.mode.beta, spec.mode.psi][:k])
+    return _laplace_gh(logf, mode, spec.scale[:k, :k], rel_tol, f"{hypothesis.name} marginal")
 
 
 def log_ml_h0_lt(
@@ -374,7 +419,7 @@ def log_ml_h0_lt(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Log marginal likelihood of the null (psi = 0) model."""
-    return _log_ml_h0(d, sigma_beta, beta_prior, rel_tol)[0]
+    return _log_ml(d, Hypothesis.H0, sigma_beta, None, beta_prior, rel_tol)[0]
 
 
 def log_ml_h1_lt(
@@ -385,7 +430,7 @@ def log_ml_h1_lt(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Log marginal likelihood of the free-psi model."""
-    return _log_ml_h1(d, sigma_beta, sigma_psi, beta_prior, rel_tol)[0]
+    return _log_ml(d, Hypothesis.H1, sigma_beta, sigma_psi, beta_prior, rel_tol)[0]
 
 
 def bf01_lt(
@@ -396,8 +441,8 @@ def bf01_lt(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> EvidenceResult:
     """Bayes factor for psi = 0 versus psi ~ N(0, sigma_psi)."""
-    ml0, err0, _ = _log_ml_h0(d, sigma_beta, beta_prior, rel_tol)
-    ml1, err1, _ = _log_ml_h1(d, sigma_beta, sigma_psi, beta_prior, rel_tol)
+    ml0, err0 = _log_ml(d, Hypothesis.H0, sigma_beta, None, beta_prior, rel_tol)
+    ml1, err1 = _log_ml(d, Hypothesis.H1, sigma_beta, sigma_psi, beta_prior, rel_tol)
     return EvidenceResult.from_log_marginals(
         log_ml_h0=ml0,
         log_ml_h1=ml1,

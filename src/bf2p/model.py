@@ -18,6 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from scipy.special import expit
+
 
 class ValidationError(ValueError):
     """Observed counts or a hyperparameter value violate an invariant."""
@@ -62,14 +64,6 @@ class Method(enum.Enum):
     ANALYTIC = "analytic"
     QUADRATURE = "quadrature"
     MONTE_CARLO = "monte_carlo"
-
-
-def _sigmoid(x: float) -> float:
-    # 1/(1+exp(-x)) branch form; no overflow for |x| up to ~745
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def _is_integer_scalar(v) -> bool:
@@ -176,8 +170,8 @@ class DiffCoords:
 def logit_to_proportions(c: LogitCoords) -> ProportionPair:
     """Map (beta, psi) to (theta1, theta2). Total on finite inputs."""
     return ProportionPair(
-        _sigmoid(c.beta - 0.5 * c.psi),
-        _sigmoid(c.beta + 0.5 * c.psi),
+        float(expit(c.beta - 0.5 * c.psi)),
+        float(expit(c.beta + 0.5 * c.psi)),
     )
 
 

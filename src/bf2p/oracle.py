@@ -25,11 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp, xlog1py, xlogy
 
 from .averaging import Approach, ApproachParams, ModelId, M1_IB
 from .dep_ib import sample_prior_depib
 from .ib import log_binomial_coeff
+from .priors import _draw_rates
 from .model import (
     DepIBPrior,
     Hypothesis,
@@ -67,32 +68,22 @@ def _rng_streams(seed: int, n_streams: int):
 
 
 def _log_group_lik(y: int, n: int, theta: np.ndarray) -> np.ndarray:
-    """Binomial log pmf at array of rates, guarded for clamped endpoints."""
-    theta = np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(y == 0, 0.0, y * np.log(theta))
-        t2 = np.where(n - y == 0, 0.0, (n - y) * np.log1p(-theta))
-    return log_binomial_coeff(n, y) + t1 + t2
+    """Binomial log pmf at array of rates, exact at clamped endpoints."""
+    return log_binomial_coeff(n, y) + xlogy(y, theta) + xlog1py(n - y, -theta)
 
 
-def _draw_rates(model: ModelId, params: ApproachParams, n: int, rng):
+def _checked(d: TwoByTwoData, params: ApproachParams | None, n_draws: int) -> ApproachParams:
+    """Validate one estimator call; ``params`` defaults to ``ApproachParams()``."""
+    validate_data(d)
+    if n_draws < MIN_DRAWS:
+        raise ValueError(f"n_draws must be at least {MIN_DRAWS}, got {n_draws}")
+    return params if params is not None else ApproachParams()
+
+
+def _model_rates(model: ModelId, params: ApproachParams, n: int, rng):
     """(theta1, theta2) arrays drawn from the model's prior."""
-    if model.approach is Approach.IB:
-        a = params.ib.a
-        t1 = rng.beta(a, a, n)
-        t2 = t1 if model.hypothesis is Hypothesis.H0 else rng.beta(a, a, n)
-        return t1, t2
-    p = params.lt
-    if p.beta_prior.value == "gaussian":
-        beta = rng.normal(0.0, p.sigma_beta, n)
-    else:
-        beta = rng.logistic(0.0, p.sigma_beta, n)
-    psi = (
-        np.zeros(n)
-        if model.hypothesis is Hypothesis.H0
-        else rng.normal(0.0, p.sigma_psi, n)
-    )
-    return expit(beta - 0.5 * psi), expit(beta + 0.5 * psi)
+    cfg = params.ib if model.approach is Approach.IB else params.lt
+    return _draw_rates(cfg, model.hypothesis, n, rng)
 
 
 def _log_mean_exp_with_se(log_terms: np.ndarray) -> tuple[float, float]:
@@ -111,12 +102,9 @@ def mc_log_marginal(
     seed: int = 0,
 ) -> MCEstimate:
     """Plain Monte Carlo estimate of a model's log marginal likelihood."""
-    validate_data(d)
-    params = params if params is not None else ApproachParams()
-    if n_draws < MIN_DRAWS:
-        raise ValueError(f"n_draws must be at least {MIN_DRAWS}, got {n_draws}")
+    params = _checked(d, params, n_draws)
     (rng,) = _rng_streams(seed, 1)
-    t1, t2 = _draw_rates(model, params, n_draws, rng)
+    t1, t2 = _model_rates(model, params, n_draws, rng)
     ll = _log_group_lik(d.y1, d.n1, t1) + _log_group_lik(d.y2, d.n2, t2)
     log_val, se = _log_mean_exp_with_se(ll)
     return MCEstimate(log_value=log_val, std_error=se, n_draws=n_draws, seed=seed)
@@ -130,9 +118,7 @@ def mc_log_marginal_depib(
     seed: int = 0,
 ) -> MCEstimate:
     """Monte Carlo oracle for the clamped truncated-Gaussian variant."""
-    validate_data(d)
-    if n_draws < MIN_DRAWS:
-        raise ValueError(f"n_draws must be at least {MIN_DRAWS}, got {n_draws}")
+    _checked(d, None, n_draws)
     t1, t2 = sample_prior_depib(
         cfg, n_draws, seed, hypothesis_null=hypothesis is Hypothesis.H0
     )
@@ -168,12 +154,9 @@ def group2_log_predictive(
     weights are constant in the group-2 rate, so both settings of
     ``condition_on_group1`` are the same estimator, by construction.
     """
-    validate_data(d)
-    params = params if params is not None else ApproachParams()
-    if n_draws < MIN_DRAWS:
-        raise ValueError(f"n_draws must be at least {MIN_DRAWS}, got {n_draws}")
+    params = _checked(d, params, n_draws)
     _, rng = _rng_streams(seed, 2)
-    t1, t2 = _draw_rates(model, params, n_draws, rng)
+    t1, t2 = _model_rates(model, params, n_draws, rng)
     lv = _log_group_lik(d.y2, d.n2, t2)
     if model == M1_IB or not condition_on_group1:
         log_val, se = _log_mean_exp_with_se(lv)
@@ -204,12 +187,9 @@ def sequential_log_marginal(
     independent sub-streams so the quoted standard error is the
     quadrature sum of the two stages' errors.
     """
-    validate_data(d)
-    params = params if params is not None else ApproachParams()
-    if n_draws < MIN_DRAWS:
-        raise ValueError(f"n_draws must be at least {MIN_DRAWS}, got {n_draws}")
+    params = _checked(d, params, n_draws)
     rng_a, _ = _rng_streams(seed, 2)
-    t1, _unused = _draw_rates(model, params, n_draws, rng_a)
+    t1, _unused = _model_rates(model, params, n_draws, rng_a)
     log_z1, se_z1 = _log_mean_exp_with_se(_log_group_lik(d.y1, d.n1, t1))
     pred = group2_log_predictive(
         model, d, params, n_draws, seed, condition_on_group1=True

@@ -18,6 +18,7 @@ from scipy.special import expit
 
 from .dep_ib import sample_prior_depib
 from .model import (
+    BetaPriorKind,
     DepIBPrior,
     DomainError,
     Hypothesis,
@@ -125,6 +126,18 @@ class DensityGrid:
 # --------------------------------------------------------------------------
 
 
+def _draw_rates(cfg: IBPrior | LTPrior, hypothesis: Hypothesis, n_draws: int, rng):
+    """(theta1, theta2) arrays drawn from an IB or LT prior with ``rng``."""
+    h0 = hypothesis is Hypothesis.H0
+    if isinstance(cfg, IBPrior):
+        t1 = rng.beta(cfg.a, cfg.a, n_draws)
+        return t1, t1 if h0 else rng.beta(cfg.a, cfg.a, n_draws)
+    draw_beta = rng.normal if cfg.beta_prior is BetaPriorKind.GAUSSIAN else rng.logistic
+    beta = draw_beta(0.0, cfg.sigma_beta, n_draws)
+    psi = np.zeros(n_draws) if h0 else rng.normal(0.0, cfg.sigma_psi, n_draws)
+    return expit(beta - 0.5 * psi), expit(beta + 0.5 * psi)
+
+
 def sample_prior(
     cfg: PriorConfig, hypothesis: Hypothesis, n_draws: int, seed: int
 ) -> ParamSamples:
@@ -135,22 +148,9 @@ def sample_prior(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    if isinstance(cfg, IBPrior):
-        t1 = rng.beta(cfg.a, cfg.a, n_draws)
-        t2 = t1 if hypothesis is Hypothesis.H0 else rng.beta(cfg.a, cfg.a, n_draws)
-        return ParamSamples.from_rates(t1, t2)
-    if isinstance(cfg, LTPrior):
-        if cfg.beta_prior.value == "gaussian":
-            beta = rng.normal(0.0, cfg.sigma_beta, n_draws)
-        else:
-            beta = rng.logistic(0.0, cfg.sigma_beta, n_draws)
-        psi = (
-            np.zeros(n_draws)
-            if hypothesis is Hypothesis.H0
-            else rng.normal(0.0, cfg.sigma_psi, n_draws)
-        )
-        return ParamSamples.from_rates(expit(beta - 0.5 * psi), expit(beta + 0.5 * psi))
+    if isinstance(cfg, (IBPrior, LTPrior)):
+        rng = np.random.Generator(np.random.Philox(seed))
+        return ParamSamples.from_rates(*_draw_rates(cfg, hypothesis, n_draws, rng))
     if isinstance(cfg, DepIBPrior):
         t1, t2 = sample_prior_depib(
             cfg, n_draws, seed, hypothesis_null=hypothesis is Hypothesis.H0

@@ -239,12 +239,8 @@ def sensitivity_curve(
     """
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
-    defaults: dict[str, dict[str, float]] = {
-        "ib": {"a": 1.0},
-        "lt": {"sigma_beta": 1.0, "sigma_psi": 1.0},
-        "dep_ib": {"sigma_eta": 0.2, "sigma_zeta": 0.5},
-        "avg": {"a": 1.0, "sigma_beta": 1.0, "sigma_psi": 1.0},
-    }
+    # each method's default parameters head its default grid
+    defaults = {m: dict(grid[0]) for m, grid in default_grids().items()}
     if params:
         for m, p in params.items():
             defaults[m].update(p)

@@ -150,14 +150,15 @@ def log_density_gaussian(x, sigma: float):
     return out if out.ndim else float(out)
 
 
-def _log_gaussian_mass(lo: float, hi: float, center: float, sigma: float) -> float:
-    # ln(Phi((hi-c)/s) - Phi((lo-c)/s)) without cancellation
-    a = (lo - center) / sigma
-    b = (hi - center) / sigma
-    if a > 0:  # work in the lower tail where log_ndtr is accurate
-        a, b = -b, -a
+def _log_gaussian_mass(lo, hi, center, sigma):
+    # ln(Phi((hi-c)/s) - Phi((lo-c)/s)) elementwise, without cancellation
+    a, b = (lo - center) / sigma, (hi - center) / sigma
+    upper = a > 0  # work in the lower tail where log_ndtr is accurate
+    a, b = np.where(upper, -b, a), np.where(upper, -a, b)
     la, lb = log_ndtr(a), log_ndtr(b)
-    return float(lb + math.log1p(-math.exp(la - lb)))
+    with np.errstate(divide="ignore"):
+        out = lb + np.log(-np.expm1(la - lb))
+    return out if out.ndim else float(out)
 
 
 def log_density_truncated_gaussian(

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
+from scipy import integrate, stats
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 
 def appell_f1_series(a, b1, b2, c, x, y, tol=1e-12, max_order=600):
@@ -92,3 +92,80 @@ def ib_bf01_exact(d):
         fac(d.y2) * fac(d.n2 - d.y2), fac(d.n2 + 1)
     )
     return float(num / den)
+
+
+def _gauss_legendre_panels(lo, hi, panels, order):
+    """Nodes and log weights of a composite Gauss-Legendre rule on [lo, hi].
+
+    ``lo`` and ``hi`` may be arrays (one interval per row).
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    nodes = (mid[..., None] + half[..., None] * x).reshape(*half.shape[:-1], -1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(half[..., None] * w).reshape(nodes.shape)
+    return nodes, logw
+
+
+def _log_truncated_normal(x, center, sigma, lo, hi):
+    mass = stats.norm.cdf(hi, center, sigma) - stats.norm.cdf(lo, center, sigma)
+    return stats.norm.logpdf(x, center, sigma) - math.log(mass)
+
+
+def _log_lik_rates(d, t1, t2):
+    return (
+        gammaln(d.n1 + 1) - gammaln(d.y1 + 1) - gammaln(d.n1 - d.y1 + 1)
+        + gammaln(d.n2 + 1) - gammaln(d.y2 + 1) - gammaln(d.n2 - d.y2 + 1)
+        + xlogy(d.y1, t1) + xlog1py(d.n1 - d.y1, -t1)
+        + xlogy(d.y2, t2) + xlog1py(d.n2 - d.y2, -t2)
+    )
+
+
+def depib_log_marginals_gauss_legendre(
+    d, sigma_eta, sigma_zeta=0.5, zeta_center=0.5, order=20, tol=1e-12, max_panels=64
+):
+    """(log p(D|H0), log p(D|H1), gap) of the clamped dependent variant.
+
+    Composite Gauss-Legendre in (eta, zeta).  The H1 box is split at
+    eta = 0 and along the clamp lines zeta = |eta|/2, 1 - |eta|/2; on
+    each piece the clamped rates are linear or constant, so the integrand
+    is smooth there.  Panels double on both axes until two levels agree
+    to ``tol``; ``gap`` is the last difference, summed over H0 and H1.
+    Small counts only: the rule does not adapt to a narrow likelihood.
+    """
+    sz, zc = sigma_zeta, zeta_center
+
+    def log_ml0(panels):
+        z, lw = _gauss_legendre_panels(0.0, 1.0, panels, order)
+        lf = _log_lik_rates(d, z, z) + _log_truncated_normal(z, zc, sz, 0.0, 1.0)
+        return float(logsumexp(lf + lw))
+
+    def log_ml1(panels):
+        terms = []
+        for e_lo, e_hi in ((-1.0, 0.0), (0.0, 1.0)):
+            e, lwe = _gauss_legendre_panels(e_lo, e_hi, panels, order)
+            a = np.abs(e) / 2
+            for z_lo, z_hi in ((0 * a, a), (a, 1 - a), (1 - a, 1 + 0 * a)):
+                z, lwz = _gauss_legendre_panels(z_lo, z_hi, panels, order)
+                ee = e[:, None]
+                t1 = np.clip(z - ee / 2, 0.0, 1.0)
+                t2 = np.clip(z + ee / 2, 0.0, 1.0)
+                lf = (
+                    _log_lik_rates(d, t1, t2)
+                    + _log_truncated_normal(ee, 0.0, sigma_eta, -1.0, 1.0)
+                    + _log_truncated_normal(z, zc, sz, 0.0, 1.0)
+                )
+                terms.append(logsumexp(lf + lwz + lwe[:, None]))
+        return float(logsumexp(terms))
+
+    panels, prev = 2, None
+    while True:
+        cur = (log_ml0(panels), log_ml1(panels))
+        if prev is not None:
+            gap = abs(cur[0] - prev[0]) + abs(cur[1] - prev[1])
+            if gap <= tol or panels >= max_panels:
+                return cur[0], cur[1], gap
+        prev, panels = cur, 2 * panels

@@ -20,6 +20,7 @@ from bf2p.ib import bf01_ib
 from bf2p.model import DepIBPrior, Hypothesis, Method, TwoByTwoData
 from bf2p.oracle import mc_log_marginal_depib
 from conftest import random_small_datasets
+from oracles import depib_log_marginals_gauss_legendre
 
 
 class TestClampedRates:
@@ -110,6 +111,47 @@ class TestBayesFactor:
         d = TwoByTwoData(5, 20, 8, 20)
         wide = bf01_depib(d, DepIBPrior(sigma_eta=50.0, sigma_zeta=50.0)).bf01
         assert wide / bf01_ib(d, 1.0).bf01 == pytest.approx(2.0, rel=0.15)
+
+
+class TestAgainstGaussLegendreOracle:
+    @pytest.mark.parametrize(
+        "counts, sigma_eta, zeta_center",
+        [
+            ((3, 10, 5, 12), 0.2, 0.5),  # interior counts: core only
+            ((0, 8, 3, 9), 0.2, 0.5),  # theta1 clamped to 0
+            ((2, 7, 6, 6), 0.5, 0.5),  # theta2 clamped to 1
+            ((4, 9, 0, 8), 1.0, 0.5),  # theta2 clamped to 0
+            ((7, 7, 2, 9), 0.2, 0.5),  # theta1 clamped to 1
+            ((2, 6, 4, 7), 0.2, 0.0),  # zeta prior centred at 0
+            ((0, 8, 3, 9), 1.0, 0.0),
+            # Gauss-Hermite has not converged by 961 nodes here, so the
+            # tanh-sinh fallback runs
+            ((0, 3, 0, 3), 0.05, 0.5),
+            ((1, 2, 0, 2), 0.05, 0.5),
+            ((0, 1, 1, 1), 0.05, 0.5),
+        ],
+    )
+    def test_log_bf01_within_reported_error(self, counts, sigma_eta, zeta_center):
+        d = TwoByTwoData(*counts)
+        res = bf01_depib(d, DepIBPrior(sigma_eta=sigma_eta, zeta_center=zeta_center))
+        ml0, ml1, gap = depib_log_marginals_gauss_legendre(
+            d, sigma_eta, zeta_center=zeta_center
+        )
+        assert gap <= 1e-11
+        assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + 1e-10
+
+    @pytest.mark.parametrize(
+        "counts, sigma_eta", [((0, 8, 3, 9), 0.2), ((2, 7, 6, 6), 0.5), ((0, 3, 0, 3), 0.05)]
+    )
+    def test_group_and_event_swap_symmetry(self, counts, sigma_eta):
+        d = TwoByTwoData(*counts)
+        cfg = DepIBPrior(sigma_eta=sigma_eta)
+        ref = bf01_depib(d, cfg)
+        events = TwoByTwoData(d.n1 - d.y1, d.n1, d.n2 - d.y2, d.n2)
+        for other in (d.swapped(), events):
+            res = bf01_depib(other, cfg)
+            assert res.log_ml_h0 == pytest.approx(ref.log_ml_h0, rel=1e-12)
+            assert res.log_ml_h1 == pytest.approx(ref.log_ml_h1, rel=1e-12)
 
 
 class TestPriorDraws:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import bf2p.lt as lt_mod
 from bf2p.lt import (
     bf01_lt,
     find_mode_and_scale,
@@ -68,9 +69,8 @@ class TestModeFinding:
         assert abs(spec.mode.psi) < 1e-12
 
     def test_default_rel_tol_within_contract(self):
-        spec = find_mode_and_scale(TwoByTwoData(5, 10, 4, 9), Hypothesis.H1, 1.0, 1.0)
-        assert spec.rel_tol <= 1e-6
-        assert spec.node_count_per_dim >= 21
+        assert lt_mod.DEFAULT_REL_TOL <= 1e-6
+        assert lt_mod.NODE_SCHEDULE[0] >= 21
 
     def test_aspirin_null_mode_pulled_above_likelihood(self, aspirin):
         spec = find_mode_and_scale(aspirin, Hypothesis.H0, 1.0)
@@ -181,6 +181,16 @@ class TestBayesFactor:
             bf01_lt(magee_corpus, 1.0, s).log_bf01 for s in (1.0, 1.25, 1.5, 1.75, 2.0)
         ]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("counts", [(10**6,) * 4, (10**7, 10**7, 0, 10**7)])
+    def test_extreme_counts_match_event_swapped_mirror(self, counts):
+        # all events, or complete separation, at n = 1e6..1e7: the mode
+        # search must converge on both sides of the event swap
+        d = TwoByTwoData(*counts)
+        mirror = TwoByTwoData(d.n1 - d.y1, d.n1, d.n2 - d.y2, d.n2)
+        got = bf01_lt(d, 1.0, 1.0).log_bf01
+        assert math.isfinite(got)
+        assert got == pytest.approx(bf01_lt(mirror, 1.0, 1.0).log_bf01, abs=1e-9)
 
     def test_group_swap_symmetry(self):
         d = TwoByTwoData(9, 31, 2, 18)
