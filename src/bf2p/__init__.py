@@ -65,6 +65,7 @@ from .averaging import (
     ModelId,
     bf_avg01,
     cross_model_ratio,
+    evidence,
     log_ml,
 )
 from .special import (

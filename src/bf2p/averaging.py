@@ -1,4 +1,5 @@
-"""Model-averaged Bayes factors over the four {IB, LT} x {H0, H1} models.
+"""Model-averaged Bayes factors over the four {IB, LT} x {H0, H1} models,
+and :func:`evidence`, the one map from a prior config to its test.
 
 Averaging across the two prior families is legitimate arithmetic but
 statistically delicate: the two approaches give the nuisance grand mean
@@ -20,14 +21,16 @@ from typing import Mapping
 
 from scipy.special import logsumexp
 
-from . import ib, lt
+from . import dep_ib, ib, lt
 from .model import (
     ConfigError,
+    DepIBPrior,
     EvidenceResult,
     Hypothesis,
     IBPrior,
     LTPrior,
     Method,
+    PriorConfig,
     TwoByTwoData,
 )
 
@@ -41,6 +44,7 @@ __all__ = [
     "ALL_MODELS",
     "ApproachParams",
     "MixedApproachWarning",
+    "evidence",
     "validate_weights",
     "equal_weights",
     "log_ml",
@@ -74,6 +78,31 @@ M1_LT = ModelId(Approach.LT, Hypothesis.H1)
 ALL_MODELS = (M0_IB, M1_IB, M0_LT, M1_LT)
 
 WEIGHT_SUM_TOL = 1e-12
+
+#: Each prior family's module, whose ``_log_ml(d, hypothesis, prior)``
+#: gives (log marginal, error estimate), and its method tag.
+_FAMILIES = {
+    IBPrior: (ib, Method.ANALYTIC),
+    LTPrior: (lt, Method.QUADRATURE),
+    DepIBPrior: (dep_ib, Method.QUADRATURE),
+}
+
+
+def _family(prior):
+    try:
+        return _FAMILIES[type(prior)]
+    except KeyError:
+        raise ConfigError(f"expected a prior config, got {prior!r}") from None
+
+
+def evidence(d: TwoByTwoData, prior: PriorConfig) -> EvidenceResult:
+    """Bayes factor of ``d`` under the test that the type of ``prior`` selects.
+
+    ``IBPrior``: closed-form independent Beta; ``LTPrior``: logit
+    transformation; ``DepIBPrior``: the dependent variant.
+    """
+    module, method_tag = _family(prior)
+    return EvidenceResult.from_hypotheses(module._log_ml, d, prior, method_tag)
 
 
 @dataclass(frozen=True)
@@ -110,7 +139,7 @@ def equal_weights() -> dict[ModelId, float]:
 
 
 def log_ml(model: ModelId, d: TwoByTwoData, params: ApproachParams) -> float:
-    """Log marginal likelihood of one model; thin dispatch over the two tests.
+    """Log marginal likelihood of one model under its approach's prior.
 
     All four marginals include the shared binomial coefficients, so
     cross-approach ratios are ratios of true data probabilities.
@@ -124,13 +153,8 @@ def _log_ml(model, d, params) -> tuple[float, float]:
         raise ConfigError(f"expected a ModelId, got {model!r}")
     if not isinstance(params, ApproachParams):
         raise ConfigError(f"expected ApproachParams, got {type(params).__name__}")
-    if model.approach is Approach.IB:
-        if model.hypothesis is Hypothesis.H0:
-            return ib.log_ml_h0_ib(d, params.ib.a), 0.0
-        return ib.log_ml_h1_ib(d, params.ib.a), 0.0
-    p = params.lt
-    sigma_psi = None if model.hypothesis is Hypothesis.H0 else p.sigma_psi
-    return lt._log_ml(d, model.hypothesis, p.sigma_beta, sigma_psi, p.beta_prior, lt.DEFAULT_REL_TOL)
+    prior = getattr(params, model.approach.value)
+    return _family(prior)[0]._log_ml(d, model.hypothesis, prior)
 
 
 def _warn_if_mixed(num_models, den_models):

@@ -22,16 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .averaging import ApproachParams, bf_avg01, equal_weights, ALL_MODELS
-from .dep_ib import bf01_depib, prior_correlation_depib
-from .ib import bf01_ib
-from .lt import bf01_lt
+from .averaging import ApproachParams, bf_avg01, equal_weights, evidence, ALL_MODELS
 from .model import (
     ConfigError,
-    DepIBPrior,
     EvidenceResult,
-    IBPrior,
-    LTPrior,
     NumericalError,
     TwoByTwoData,
     ValidationError,
@@ -40,7 +34,9 @@ from .model import (
 from .posterior import posterior_draws_ib, posterior_grid_lt, summarize_posterior
 from .priors import conditional_theta2_density, joint_density_grid, marginal_density, prior_correlation
 from .reanalysis import (
+    PRIORS,
     ParseError,
+    _prior_config,
     emit,
     ingest_csv,
     load_bundled_corpus,
@@ -86,6 +82,11 @@ def _add_prior_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _prior(args, name: str):
+    """The config of prior ``name`` from its own flags; other families' flags are ignored."""
+    return _prior_config(PRIORS[name.replace("-", "_")], vars(args))
+
+
 def _render_evidence(res: EvidenceResult, as_json: bool) -> str:
     fields = {
         "bf01": res.bf01,
@@ -113,21 +114,14 @@ def _render_evidence(res: EvidenceResult, as_json: bool) -> str:
 
 def _cmd_bf(args) -> int:
     d = TwoByTwoData(args.y1, args.n1, args.y2, args.n2)
-    if args.method == "ib":
-        res = bf01_ib(d, args.a)
-    elif args.method == "lt":
-        res = bf01_lt(d, args.sigma_beta, args.sigma_psi)
-    else:
-        res = bf01_depib(d, DepIBPrior(args.sigma_eta, args.sigma_zeta))
+    res = evidence(d, _prior(args, args.method))
     print(_render_evidence(res, args.format == "json"))
     return 0
 
 
 def _cmd_avg(args) -> int:
     d = TwoByTwoData(args.y1, args.n1, args.y2, args.n2)
-    params = ApproachParams(
-        ib=IBPrior(args.a), lt=LTPrior(args.sigma_beta, args.sigma_psi)
-    )
+    params = ApproachParams(ib=_prior(args, "ib"), lt=_prior(args, "lt"))
     if args.weights is None:
         weights = equal_weights()
     else:
@@ -144,16 +138,9 @@ def _cmd_avg(args) -> int:
 
 
 def _cmd_priors(args) -> int:
-    cfg = {
-        "ib": IBPrior(args.a),
-        "lt": LTPrior(args.sigma_beta, args.sigma_psi),
-        "dep-ib": DepIBPrior(args.sigma_eta, args.sigma_zeta),
-    }[args.config]
+    cfg = _prior(args, args.config)
     if args.quantity == "correlation":
-        if isinstance(cfg, DepIBPrior):
-            r = prior_correlation_depib(cfg, args.n_draws, args.seed)
-        else:
-            r = prior_correlation(cfg, args.n_draws, args.seed)
+        r = prior_correlation(cfg, args.n_draws, args.seed)
         print(f"prior correlation(theta1, theta2) = {r:.4f}")
         return 0
     if args.quantity in ("eta", "psi", "theta"):

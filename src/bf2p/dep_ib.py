@@ -51,11 +51,11 @@ from .lt import (
 from .model import (
     DepIBPrior,
     EvidenceResult,
+    Hypothesis,
     Method,
     NumericalError,
     ProportionPair,
     TwoByTwoData,
-    validate_data,
 )
 from .special import _log_gaussian_mass, log_density_truncated_gaussian
 from .ib import log_binomial_coeff
@@ -187,30 +187,25 @@ def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     return _log_coeffs(d) + total, err
 
 
+def _log_ml(d: TwoByTwoData, hypothesis: Hypothesis, cfg: DepIBPrior) -> tuple[float, float]:
+    """(log marginal, error estimate) under one hypothesis."""
+    return (_log_ml_h0 if hypothesis is Hypothesis.H0 else _log_ml_h1)(d, cfg)
+
+
 def log_ml_h0_depib(d: TwoByTwoData, cfg: DepIBPrior) -> float:
     """Log marginal with eta = 0: a single rate zeta under its truncated prior."""
-    validate_data(d)
     return _log_ml_h0(d, cfg)[0]
 
 
 def log_ml_h1_depib(d: TwoByTwoData, cfg: DepIBPrior) -> float:
     """Log marginal of the free-(eta, zeta) model: core plus clamped wedges."""
-    validate_data(d)
     return _log_ml_h1(d, cfg)[0]
 
 
 def bf01_depib(d: TwoByTwoData, cfg: DepIBPrior | None = None) -> EvidenceResult:
     """Bayes factor for eta = 0 under the clamped truncated-Gaussian prior."""
     cfg = cfg if cfg is not None else DepIBPrior()
-    validate_data(d)
-    ml0, err0 = _log_ml_h0(d, cfg)
-    ml1, err1 = _log_ml_h1(d, cfg)
-    return EvidenceResult.from_log_marginals(
-        log_ml_h0=ml0,
-        log_ml_h1=ml1,
-        abs_error_estimate=err0 + err1,
-        method_tag=Method.QUADRATURE,
-    )
+    return EvidenceResult.from_hypotheses(_log_ml, d, cfg, Method.QUADRATURE)
 
 
 def sample_prior_depib(

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from scipy.special import betaln, gammaln
 
-from .model import (
-    EvidenceResult,
-    IBPrior,
-    Method,
-    TwoByTwoData,
-    validate_data,
-)
+from .model import EvidenceResult, Hypothesis, IBPrior, Method, TwoByTwoData
 
 
 def log_binomial_coeff(n: int, y: int) -> float:
@@ -38,47 +32,44 @@ def _betaln_sym(p: float, q: float) -> float:
     return float(betaln(min(p, q), max(p, q)))
 
 
-def log_ml_h0_ib(d: TwoByTwoData, a: float = 1.0) -> float:
-    """Log marginal likelihood of the shared-rate model.
+def _log_ml(d: TwoByTwoData, hypothesis: Hypothesis, prior: IBPrior) -> tuple[float, float]:
+    """(log marginal, error estimate) under one hypothesis; the error is 0.
 
-    ln[ C(n1,y1) C(n2,y2) B(a + y1+y2, a + n1+n2-y1-y2) / B(a, a) ].
+    H0: ln[ C(n1,y1) C(n2,y2) B(a + y1+y2, a + n1+n2-y1-y2) / B(a, a) ].
+    H1 factorizes over groups: observing one group teaches nothing about
+    the other, so it is the product of two beta-binomial marginals.
     """
-    validate_data(d)
-    IBPrior(a)  # validates a
-    y, n = d.pooled
-    return (
-        log_binomial_coeff(d.n1, d.y1)
-        + log_binomial_coeff(d.n2, d.y2)
-        + _betaln_sym(a + y, a + (n - y))  # int difference first: exact swaps
-        - betaln(a, a)
-    )
-
-
-def log_ml_h1_ib(d: TwoByTwoData, a: float = 1.0) -> float:
-    """Log marginal likelihood of the two-independent-rates model.
-
-    Factorizes over groups: observing one group teaches nothing about the
-    other, so this equals the product of two beta-binomial marginals.
-    """
-    validate_data(d)
-    IBPrior(a)  # validates a
+    a = prior.a
+    if hypothesis is Hypothesis.H0:
+        y, n = d.pooled
+        return (
+            log_binomial_coeff(d.n1, d.y1)
+            + log_binomial_coeff(d.n2, d.y2)
+            + _betaln_sym(a + y, a + (n - y))  # int difference first: exact swaps
+            - betaln(a, a)
+        ), 0.0
 
     def group(y, n):
         return log_binomial_coeff(n, y) + _betaln_sym(a + y, a + (n - y)) - betaln(a, a)
 
     # single commutative addition of the two group terms keeps the
     # group-swap symmetry exact in floating point
-    return group(d.y1, d.n1) + group(d.y2, d.n2)
+    return group(d.y1, d.n1) + group(d.y2, d.n2), 0.0
+
+
+def log_ml_h0_ib(d: TwoByTwoData, a: float = 1.0) -> float:
+    """Log marginal likelihood of the shared-rate model."""
+    return _log_ml(d, Hypothesis.H0, IBPrior(a))[0]
+
+
+def log_ml_h1_ib(d: TwoByTwoData, a: float = 1.0) -> float:
+    """Log marginal likelihood of the two-independent-rates model."""
+    return _log_ml(d, Hypothesis.H1, IBPrior(a))[0]
 
 
 def bf01_ib(d: TwoByTwoData, a: float = 1.0) -> EvidenceResult:
     """Bayes factor for rate equality under independent Beta(a, a) priors."""
-    return EvidenceResult.from_log_marginals(
-        log_ml_h0=log_ml_h0_ib(d, a),
-        log_ml_h1=log_ml_h1_ib(d, a),
-        abs_error_estimate=0.0,
-        method_tag=Method.ANALYTIC,
-    )
+    return EvidenceResult.from_hypotheses(_log_ml, d, IBPrior(a), Method.ANALYTIC)
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,6 @@ class IBPosterior:
 
 def ib_posterior(d: TwoByTwoData, a: float = 1.0) -> IBPosterior:
     """Conjugate update: theta_i | data ~ Beta(a + y_i, a + n_i - y_i)."""
-    validate_data(d)
     IBPrior(a)  # validates a
     return IBPosterior(
         a1_post=a + d.y1,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.integrate import tanhsinh
@@ -37,11 +37,11 @@ from .model import (
     EvidenceResult,
     Hypothesis,
     LogitCoords,
+    LTPrior,
     Method,
     NumericalError,
     TwoByTwoData,
     ValidationError,
-    validate_data,
 )
 from .ib import log_binomial_coeff
 from .special import log_density_gaussian
@@ -79,13 +79,6 @@ _BLOCK = 16384
 
 #: d(x1, x2) / d(beta, psi) for group log odds x1, x2 = beta -/+ psi/2.
 _LOGITS = np.array([[1.0, -0.5], [1.0, 0.5]])
-
-
-def _check_scales(sigma_beta: float, sigma_psi: float | None = None) -> None:
-    if not (math.isfinite(sigma_beta) and sigma_beta > 0):
-        raise ValidationError(f"sigma_beta must be > 0, got {sigma_beta!r}")
-    if sigma_psi is not None and not (math.isfinite(sigma_psi) and sigma_psi > 0):
-        raise ValidationError(f"sigma_psi must be > 0, got {sigma_psi!r}")
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +130,7 @@ def _beta_prior_grad_hess(beta: float, sigma: float, kind: BetaPriorKind):
     return grad, hess
 
 
-def _log_integrand_h1(d, beta, psi, sigma_beta, sigma_psi, beta_prior):
+def _log_integrand_h1(d, beta, psi, prior: LTPrior):
     beta = np.asarray(beta, dtype=float)
     psi = np.asarray(psi, dtype=float)
     out = (
@@ -145,20 +138,20 @@ def _log_integrand_h1(d, beta, psi, sigma_beta, sigma_psi, beta_prior):
         + log_binomial_coeff(d.n2, d.y2)
         + _log_binom_lik(d.y1, d.n1, beta - 0.5 * psi)
         + _log_binom_lik(d.y2, d.n2, beta + 0.5 * psi)
-        + _log_prior_beta(beta, sigma_beta, beta_prior)
-        + log_density_gaussian(psi, sigma_psi)
+        + _log_prior_beta(beta, prior.sigma_beta, prior.beta_prior)
+        + log_density_gaussian(psi, prior.sigma_psi)
     )
     return out if out.ndim else float(out)
 
 
-def _log_integrand_h0(d, beta, sigma_beta, beta_prior):
+def _log_integrand_h0(d, beta, prior: LTPrior):
     beta = np.asarray(beta, dtype=float)
     y, n = d.pooled
     out = (
         log_binomial_coeff(d.n1, d.y1)
         + log_binomial_coeff(d.n2, d.y2)
         + _log_binom_lik(y, n, beta)
-        + _log_prior_beta(beta, sigma_beta, beta_prior)
+        + _log_prior_beta(beta, prior.sigma_beta, prior.beta_prior)
     )
     return out if out.ndim else float(out)
 
@@ -172,9 +165,7 @@ def log_integrand_h1_lt(
     beta_prior: BetaPriorKind = BetaPriorKind.GAUSSIAN,
 ):
     """Log of likelihood x priors at (beta, psi); the H1 evidence integrand."""
-    validate_data(d)
-    _check_scales(sigma_beta, sigma_psi)
-    return _log_integrand_h1(d, beta, psi, sigma_beta, sigma_psi, beta_prior)
+    return _log_integrand_h1(d, beta, psi, LTPrior(sigma_beta, sigma_psi, beta_prior))
 
 
 def log_integrand_h0_lt(
@@ -184,22 +175,21 @@ def log_integrand_h0_lt(
     beta_prior: BetaPriorKind = BetaPriorKind.GAUSSIAN,
 ):
     """Log of likelihood x prior at beta with psi fixed to 0."""
-    validate_data(d)
-    _check_scales(sigma_beta)
-    return _log_integrand_h0(d, beta, sigma_beta, beta_prior)
+    return _log_integrand_h0(d, beta, LTPrior(sigma_beta, beta_prior=beta_prior))
 
 
-def _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior):
+def _lt_problem(d, hypothesis, prior: LTPrior):
     """(log f, gradient and Hessian, Newton start) of one LT integrand.
 
     The coordinates are (beta,) under H0 and (beta, psi) under H1; log f
     takes them on the last axis.
     """
+    sigma_beta, sigma_psi, beta_prior = prior.sigma_beta, prior.sigma_psi, prior.beta_prior
     if hypothesis is Hypothesis.H0:
         y, n = d.pooled
 
         def logf(v):
-            return _log_integrand_h0(d, v[..., 0], sigma_beta, beta_prior)
+            return _log_integrand_h0(d, v[..., 0], prior)
 
         def grad_hess(v):
             g, w = _binom_grad_curv(y, n, v[0])
@@ -211,7 +201,7 @@ def _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior):
     ys, ns = np.array([[d.y1, d.y2], [d.n1, d.n2]], dtype=float)
 
     def logf(v):
-        return _log_integrand_h1(d, v[..., 0], v[..., 1], sigma_beta, sigma_psi, beta_prior)
+        return _log_integrand_h1(d, v[..., 0], v[..., 1], prior)
 
     def grad_hess(v):
         g, w = _binom_grad_curv(ys, ns, _LOGITS @ v)
@@ -280,11 +270,10 @@ def find_mode_and_scale(
     1D in beta under H0, 2D in (beta, psi) under H1.  The log integrand
     is strictly concave, so the mode is unique.
     """
-    validate_data(d)
     if hypothesis is Hypothesis.H1 and sigma_psi is None:
         raise ValidationError("sigma_psi is required under H1")
-    _check_scales(sigma_beta, sigma_psi)
-    logf, grad_hess, x0 = _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior)
+    prior = LTPrior(sigma_beta, 1.0 if sigma_psi is None else sigma_psi, beta_prior)
+    logf, grad_hess, x0 = _lt_problem(d, hypothesis, prior)
     try:
         mode, cov = _newton(logf, grad_hess, x0, f"{hypothesis.name} mode finding", max_iter)
     except NumericalError as exc:
@@ -403,13 +392,16 @@ def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str):
 # --------------------------------------------------------------------------
 
 
-def _log_ml(d, hypothesis, sigma_beta, sigma_psi, beta_prior, rel_tol):
+def _fit(d, hypothesis, prior: LTPrior, rel_tol: float = DEFAULT_REL_TOL):
+    """(mode, Laplace covariance, log marginal, error estimate) under one hypothesis."""
+    logf, grad_hess, x0 = _lt_problem(d, hypothesis, prior)
+    mode, cov = _newton(logf, grad_hess, x0, f"{hypothesis.name} mode finding")
+    return mode, cov, *_laplace_gh(logf, mode, cov, rel_tol, f"{hypothesis.name} marginal")
+
+
+def _log_ml(d, hypothesis, prior: LTPrior, rel_tol: float = DEFAULT_REL_TOL):
     """(log marginal, error estimate) under one hypothesis."""
-    spec = find_mode_and_scale(d, hypothesis, sigma_beta, sigma_psi, beta_prior)
-    logf, _, _ = _lt_problem(d, hypothesis, sigma_beta, sigma_psi, beta_prior)
-    k = 1 if hypothesis is Hypothesis.H0 else 2
-    mode = np.array([spec.mode.beta, spec.mode.psi][:k])
-    return _laplace_gh(logf, mode, spec.scale[:k, :k], rel_tol, f"{hypothesis.name} marginal")
+    return _fit(d, hypothesis, prior, rel_tol)[2:]
 
 
 def log_ml_h0_lt(
@@ -419,7 +411,7 @@ def log_ml_h0_lt(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Log marginal likelihood of the null (psi = 0) model."""
-    return _log_ml(d, Hypothesis.H0, sigma_beta, None, beta_prior, rel_tol)[0]
+    return _log_ml(d, Hypothesis.H0, LTPrior(sigma_beta, beta_prior=beta_prior), rel_tol)[0]
 
 
 def log_ml_h1_lt(
@@ -430,7 +422,7 @@ def log_ml_h1_lt(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Log marginal likelihood of the free-psi model."""
-    return _log_ml(d, Hypothesis.H1, sigma_beta, sigma_psi, beta_prior, rel_tol)[0]
+    return _log_ml(d, Hypothesis.H1, LTPrior(sigma_beta, sigma_psi, beta_prior), rel_tol)[0]
 
 
 def bf01_lt(
@@ -441,11 +433,7 @@ def bf01_lt(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> EvidenceResult:
     """Bayes factor for psi = 0 versus psi ~ N(0, sigma_psi)."""
-    ml0, err0 = _log_ml(d, Hypothesis.H0, sigma_beta, None, beta_prior, rel_tol)
-    ml1, err1 = _log_ml(d, Hypothesis.H1, sigma_beta, sigma_psi, beta_prior, rel_tol)
-    return EvidenceResult.from_log_marginals(
-        log_ml_h0=ml0,
-        log_ml_h1=ml1,
-        abs_error_estimate=err0 + err1,
-        method_tag=Method.QUADRATURE,
+    log_ml = partial(_log_ml, rel_tol=rel_tol)
+    return EvidenceResult.from_hypotheses(
+        log_ml, d, LTPrior(sigma_beta, sigma_psi, beta_prior), Method.QUADRATURE
     )

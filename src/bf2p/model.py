@@ -331,6 +331,16 @@ class EvidenceResult:
             method_tag=method_tag,
         )
 
+    @classmethod
+    def from_hypotheses(cls, log_ml, d: TwoByTwoData, prior, method_tag: Method) -> "EvidenceResult":
+        """Assemble from a family's ``log_ml(d, hypothesis, prior) -> (value, error)``.
+
+        The error estimate is the sum of the two marginals' estimates.
+        """
+        ml0, err0 = log_ml(d, Hypothesis.H0, prior)
+        ml1, err1 = log_ml(d, Hypothesis.H1, prior)
+        return cls.from_log_marginals(ml0, ml1, err0 + err1, method_tag)
+
     @property
     def bf01(self) -> float:
         return math.exp(self.log_bf01)

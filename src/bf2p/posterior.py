@@ -20,8 +20,8 @@ from scipy.integrate import simpson
 from scipy.special import expit
 
 from .ib import ib_posterior
-from .lt import find_mode_and_scale, log_integrand_h1_lt, log_ml_h1_lt
-from .model import Hypothesis, TwoByTwoData, ValidationError, validate_data
+from .lt import _fit, _log_integrand_h1
+from .model import Hypothesis, LTPrior, TwoByTwoData, ValidationError
 from .priors import DensityGrid, ParamSamples
 
 __all__ = [
@@ -76,22 +76,16 @@ def posterior_grid_lt(
     integral lands to one is a real consistency check between the grid
     and the marginal-likelihood quadrature, exercised by the tests.
     """
-    validate_data(d)
     if resolution % 2 == 0:
         resolution += 1  # Simpson wants an odd point count
-    spec = find_mode_and_scale(d, Hypothesis.H1, sigma_beta, sigma_psi)
-    sd_b = math.sqrt(float(spec.scale[0, 0]))
-    sd_p = math.sqrt(float(spec.scale[1, 1]))
-    b_axis = spec.mode.beta + GRID_HALF_WIDTH_SD * sd_b * np.linspace(-1, 1, resolution)
-    p_axis = spec.mode.psi + GRID_HALF_WIDTH_SD * sd_p * np.linspace(-1, 1, resolution)
-    log_ml = log_ml_h1_lt(d, sigma_beta, sigma_psi)
+    prior = LTPrior(sigma_beta, sigma_psi)
+    mode, cov, log_ml, _ = _fit(d, Hypothesis.H1, prior)
+    sd_b = math.sqrt(float(cov[0, 0]))
+    sd_p = math.sqrt(float(cov[1, 1]))
+    b_axis = mode[0] + GRID_HALF_WIDTH_SD * sd_b * np.linspace(-1, 1, resolution)
+    p_axis = mode[1] + GRID_HALF_WIDTH_SD * sd_p * np.linspace(-1, 1, resolution)
     bb, pp = np.meshgrid(b_axis, p_axis, indexing="ij")
-    log_post = (
-        log_integrand_h1_lt(d, bb.ravel(), pp.ravel(), sigma_beta, sigma_psi).reshape(
-            bb.shape
-        )
-        - log_ml
-    )
+    log_post = _log_integrand_h1(d, bb.ravel(), pp.ravel(), prior).reshape(bb.shape) - log_ml
     return DensityGrid.build(b_axis, np.exp(log_post), p_axis)
 
 

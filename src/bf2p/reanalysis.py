@@ -7,9 +7,12 @@ Input schema (UTF-8 CSV, header required):
 Output rows carry one (study, method, parameter point) cell each and
 serialize to CSV or JSON with a fixed column order; floats are written
 with 17 significant digits so re-parsing reproduces them bit for bit.
-Per-cell numerical failures are recorded in the row (``error``) and
-never abort a batch.  Sweeps are pure per-cell computations, so running
-them on a process pool is byte-identical to running them serially.
+Each cell is one ``averaging.evidence`` call (``avg`` cells average the
+four {IB, LT} models with equal weights).  Unknown methods and parameter
+names are rejected before any cell runs; a cell's typed errors are
+recorded in its row (``error``) and never abort a batch.  Sweeps are
+pure per-cell computations, so running them on a process pool is
+byte-identical to running them serially.
 
 A 39-study corpus of published two-proportion null results ships with
 the package; see ``data/nejm_null_results.csv``.
@@ -23,13 +26,15 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import averaging, dep_ib, ib, lt
+from . import averaging
 from .model import (
+    ConfigError,
     DepIBPrior,
+    DomainError,
     IBPrior,
     LTPrior,
     NumericalError,
@@ -53,6 +58,9 @@ __all__ = [
 ]
 
 METHODS = ("ib", "lt", "dep_ib", "avg")
+
+#: The prior config each single-family method evaluates.
+PRIORS = {"ib": IBPrior, "lt": LTPrior, "dep_ib": DepIBPrior}
 
 CSV_HEADER = ("id", "label", "y1", "n1", "y2", "n2")
 
@@ -147,38 +155,37 @@ def default_grids() -> dict[str, list[dict[str, float]]]:
     }
 
 
+def _prior_config(cls, values: Mapping[str, object]):
+    """A ``cls`` prior config from the entries of ``values`` named after its fields."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in values.items() if k in names})
+
+
+def _check_points(method: str, points: Iterable[Mapping[str, float]]) -> None:
+    """Reject an unknown method, or a parameter name the method does not take."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; valid: {METHODS}")
+    families = (IBPrior, LTPrior) if method == "avg" else (PRIORS[method],)
+    allowed = sorted({f.name for c in families for f in fields(c)} & set(PARAM_COLUMNS))
+    unknown = [k for point in points for k in point if k not in allowed]
+    if unknown:
+        raise ValidationError(f"unknown parameter {unknown[0]!r} for method {method!r}; valid: {allowed}")
+
+
 def _evaluate_cell(study: StudyRecord, method: str, params: dict) -> SweepResult:
     try:
-        if method == "ib":
-            res = ib.bf01_ib(study.data, params["a"])
-        elif method == "lt":
-            res = lt.bf01_lt(
-                study.data,
-                sigma_beta=params.get("sigma_beta", 1.0),
-                sigma_psi=params.get("sigma_psi", 1.0),
-            )
-        elif method == "dep_ib":
-            res = dep_ib.bf01_depib(
-                study.data,
-                DepIBPrior(
-                    sigma_eta=params.get("sigma_eta", 0.2),
-                    sigma_zeta=params.get("sigma_zeta", 0.5),
-                ),
-            )
-        elif method == "avg":
+        if method == "avg":
+            # the sweep weights the four models equally
             res = averaging.bf_avg01(
                 study.data,
                 averaging.equal_weights(),
                 averaging.ApproachParams(
-                    ib=IBPrior(params.get("a", 1.0)),
-                    lt=LTPrior(
-                        params.get("sigma_beta", 1.0), params.get("sigma_psi", 1.0)
-                    ),
+                    ib=_prior_config(IBPrior, params), lt=_prior_config(LTPrior, params)
                 ),
             )
         else:
-            raise ValidationError(f"unknown method {method!r}")
-    except (ValidationError, NumericalError, ValueError, ArithmeticError) as exc:
+            res = averaging.evidence(study.data, PRIORS[method](**params))
+    except (ValidationError, ConfigError, DomainError, NumericalError) as exc:
         return SweepResult(
             study_id=study.id, method=method, params=dict(params),
             error=type(exc).__name__,
@@ -204,14 +211,12 @@ def run_sweep(
     The result list is sorted by (study_id, method, parameters) and is
     independent of ``jobs``; workers only ever compute pure cells.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise ValidationError(f"unknown method {m!r}; valid: {METHODS}")
     all_grids = default_grids()
     if grids:
         all_grids.update({k: [dict(p) for p in v] for k, v in grids.items()})
     for m in methods:
-        if not all_grids.get(m):
+        _check_points(m, all_grids.get(m, ()))
+        if not all_grids[m]:
             raise ValidationError(f"empty parameter grid for method {m!r}")
     cells = [
         (study, method, dict(params))
@@ -239,11 +244,13 @@ def sensitivity_curve(
     """
     if n < 2:
         raise ValidationError(f"n must be >= 2, got {n}")
+    for m in methods:
+        _check_points(m, ())
     # each method's default parameters head its default grid
     defaults = {m: dict(grid[0]) for m, grid in default_grids().items()}
-    if params:
-        for m, p in params.items():
-            defaults[m].update(p)
+    for m, p in (params or {}).items():
+        _check_points(m, [p])
+        defaults[m].update(p)
     out = []
     for y in range(n // 2 + 1):
         study = StudyRecord(id=y, label=f"simulated-{y}", data=TwoByTwoData(y, n, y, n))

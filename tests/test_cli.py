@@ -1,11 +1,13 @@
 """Command-line interface: thin adapters, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
 from bf2p.cli import main
-from bf2p.model import NumericalError
+from bf2p.dep_ib import prior_correlation_depib
+from bf2p.model import DepIBPrior, NumericalError, WidePriorWarning
 
 
 def run(capsys, *argv):
@@ -215,7 +217,7 @@ class TestReanalyze:
         def boom(*args, **kwargs):
             raise NumericalError("forced failure")
 
-        monkeypatch.setattr(re_mod.ib, "bf01_ib", boom)
+        monkeypatch.setattr(re_mod.averaging, "evidence", boom)
         src = tmp_path / "in.csv"
         src.write_text("id,label,y1,n1,y2,n2\n1,x,3,10,5,12\n")
         code, _, err = run(
@@ -231,7 +233,7 @@ class TestReanalyze:
         def boom(*args, **kwargs):
             raise NumericalError("forced failure")
 
-        monkeypatch.setattr(re_mod.ib, "bf01_ib", boom)
+        monkeypatch.setattr(re_mod.averaging, "evidence", boom)
         src = tmp_path / "in.csv"
         src.write_text("id,label,y1,n1,y2,n2\n1,x,3,10,5,12\n")
         code, _, _ = run(
@@ -267,6 +269,45 @@ class TestSensitivity:
         assert rows[(50, "ib")] == pytest.approx(5.70, abs=0.01)
         assert rows[(0, "lt")] == pytest.approx(1.40, abs=0.02)
         assert rows[(50, "lt")] == pytest.approx(3.67, abs=0.02)
+
+
+class TestPriorSelection:
+    """Only the selected family's prior is built, so only its flags count."""
+
+    DATA = ("--y1", "3", "--n1", "10", "--y2", "5", "--n2", "12")
+
+    def test_unused_family_flags_neither_fail_nor_warn(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", WidePriorWarning)
+            code, _, _ = run(
+                capsys, "priors", "--config", "ib", "--quantity", "theta",
+                "--grid-points", "5", "--sigma-eta", "0", "--sigma-psi", "3",
+            )
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "command", [("bf", "--method", "lt"), ("posterior", "--method", "lt"), ("avg",)]
+    )
+    def test_wide_psi_scale_warns_once(self, capsys, command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(capsys, *command, *self.DATA, "--sigma-psi", "3")
+        assert code == 0
+        assert sum(issubclass(w.category, WidePriorWarning) for w in caught) == 1
+
+    def test_dep_ib_correlation(self, capsys):
+        code, out, _ = run(
+            capsys, "priors", "--config", "dep-ib", "--quantity", "correlation",
+            "--sigma-eta", "0.4", "--seed", "3",
+        )
+        assert code == 0
+        expected = prior_correlation_depib(DepIBPrior(0.4, 0.5), 10**6, 3)
+        assert out.strip() == f"prior correlation(theta1, theta2) = {expected:.4f}"
+
+    def test_unknown_sensitivity_method_exit_code(self, capsys):
+        code, _, err = run(capsys, "sensitivity", "--n", "10", "--method", "bogus")
+        assert code == 1
+        assert err.startswith("error:") and "bogus" in err
 
 
 class TestHelp:

@@ -8,6 +8,7 @@ import pytest
 
 import jsonschema
 
+from bf2p import averaging
 from bf2p.ib import bf01_ib
 from bf2p.lt import bf01_lt
 from bf2p.model import TwoByTwoData, ValidationError
@@ -150,6 +151,28 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep(corpus[:1], methods=("bogus",))
 
+    @pytest.mark.parametrize(
+        "method, point",
+        [
+            ("lt", {"sigma_psii": 2.0}),
+            ("ib", {"sigma_psi": 1.0}),
+            ("dep_ib", {"zeta_center": 0.0}),  # a config field with no output column
+            ("avg", {"sigma_eta": 0.2}),
+        ],
+    )
+    def test_unknown_parameter_rejected(self, corpus, method, point):
+        (key,) = point
+        with pytest.raises(ValidationError, match=f"'{key}'.*'{method}'"):
+            run_sweep(corpus[:1], methods=(method,), grids={method: [point]})
+
+    def test_programming_errors_propagate(self, corpus, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("a bug, not a failed cell")
+
+        monkeypatch.setattr(averaging, "evidence", boom)
+        with pytest.raises(ValueError, match="a bug"):
+            run_sweep(corpus[:1], methods=("ib",))
+
     def test_averaged_and_dependent_methods_produce_cells(self, corpus):
         res = run_sweep(
             corpus[2:3],
@@ -204,6 +227,12 @@ class TestSensitivityCurve:
     def test_minimum_size(self):
         with pytest.raises(ValidationError):
             sensitivity_curve(1)
+
+    def test_unknown_method_or_parameter_rejected(self):
+        with pytest.raises(ValidationError, match="bogus"):
+            sensitivity_curve(10, methods=("bogus",))
+        with pytest.raises(ValidationError, match="'sigma_eta'.*'lt'"):
+            sensitivity_curve(10, methods=("lt",), params={"lt": {"sigma_eta": 0.3}})
 
 
 class TestEmit:
