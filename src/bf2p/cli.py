@@ -6,7 +6,7 @@ logic lives here.  Both Bayes factor directions are always printed,
 since published analyses switch direction between examples and that is
 a classic source of reading errors.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical
+Exit codes: 0 success, 1 invalid input or unsupported request, 2 numerical
 failure in any cell under ``--strict``.  Seeded commands read their
 default seed from the ``BF2P_SEED`` environment variable.
 """
@@ -25,9 +25,11 @@ from . import __version__
 from .averaging import ApproachParams, bf_avg01, equal_weights, evidence, ALL_MODELS
 from .model import (
     ConfigError,
+    DomainError,
     EvidenceResult,
     NumericalError,
     TwoByTwoData,
+    UnsupportedFeatureError,
     ValidationError,
     evidence_label,
 )
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
         args.method = ["ib", "lt"]
     try:
         return args.func(args)
-    except (ValidationError, ConfigError, ParseError) as exc:
+    except (ValidationError, ConfigError, DomainError, UnsupportedFeatureError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -26,6 +26,9 @@ same bound, and its prior eta integral is a difference of two normal
 CDFs, leaving a 1-D tanh-sinh integral over the free rate's log odds.
 The error estimate sums the engine's estimates for H0, the core and the
 wedges, each weighted by its share of its marginal.
+
+Prior draws and the prior correlation come from ``bf2p.priors``, which
+samples every family; the functions here delegate to it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 import numpy as np
 from scipy.integrate import tanhsinh
 from scipy.special import expit, logsumexp
-from scipy.stats import truncnorm
 
 from .lt import (
     DEFAULT_REL_TOL,
@@ -57,6 +59,7 @@ from .model import (
     ProportionPair,
     TwoByTwoData,
 )
+from .priors import _draw_rates, prior_correlation
 from .special import _log_gaussian_mass, log_density_truncated_gaussian
 from .ib import log_binomial_coeff
 
@@ -158,9 +161,11 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
         log_mass = _log_gaussian_mass(u, np.minimum(2.0 * u, 1.0), 0.5 * (se / s_w) ** 2 * w, s_e)
         return _log_binom_lik(y + 1, n + 2, x) - 0.5 * (w / s_w) ** 2 + log_mass - log_norm
 
-    # the e window's upper end has a kink at u = 1/2, i.e. x = 0
+    # the e window's upper end has a kink at u = 1/2, i.e. x = 0; at large n
+    # the likelihood peak near x_hat is too narrow for one tanh-sinh half
+    edges = sorted({0.0, _empirical_logit(y + 1, n + 2)})
     opts = _tanhsinh_opts(log_scale, DEFAULT_REL_TOL / 100.0)
-    res = tanhsinh(logf, [-np.inf, 0.0], [0.0, np.inf], **opts)
+    res = tanhsinh(logf, [-np.inf, *edges], [*edges, np.inf], **opts)
     if np.any(res.status != 0):
         raise NumericalError(f"dep-IB clamped wedge did not converge to {DEFAULT_REL_TOL}")
     val = float(logsumexp(res.integral))
@@ -216,26 +221,10 @@ def sample_prior_depib(
     Inverse-CDF sampling from a counter-based generator, so streams are
     reproducible and independent of draw order.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    u_eta = rng.random(n_draws)
-    u_zeta = rng.random(n_draws)
-    if hypothesis_null:
-        eta = np.zeros(n_draws)
-    else:
-        eta = truncnorm.ppf(
-            u_eta, -1.0 / cfg.sigma_eta, 1.0 / cfg.sigma_eta, loc=0.0, scale=cfg.sigma_eta
-        )
-    a = (0.0 - cfg.zeta_center) / cfg.sigma_zeta
-    b = (1.0 - cfg.zeta_center) / cfg.sigma_zeta
-    zeta = truncnorm.ppf(u_zeta, a, b, loc=cfg.zeta_center, scale=cfg.sigma_zeta)
-    t1 = np.clip(zeta - 0.5 * eta, 0.0, 1.0)
-    t2 = np.clip(zeta + 0.5 * eta, 0.0, 1.0)
-    return t1, t2
+    hypothesis = Hypothesis.H0 if hypothesis_null else Hypothesis.H1
+    return _draw_rates(cfg, hypothesis, n_draws, np.random.Generator(np.random.Philox(seed)))
 
 
 def prior_correlation_depib(cfg: DepIBPrior, n_draws: int = 1_000_000, seed: int = 0) -> float:
     """Pearson correlation of the two rates under the clamped prior (Monte Carlo)."""
-    if n_draws < 10**6:
-        raise ValueError(f"n_draws must be at least 1e6, got {n_draws}")
-    t1, t2 = sample_prior_depib(cfg, n_draws, seed)
-    return float(np.corrcoef(t1, t2)[0, 1])
+    return prior_correlation(cfg, n_draws, seed)

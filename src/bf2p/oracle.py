@@ -31,12 +31,7 @@ from .averaging import Approach, ApproachParams, ModelId, M1_IB
 from .dep_ib import sample_prior_depib
 from .ib import log_binomial_coeff
 from .priors import _draw_rates
-from .model import (
-    DepIBPrior,
-    Hypothesis,
-    TwoByTwoData,
-    validate_data,
-)
+from .model import DepIBPrior, Hypothesis, TwoByTwoData
 
 __all__ = [
     "MCEstimate",
@@ -72,9 +67,8 @@ def _log_group_lik(y: int, n: int, theta: np.ndarray) -> np.ndarray:
     return log_binomial_coeff(n, y) + xlogy(y, theta) + xlog1py(n - y, -theta)
 
 
-def _checked(d: TwoByTwoData, params: ApproachParams | None, n_draws: int) -> ApproachParams:
+def _checked(params: ApproachParams | None, n_draws: int) -> ApproachParams:
     """Validate one estimator call; ``params`` defaults to ``ApproachParams()``."""
-    validate_data(d)
     if n_draws < MIN_DRAWS:
         raise ValueError(f"n_draws must be at least {MIN_DRAWS}, got {n_draws}")
     return params if params is not None else ApproachParams()
@@ -84,6 +78,14 @@ def _model_rates(model: ModelId, params: ApproachParams, n: int, rng):
     """(theta1, theta2) arrays drawn from the model's prior."""
     cfg = params.ib if model.approach is Approach.IB else params.lt
     return _draw_rates(cfg, model.hypothesis, n, rng)
+
+
+def _mc_estimate(d: TwoByTwoData, rates, n_draws: int, seed: int) -> MCEstimate:
+    """Plain Monte Carlo log marginal over prior draws ``rates = (theta1, theta2)``."""
+    t1, t2 = rates
+    ll = _log_group_lik(d.y1, d.n1, t1) + _log_group_lik(d.y2, d.n2, t2)
+    log_val, se = _log_mean_exp_with_se(ll)
+    return MCEstimate(log_value=log_val, std_error=se, n_draws=n_draws, seed=seed)
 
 
 def _log_mean_exp_with_se(log_terms: np.ndarray) -> tuple[float, float]:
@@ -102,12 +104,9 @@ def mc_log_marginal(
     seed: int = 0,
 ) -> MCEstimate:
     """Plain Monte Carlo estimate of a model's log marginal likelihood."""
-    params = _checked(d, params, n_draws)
+    params = _checked(params, n_draws)
     (rng,) = _rng_streams(seed, 1)
-    t1, t2 = _model_rates(model, params, n_draws, rng)
-    ll = _log_group_lik(d.y1, d.n1, t1) + _log_group_lik(d.y2, d.n2, t2)
-    log_val, se = _log_mean_exp_with_se(ll)
-    return MCEstimate(log_value=log_val, std_error=se, n_draws=n_draws, seed=seed)
+    return _mc_estimate(d, _model_rates(model, params, n_draws, rng), n_draws, seed)
 
 
 def mc_log_marginal_depib(
@@ -118,13 +117,9 @@ def mc_log_marginal_depib(
     seed: int = 0,
 ) -> MCEstimate:
     """Monte Carlo oracle for the clamped truncated-Gaussian variant."""
-    _checked(d, None, n_draws)
-    t1, t2 = sample_prior_depib(
-        cfg, n_draws, seed, hypothesis_null=hypothesis is Hypothesis.H0
-    )
-    ll = _log_group_lik(d.y1, d.n1, t1) + _log_group_lik(d.y2, d.n2, t2)
-    log_val, se = _log_mean_exp_with_se(ll)
-    return MCEstimate(log_value=log_val, std_error=se, n_draws=n_draws, seed=seed)
+    _checked(None, n_draws)
+    rates = sample_prior_depib(cfg, n_draws, seed, hypothesis is Hypothesis.H0)
+    return _mc_estimate(d, rates, n_draws, seed)
 
 
 def _snis_log_mean_with_se(lw: np.ndarray, lv: np.ndarray):
@@ -154,7 +149,7 @@ def group2_log_predictive(
     weights are constant in the group-2 rate, so both settings of
     ``condition_on_group1`` are the same estimator, by construction.
     """
-    params = _checked(d, params, n_draws)
+    params = _checked(params, n_draws)
     _, rng = _rng_streams(seed, 2)
     t1, t2 = _model_rates(model, params, n_draws, rng)
     lv = _log_group_lik(d.y2, d.n2, t2)
@@ -187,7 +182,7 @@ def sequential_log_marginal(
     independent sub-streams so the quoted standard error is the
     quadrature sum of the two stages' errors.
     """
-    params = _checked(d, params, n_draws)
+    params = _checked(params, n_draws)
     rng_a, _ = _rng_streams(seed, 2)
     t1, _unused = _model_rates(model, params, n_draws, rng_a)
     log_z1, se_z1 = _log_mean_exp_with_se(_log_group_lik(d.y1, d.n1, t1))

@@ -16,7 +16,6 @@ import numpy as np
 from scipy import integrate
 from scipy.special import expit
 
-from .dep_ib import sample_prior_depib
 from .model import (
     BetaPriorKind,
     DepIBPrior,
@@ -26,8 +25,10 @@ from .model import (
     LTPrior,
     PriorConfig,
     UnsupportedFeatureError,
+    ValidationError,
 )
 from .special import (
+    _ppf_truncated_gaussian,
     eta_density_ib,
     log_density_beta,
     log_density_gaussian,
@@ -126,16 +127,28 @@ class DensityGrid:
 # --------------------------------------------------------------------------
 
 
-def _draw_rates(cfg: IBPrior | LTPrior, hypothesis: Hypothesis, n_draws: int, rng):
-    """(theta1, theta2) arrays drawn from an IB or LT prior with ``rng``."""
+def _draw_rates(cfg: PriorConfig, hypothesis: Hypothesis, n_draws: int, rng):
+    """(theta1, theta2) arrays drawn from the prior ``cfg`` with ``rng``.
+
+    The dependent variant is drawn by inverse CDF, and always takes its
+    eta uniforms before its zeta uniforms, so that H0 and H1 draws of
+    the same seed share zeta.
+    """
     h0 = hypothesis is Hypothesis.H0
     if isinstance(cfg, IBPrior):
         t1 = rng.beta(cfg.a, cfg.a, n_draws)
         return t1, t1 if h0 else rng.beta(cfg.a, cfg.a, n_draws)
-    draw_beta = rng.normal if cfg.beta_prior is BetaPriorKind.GAUSSIAN else rng.logistic
-    beta = draw_beta(0.0, cfg.sigma_beta, n_draws)
-    psi = np.zeros(n_draws) if h0 else rng.normal(0.0, cfg.sigma_psi, n_draws)
-    return expit(beta - 0.5 * psi), expit(beta + 0.5 * psi)
+    if isinstance(cfg, LTPrior):
+        draw_beta = rng.normal if cfg.beta_prior is BetaPriorKind.GAUSSIAN else rng.logistic
+        beta = draw_beta(0.0, cfg.sigma_beta, n_draws)
+        psi = np.zeros(n_draws) if h0 else rng.normal(0.0, cfg.sigma_psi, n_draws)
+        return expit(beta - 0.5 * psi), expit(beta + 0.5 * psi)
+    if isinstance(cfg, DepIBPrior):
+        u_eta, u_zeta = rng.random(n_draws), rng.random(n_draws)
+        eta = np.zeros(n_draws) if h0 else _ppf_truncated_gaussian(u_eta, cfg.sigma_eta, -1.0, 1.0)
+        zeta = _ppf_truncated_gaussian(u_zeta, cfg.sigma_zeta, 0.0, 1.0, cfg.zeta_center)
+        return np.clip(zeta - 0.5 * eta, 0.0, 1.0), np.clip(zeta + 0.5 * eta, 0.0, 1.0)
+    raise UnsupportedFeatureError(f"unknown prior config {cfg!r}")
 
 
 def sample_prior(
@@ -147,22 +160,15 @@ def sample_prior(
     LT variant pins psi = 0.
     """
     if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    if isinstance(cfg, (IBPrior, LTPrior)):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return ParamSamples.from_rates(*_draw_rates(cfg, hypothesis, n_draws, rng))
-    if isinstance(cfg, DepIBPrior):
-        t1, t2 = sample_prior_depib(
-            cfg, n_draws, seed, hypothesis_null=hypothesis is Hypothesis.H0
-        )
-        return ParamSamples.from_rates(t1, t2)
-    raise UnsupportedFeatureError(f"unknown prior config {cfg!r}")
+        raise ValidationError("n_draws must be >= 1")
+    rng = np.random.Generator(np.random.Philox(seed))
+    return ParamSamples.from_rates(*_draw_rates(cfg, hypothesis, n_draws, rng))
 
 
 def prior_correlation(cfg: PriorConfig, n_draws: int = 1_000_000, seed: int = 0) -> float:
     """Monte Carlo Pearson correlation of (theta1, theta2) under H1."""
     if n_draws < 10**6:
-        raise ValueError(f"n_draws must be at least 1e6, got {n_draws}")
+        raise ValidationError(f"n_draws must be at least 1e6, got {n_draws}")
     s = sample_prior(cfg, Hypothesis.H1, n_draws, seed)
     return float(np.corrcoef(s.theta1, s.theta2)[0, 1])
 
@@ -172,12 +178,14 @@ def prior_correlation(cfg: PriorConfig, n_draws: int = 1_000_000, seed: int = 0)
 # --------------------------------------------------------------------------
 
 
-def _lt_log_joint_rates(t1, t2, cfg: LTPrior):
-    """Log density of (theta1, theta2) under the LT prior (interior rates).
+def _log_joint_rates(t1, t2, cfg: IBPrior | LTPrior):
+    """Log density of (theta1, theta2) under the IB or LT prior (interior rates).
 
-    Change of variables from (beta, psi); the Jacobian is
-    1 / [t1 (1-t1) t2 (1-t2)].
+    For LT this is a change of variables from (beta, psi); the Jacobian
+    is 1 / [t1 (1-t1) t2 (1-t2)].
     """
+    if isinstance(cfg, IBPrior):
+        return log_density_beta(t1, cfg.a) + log_density_beta(t2, cfg.a)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     l1 = np.log(t1) - np.log1p(-t1)
@@ -192,10 +200,6 @@ def _lt_log_joint_rates(t1, t2, cfg: LTPrior):
         - np.log(t2)
         - np.log1p(-t2)
     )
-
-
-def _ib_log_joint_rates(t1, t2, cfg: IBPrior):
-    return log_density_beta(t1, cfg.a) + log_density_beta(t2, cfg.a)
 
 
 def _require_interior(theta1: float):
@@ -227,7 +231,7 @@ def conditional_theta2_density(
         vals = np.zeros_like(grid)
         with np.errstate(divide="ignore"):
             vals[interior] = np.exp(
-                _lt_log_joint_rates(np.full(interior.sum(), theta1), grid[interior], cfg)
+                _log_joint_rates(np.full(interior.sum(), theta1), grid[interior], cfg)
             )
         total = float(np.trapezoid(vals, grid))
         return DensityGrid.build(grid, vals / total)
@@ -260,7 +264,7 @@ def _lt_eta_marginal(e: float, cfg: LTPrior) -> float:
         return 0.0
 
     def f(t1):
-        return np.exp(_lt_log_joint_rates(t1, t1 + e, cfg))
+        return np.exp(_log_joint_rates(t1, t1 + e, cfg))
 
     val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=200)
     return val
@@ -338,58 +342,34 @@ def joint_density_grid(
     prior standard deviations (LT).
     """
     if resolution < 64:
-        raise ValueError(f"resolution must be >= 64 per axis, got {resolution}")
+        raise ValidationError(f"resolution must be >= 64 per axis, got {resolution}")
     if not isinstance(cfg, (IBPrior, LTPrior)):
         raise UnsupportedFeatureError(
             f"joint density grids are not available for {type(cfg).__name__}"
         )
     t_axis = _half_open_axis(0.0, 1.0, resolution)
-
+    log_jac = 0.0  # of the map from the grid's coordinates to the rates
     if coords == "theta1_theta2":
         y_axis = t_axis
         tt1, tt2 = np.meshgrid(t_axis, y_axis, indexing="ij")
-        logj = (
-            _ib_log_joint_rates(tt1, tt2, cfg)
-            if isinstance(cfg, IBPrior)
-            else _lt_log_joint_rates(tt1, tt2, cfg)
-        )
-        return DensityGrid.build(t_axis, np.exp(logj), y_axis)
-
-    if coords == "theta1_eta":
+    elif coords == "theta1_eta":
         y_axis = _half_open_axis(-1.0, 1.0, resolution)
         tt1, ee = np.meshgrid(t_axis, y_axis, indexing="ij")
         tt2 = tt1 + ee
-        valid = (tt2 > 0.0) & (tt2 < 1.0)
-        vals = np.zeros_like(tt1)
-        logj = (
-            _ib_log_joint_rates(tt1, np.where(valid, tt2, 0.5), cfg)
-            if isinstance(cfg, IBPrior)
-            else _lt_log_joint_rates(tt1, np.where(valid, tt2, 0.5), cfg)
-        )
-        vals[valid] = np.exp(logj[valid])
-        return DensityGrid.build(t_axis, vals, y_axis)
-
-    if coords == "theta1_psi":
+    elif coords == "theta1_psi":
         half = 12.0 if isinstance(cfg, IBPrior) else 6.0 * cfg.sigma_psi
         y_axis = _half_open_axis(-half, half, resolution)
         tt1, pp = np.meshgrid(t_axis, y_axis, indexing="ij")
-        l1 = np.log(tt1) - np.log1p(-tt1)
-        if isinstance(cfg, IBPrior):
-            tt2 = expit(l1 + pp)
-            vals = np.exp(
-                log_density_beta(tt1, cfg.a)
-                + log_density_beta(tt2, cfg.a)
-                + np.log(tt2)
-                + np.log1p(-tt2)
-            )
-        else:
-            beta = l1 + 0.5 * pp
-            vals = np.exp(
-                _log_prior_beta(beta, cfg.sigma_beta, cfg.beta_prior)
-                + log_density_gaussian(pp, cfg.sigma_psi)
-                - np.log(tt1)
-                - np.log1p(-tt1)
-            )
-        return DensityGrid.build(t_axis, vals, y_axis)
-
-    raise UnsupportedFeatureError(f"unknown coordinate pair {coords!r}")
+        x2 = np.log(tt1) - np.log1p(-tt1) + pp
+        # both priors are symmetric under theta -> 1 - theta; evaluating where
+        # theta2 <= 1/2 keeps its log odds exact through the round trip to rates
+        tt1 = np.where(x2 > 0.0, 1.0 - tt1, tt1)
+        tt2 = expit(-np.abs(x2))
+        log_jac = np.log(tt2) + np.log1p(-tt2)
+    else:
+        raise UnsupportedFeatureError(f"unknown coordinate pair {coords!r}")
+    valid = (tt2 > 0.0) & (tt2 < 1.0)
+    vals = np.zeros_like(tt1)
+    logj = _log_joint_rates(tt1, np.where(valid, tt2, 0.5), cfg) + log_jac
+    vals[valid] = np.exp(logj[valid])
+    return DensityGrid.build(t_axis, vals, y_axis)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betaln, gammaln, log_ndtr
+from scipy.special import betaln, gammaln, log_ndtr, ndtr, ndtri
 
 from .model import DomainError
 
@@ -159,6 +159,17 @@ def _log_gaussian_mass(lo, hi, center, sigma):
     with np.errstate(divide="ignore"):
         out = lb + np.log(-np.expm1(la - lb))
     return out if out.ndim else float(out)
+
+
+def _ppf_truncated_gaussian(u, sigma, lo, hi, center=0.0):
+    # inverse CDF of N(center, sigma) truncated to (lo, hi); each quantile is
+    # inverted from its nearer tail, where ndtr and ndtri keep full precision
+    a, b = (lo - center) / sigma, (hi - center) / sigma
+    mass = ndtr(-a) - ndtr(-b) if a + b > 0 else ndtr(b) - ndtr(a)
+    lower = ndtr(a) + u * mass  # P(X < x)
+    upper = ndtr(-b) + (1.0 - u) * mass  # P(X > x)
+    z = np.where(lower < upper, ndtri(lower), -ndtri(upper))
+    return np.clip(center + sigma * z, lo, hi)
 
 
 def log_density_truncated_gaussian(

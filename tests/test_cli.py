@@ -310,6 +310,26 @@ class TestPriorSelection:
         assert err.startswith("error:") and "bogus" in err
 
 
+class TestPriorsTypedErrors:
+    """Requests the prior analytics cannot serve exit 1 with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--config", "dep-ib", "--quantity", "eta"),
+            ("--config", "dep-ib", "--quantity", "joint"),
+            ("--config", "lt", "--quantity", "conditional", "--theta1", "0"),
+            ("--config", "lt", "--quantity", "correlation", "--n-draws", "10"),
+            ("--config", "lt", "--quantity", "joint", "--resolution", "32"),
+        ],
+    )
+    def test_exit_code_and_message(self, capsys, argv):
+        code, out, err = run(capsys, "priors", *argv)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
+
 class TestHelp:
     def test_flags_document_defaults_and_bounds(self, capsys):
         with pytest.raises(SystemExit) as exc:

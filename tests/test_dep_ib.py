@@ -207,6 +207,31 @@ class TestPriorDraws:
         assert r == pytest.approx(0.745, abs=0.01)
 
 
+class TestLargeStudyWedges:
+    # one group's count sits on a bound and n runs to thousands, so the
+    # clamped wedge's likelihood peak is narrow
+    STUDIES = {
+        (1092, 1092, 4102, 4422): -71.08971268,
+        (2150, 2150, 235, 4387): -3358.38892689,
+        (384, 4891, 694, 694): -1380.87766914,
+    }
+
+    @pytest.mark.parametrize("counts", list(STUDIES))
+    def test_every_side_returns_the_same_value(self, counts):
+        d = TwoByTwoData(*counts)
+        events = TwoByTwoData(d.n1 - d.y1, d.n1, d.n2 - d.y2, d.n2)
+        for side in (d, d.swapped(), events):
+            res = bf01_depib(side, DepIBPrior())
+            assert res.log_bf01 == pytest.approx(self.STUDIES[counts], abs=1e-8), side
+
+    def test_matches_gauss_legendre_oracle(self):
+        d = TwoByTwoData(1092, 1092, 4102, 4422)
+        res = bf01_depib(d, DepIBPrior())
+        ml0, ml1, gap = depib_log_marginals_gauss_legendre(d, 0.2)
+        assert gap <= 1e-11
+        assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + 1e-10
+
+
 class TestClampedRatesProperties:
     @given(eta=st.floats(-1, 1), zeta=st.floats(0, 1))
     @settings(max_examples=200, deadline=None)

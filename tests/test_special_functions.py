@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import betaln
+from scipy.stats import truncnorm
 
 from bf2p.model import DomainError
 from bf2p.special import (
+    _ppf_truncated_gaussian,
     appell_f1,
     eta_density_ib,
     log_beta_fn,
@@ -219,6 +221,24 @@ class TestLogDensityHelpers:
             lambda x: math.exp(log_density_gaussian(x, 1.7)), -30, 30
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestTruncatedGaussianInverseCdf:
+    U = np.concatenate(
+        [[0.0, 1e-300, 0.5, 1.0 - 2.0**-53], np.random.default_rng(17).random(100_000)]
+    )
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.2, 1.0, 10.0])
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("center", [0.0, 0.5, 1.0])
+    def test_matches_scipy_truncnorm(self, sigma, lo, hi, center):
+        x = _ppf_truncated_gaussian(self.U, sigma, lo, hi, center)
+        ref = truncnorm.ppf(
+            self.U, (lo - center) / sigma, (hi - center) / sigma, loc=center, scale=sigma
+        )
+        assert np.max(np.abs(x - ref)) <= 1e-14
+        assert np.all((x >= lo) & (x <= hi))
+        assert np.all(np.diff(_ppf_truncated_gaussian(np.sort(self.U), sigma, lo, hi, center)) >= 0)
 
 
 class TestDensitySymmetryProperties:
