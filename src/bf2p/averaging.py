@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 from scipy.special import logsumexp
@@ -80,11 +80,12 @@ ALL_MODELS = (M0_IB, M1_IB, M0_LT, M1_LT)
 WEIGHT_SUM_TOL = 1e-12
 
 #: Each prior family's module, whose ``_log_ml(d, hypothesis, prior)``
-#: gives (log marginal, error estimate), and its method tag.
+#: gives (log marginal, error estimate), its method tag, and the config
+#: fields that only its H1 marginal reads.
 _FAMILIES = {
-    IBPrior: (ib, Method.ANALYTIC),
-    LTPrior: (lt, Method.QUADRATURE),
-    DepIBPrior: (dep_ib, Method.QUADRATURE),
+    IBPrior: (ib, Method.ANALYTIC, ()),
+    LTPrior: (lt, Method.QUADRATURE, ("sigma_psi",)),
+    DepIBPrior: (dep_ib, Method.QUADRATURE, ("sigma_eta",)),
 }
 
 
@@ -95,14 +96,45 @@ def _family(prior):
         raise ConfigError(f"expected a prior config, got {prior!r}") from None
 
 
-def evidence(d: TwoByTwoData, prior: PriorConfig) -> EvidenceResult:
+def _marginal(d: TwoByTwoData, hypothesis: Hypothesis, prior) -> tuple[float, float]:
+    """(log marginal, error estimate) under one hypothesis of ``prior``'s family."""
+    return _family(prior)[0]._log_ml(d, hypothesis, prior)
+
+
+def _memoised_marginal():
+    """A :func:`_marginal` that remembers every value it returns.
+
+    The null model is keyed without the fields only H1 reads, so priors
+    that differ only there (an LT ``sigma_psi`` grid, say) share one H0
+    fit.  The memo lives as long as the returned function; errors are
+    not remembered.
+    """
+    memo = {}
+
+    def marginal(d, hypothesis, prior):
+        key = (d, hypothesis, prior)
+        if hypothesis is Hypothesis.H0:
+            h1_only = _family(prior)[2]
+            key = (d, hypothesis, type(prior)) + tuple(
+                getattr(prior, f.name) for f in fields(prior) if f.name not in h1_only
+            )
+        if key not in memo:
+            memo[key] = _marginal(d, hypothesis, prior)
+        return memo[key]
+
+    return marginal
+
+
+def evidence(d: TwoByTwoData, prior: PriorConfig, log_ml=_marginal) -> EvidenceResult:
     """Bayes factor of ``d`` under the test that the type of ``prior`` selects.
 
     ``IBPrior``: closed-form independent Beta; ``LTPrior``: logit
-    transformation; ``DepIBPrior``: the dependent variant.
+    transformation; ``DepIBPrior``: the dependent variant.  ``log_ml``
+    gives the two marginals, ``(d, hypothesis, prior) -> (log marginal,
+    error estimate)``; a sweep passes a memo of them.
     """
-    module, method_tag = _family(prior)
-    return EvidenceResult.from_hypotheses(module._log_ml, d, prior, method_tag)
+    method_tag = _family(prior)[1]
+    return EvidenceResult.from_hypotheses(log_ml, d, prior, method_tag)
 
 
 @dataclass(frozen=True)
@@ -147,14 +179,13 @@ def log_ml(model: ModelId, d: TwoByTwoData, params: ApproachParams) -> float:
     return _log_ml(model, d, params)[0]
 
 
-def _log_ml(model, d, params) -> tuple[float, float]:
+def _log_ml(model, d, params, log_ml=_marginal) -> tuple[float, float]:
     """(log marginal, error estimate) of one model; IB is exact."""
     if not isinstance(model, ModelId):
         raise ConfigError(f"expected a ModelId, got {model!r}")
     if not isinstance(params, ApproachParams):
         raise ConfigError(f"expected ApproachParams, got {type(params).__name__}")
-    prior = getattr(params, model.approach.value)
-    return _family(prior)[0]._log_ml(d, model.hypothesis, prior)
+    return log_ml(d, model.hypothesis, getattr(params, model.approach.value))
 
 
 def _warn_if_mixed(num_models, den_models):
@@ -174,11 +205,13 @@ def bf_avg01(
     d: TwoByTwoData,
     weights: Mapping[ModelId, float],
     params: ApproachParams | None = None,
+    log_ml=_marginal,
 ) -> EvidenceResult:
     """Model-averaged Bayes factor: weighted nulls over weighted alternatives.
 
     log BF = logsumexp over null models of (log w + log ml) minus the same
     over alternative models.  Degenerate weights recover the pure tests.
+    ``log_ml`` gives each marginal, as in :func:`evidence`.
     """
     params = params if params is not None else ApproachParams()
     weights = validate_weights(weights)
@@ -190,7 +223,7 @@ def bf_avg01(
         raise ConfigError("all alternative-model weights are zero")
     _warn_if_mixed([m for m, _ in num], [m for m, _ in den])
 
-    mls = {m: _log_ml(m, d, params) for m, _ in num + den}
+    mls = {m: _log_ml(m, d, params, log_ml) for m, _ in num + den}
     log_num = logsumexp([math.log(w) + mls[m][0] for m, w in num])
     log_den = logsumexp([math.log(w) + mls[m][0] for m, w in den])
     any_lt = any(m.approach is Approach.LT for m, _ in num + den)

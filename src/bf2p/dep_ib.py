@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 from scipy.integrate import tanhsinh
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .lt import (
     DEFAULT_REL_TOL,
@@ -46,6 +46,8 @@ from .lt import (
     _empirical_logit,
     _laplace_gh,
     _log_binom_lik,
+    _log_coeffs,
+    _logsumexp,
     _newton,
     _tanhsinh_opts,
     _to_beta_psi,
@@ -61,7 +63,6 @@ from .model import (
 )
 from .priors import _draw_rates, prior_correlation
 from .special import _log_gaussian_mass, log_density_truncated_gaussian
-from .ib import log_binomial_coeff
 
 __all__ = [
     "clamped_rates",
@@ -82,10 +83,6 @@ def clamped_rates(eta: float, zeta: float) -> ProportionPair:
 
 def _log_prior_zeta(z, cfg: DepIBPrior):
     return log_density_truncated_gaussian(z, cfg.sigma_zeta, 0.0, 1.0, center=cfg.zeta_center)
-
-
-def _log_coeffs(d: TwoByTwoData) -> float:
-    return log_binomial_coeff(d.n1, d.y1) + log_binomial_coeff(d.n2, d.y2)
 
 
 def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
@@ -168,8 +165,8 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
     res = tanhsinh(logf, [-np.inf, *edges], [*edges, np.inf], **opts)
     if np.any(res.status != 0):
         raise NumericalError(f"dep-IB clamped wedge did not converge to {DEFAULT_REL_TOL}")
-    val = float(logsumexp(res.integral))
-    return val, math.exp(float(logsumexp(res.error)) - val)
+    val = _logsumexp(res.integral)
+    return val, math.exp(_logsumexp(res.error) - val)
 
 
 def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
@@ -187,7 +184,7 @@ def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     )
     # wedge tolerances are judged against the core, a lower bound of the total
     parts += [_log_wedge(y, n, c, cfg, parts[0][0]) for on, y, n, c in wedges if on]
-    total = float(logsumexp([v for v, _ in parts]))
+    total = _logsumexp(np.array([v for v, _ in parts]))
     err = sum(e * math.exp(v - total) for v, e in parts)
     return _log_coeffs(d) + total, err
 

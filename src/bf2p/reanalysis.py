@@ -8,11 +8,13 @@ Output rows carry one (study, method, parameter point) cell each and
 serialize to CSV or JSON with a fixed column order; floats are written
 with 17 significant digits so re-parsing reproduces them bit for bit.
 Each cell is one ``averaging.evidence`` call (``avg`` cells average the
-four {IB, LT} models with equal weights).  Unknown methods and parameter
-names are rejected before any cell runs; a cell's typed errors are
-recorded in its row (``error``) and never abort a batch.  Sweeps are
-pure per-cell computations, so running them on a process pool is
-byte-identical to running them serially.
+four {IB, LT} models with equal weights).  The cells of one study share
+a memo of its marginal likelihoods, so a sweep fits each study's null
+model once per prior, not once per ``sigma_psi`` or ``sigma_eta``.
+Unknown methods and parameter names are rejected before any cell runs;
+a cell's typed errors are recorded in its row (``error``) and never
+abort a batch.  Sweeps are pure per-study computations, so running them
+on a process pool is byte-identical to running them serially.
 
 A 39-study corpus of published two-proportion null results ships with
 the package; see ``data/nejm_null_results.csv``.
@@ -27,6 +29,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -172,7 +175,7 @@ def _check_points(method: str, points: Iterable[Mapping[str, float]]) -> None:
         raise ValidationError(f"unknown parameter {unknown[0]!r} for method {method!r}; valid: {allowed}")
 
 
-def _evaluate_cell(study: StudyRecord, method: str, params: dict) -> SweepResult:
+def _evaluate_cell(study: StudyRecord, method: str, params: dict, log_ml) -> SweepResult:
     try:
         if method == "avg":
             # the sweep weights the four models equally
@@ -182,9 +185,10 @@ def _evaluate_cell(study: StudyRecord, method: str, params: dict) -> SweepResult
                 averaging.ApproachParams(
                     ib=_prior_config(IBPrior, params), lt=_prior_config(LTPrior, params)
                 ),
+                log_ml=log_ml,
             )
         else:
-            res = averaging.evidence(study.data, PRIORS[method](**params))
+            res = averaging.evidence(study.data, PRIORS[method](**params), log_ml=log_ml)
     except (ValidationError, ConfigError, DomainError, NumericalError) as exc:
         return SweepResult(
             study_id=study.id, method=method, params=dict(params),
@@ -196,8 +200,10 @@ def _evaluate_cell(study: StudyRecord, method: str, params: dict) -> SweepResult
     )
 
 
-def _evaluate_cell_tuple(cell):
-    return _evaluate_cell(*cell)
+def _evaluate_study(study: StudyRecord, cells: Sequence[tuple[str, dict]]) -> list[SweepResult]:
+    """Every (method, parameters) cell of one study, over one memo of its marginals."""
+    log_ml = averaging._memoised_marginal()
+    return [_evaluate_cell(study, method, params, log_ml) for method, params in cells]
 
 
 def run_sweep(
@@ -208,8 +214,11 @@ def run_sweep(
 ) -> list[SweepResult]:
     """Evaluate every (study, method, parameter point) cell.
 
-    The result list is sorted by (study_id, method, parameters) and is
-    independent of ``jobs``; workers only ever compute pure cells.
+    A study's cells share its marginals: the null model is fitted once
+    per prior, whatever the H1-only parameters, and ``avg`` reuses the
+    ``ib`` and ``lt`` cells' marginals.  The result list is sorted by
+    (study_id, method, parameters) and is independent of ``jobs``;
+    workers only ever compute whole studies.
     """
     all_grids = default_grids()
     if grids:
@@ -218,18 +227,13 @@ def run_sweep(
         _check_points(m, all_grids.get(m, ()))
         if not all_grids[m]:
             raise ValidationError(f"empty parameter grid for method {m!r}")
-    cells = [
-        (study, method, dict(params))
-        for study in batch
-        for method in methods
-        for params in all_grids[method]
-    ]
+    cells = [(method, dict(params)) for method in methods for params in all_grids[method]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_cell_tuple, cells, chunksize=8))
+            per_study = list(pool.map(_evaluate_study, batch, repeat(cells)))
     else:
-        results = [_evaluate_cell(*c) for c in cells]
-    return sorted(results, key=SweepResult.sort_key)
+        per_study = [_evaluate_study(study, cells) for study in batch]
+    return sorted(chain.from_iterable(per_study), key=SweepResult.sort_key)
 
 
 def sensitivity_curve(
@@ -251,12 +255,11 @@ def sensitivity_curve(
     for m, p in (params or {}).items():
         _check_points(m, [p])
         defaults[m].update(p)
+    cells = [(m, defaults[m]) for m in methods]
     out = []
     for y in range(n // 2 + 1):
         study = StudyRecord(id=y, label=f"simulated-{y}", data=TwoByTwoData(y, n, y, n))
-        for method in methods:
-            cell = _evaluate_cell(study, method, defaults[method])
-            out.append((y, method, cell.log_bf01))
+        out.extend((y, cell.method, cell.log_bf01) for cell in _evaluate_study(study, cells))
     return out
 
 

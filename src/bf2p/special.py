@@ -53,8 +53,20 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float) -> f
         raise DomainError(f"Euler representation needs c > a > 0, got a={a!r}, c={c!r}")
     if not (x < 1.0 and y < 1.0):
         raise DomainError(f"Euler representation needs x, y < 1, got x={x!r}, y={y!r}")
+    return _appell_f1(a, b1, b2, c, 1.0 - x, 1.0 - y)
 
-    def kernel(t):
+
+def _appell_f1(a: float, b1: float, b2: float, c: float, u: float, v: float) -> float:
+    """F1 at x = 1 - u, y = 1 - v, for u, v > 0 that keep their digits near x, y = 1.
+
+    The Euler integral is split at t = 1/2.  The upper half runs over
+    s = 1 - t, where 1 - x t = u + x s exactly, and its boundary layers
+    at s ~ u and s ~ v get a breakpoint at every tenfold multiple of u
+    and v below 1/2, so each piece sees about one decade of a power law.
+    """
+    x, y = 1.0 - u, 1.0 - v
+
+    def lower(t):
         return (
             t ** (a - 1.0)
             * (1.0 - t) ** (c - a - 1.0)
@@ -62,14 +74,23 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float) -> f
             * (1.0 - y * t) ** (-b2)
         )
 
-    # Hint the subdivision at the onset of the (1 - x t)^(-b1) boundary
-    # layer; quad's adaptive refinement does the rest.
-    pts = []
-    for z in (x, y):
-        if 0.9 < z < 1.0:
-            pts.append(max(0.0, 1.0 - 10.0 * (1.0 - z)))
-    val, _ = integrate.quad(
-        kernel, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400, points=pts or None
+    def upper(s):
+        return (
+            (1.0 - s) ** (a - 1.0)
+            * s ** (c - a - 1.0)
+            * (u + x * s) ** (-b1)
+            * (v + y * s) ** (-b2)
+        )
+
+    pts = set()
+    for w in (u, v):
+        while 0.0 < w < 0.5:
+            pts.add(w)
+            w *= 10.0
+    opts = dict(epsabs=0.0, epsrel=1e-11, limit=400)
+    val = (
+        integrate.quad(lower, 0.0, 0.5, **opts)[0]
+        + integrate.quad(upper, 0.0, 0.5, points=sorted(pts) or None, **opts)[0]
     )
     return math.exp(gammaln(c) - gammaln(a) - gammaln(c - a)) * val
 
@@ -86,18 +107,18 @@ def eta_density_ib(eta: float, a: float) -> DensityValue:
     if not abs(eta) <= 1.0:
         raise DomainError(f"eta must lie in [-1, 1], got {eta!r}")
     if abs(eta) <= 1.1e-8:
-        # below this the 1 - eta^2 argument rounds to 1.0 and leaves the
-        # Euler domain; the density is even, so the center value is
-        # accurate to O(eta^2) here (O(eta) at the a = 1 kink)
+        # the density is even, so the center value is accurate to
+        # O(eta^2) here (O(eta) at the a = 1 kink)
         return DensityValue.from_log(betaln(2 * a - 1, 2 * a - 1) - 2 * betaln(a, a))
     if abs(eta) == 1.0:
         # the (1 - |eta|)^(2a-1) factor vanishes for every a >= 1
         return DensityValue(value=0.0, log_value=-math.inf)
-    if eta > 0.0:
-        f1 = appell_f1(a, 4 * a - 2, 1 - a, 2 * a, 1 - eta, 1 - eta * eta)
-    else:
-        f1 = appell_f1(a, 1 - a, 4 * a - 2, 2 * a, 1 - eta * eta, 1 + eta)
+    # F1's arguments sit within |eta| of 1; pass their complements exactly
     e = abs(eta)
+    if eta > 0.0:
+        f1 = _appell_f1(a, 4 * a - 2, 1 - a, 2 * a, e, e * e)
+    else:
+        f1 = _appell_f1(a, 1 - a, 4 * a - 2, 2 * a, e * e, e)
     log_val = (
         -betaln(a, a)
         + (2 * a - 1) * (math.log(e) + math.log1p(-e))

@@ -47,6 +47,24 @@ def appell_f1_series(a, b1, b2, c, x, y, tol=1e-12, max_order=600):
     raise RuntimeError("series did not converge")
 
 
+def eta_density_convolution(eta, a):
+    """Density of theta2 - theta1 under independent Beta(a, a) rates.
+
+    The convolution integral of the two Beta densities over theta1,
+    evaluated directly by adaptive quadrature in log space.
+    """
+    e = abs(eta)
+
+    def f(t):
+        return math.exp(
+            (a - 1.0) * (math.log(t) + math.log1p(-t) + math.log(t + e) + math.log1p(-(t + e)))
+            - 2.0 * (gammaln(a) * 2.0 - gammaln(2.0 * a))
+        )
+
+    val, _ = integrate.quad(f, 0.0, 1.0 - e, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
 def log_ml_h0_lt_simpson(d, sigma_beta=1.0, half_width_sd=12.0, n_points=20001):
     """Adaptive-free 1D Simpson reference for the LT null marginal.
 

@@ -1,10 +1,12 @@
 """Logit-transformation Bayes factor: integrand, mode finding, quadrature."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp, roots_hermite
 
 import bf2p.lt as lt_mod
 from bf2p.lt import (
@@ -18,6 +20,7 @@ from bf2p.lt import (
 from bf2p.model import (
     Hypothesis,
     LogitCoords,
+    LTPrior,
     Method,
     NumericalError,
     TwoByTwoData,
@@ -25,6 +28,7 @@ from bf2p.model import (
 )
 from bf2p.oracle import mc_log_marginal
 from bf2p.averaging import M0_LT, M1_LT
+from bf2p.reanalysis import default_grids, load_bundled_corpus
 from conftest import random_small_datasets
 from oracles import log_ml_h0_lt_simpson
 
@@ -222,3 +226,65 @@ class TestNodeCap:
         with pytest.raises(NumericalError, match="converge"):
             # an unreachable tolerance forces the cap
             log_ml_h1_lt(TwoByTwoData(3, 10, 5, 12), 1.0, 1.0, rel_tol=0.0)
+
+
+@functools.cache
+def _tensor_rule(n, k):
+    x, w = roots_hermite(n)
+    with np.errstate(divide="ignore"):  # the outermost weights underflow
+        lw = np.log(w) + x * x + 0.5 * math.log(2.0)
+    axes = np.meshgrid(*[math.sqrt(2.0) * x] * k, indexing="ij")
+    z = np.stack([a.ravel() for a in axes], axis=-1)
+    return z, sum(np.meshgrid(*[lw] * k, indexing="ij")).ravel()
+
+
+def _tensor_gauss_hermite(logf, mode, cov, n):
+    """log of the integral of exp(logf) by the n^k-node tensor Gauss-Hermite
+    rule centred on ``mode`` and whitened by the Cholesky factor of ``cov``."""
+    z, lw = _tensor_rule(n, mode.size)
+    chol = np.linalg.cholesky(cov)
+    return float(logsumexp(lw + logf(mode + z @ chol.T))) + float(np.sum(np.log(np.diag(chol))))
+
+
+#: Studies of this module with a count at 0 or n, and the extremes' mirrors.
+_BOUNDARY_STUDIES = [
+    (0, 100, 0, 100), (0, 50, 0, 50), (0, 1000, 0, 1000), (0, 40, 7, 33),
+    (10**6, 10**6, 10**6, 10**6), (0, 10**6, 0, 10**6),
+    (10**7, 10**7, 0, 10**7), (0, 10**7, 10**7, 10**7),
+]
+
+
+def _schedule_cases(which):
+    if which == "corpus":
+        grid = default_grids()["lt"]
+        return [(s.data, LTPrior(**p)) for s in load_bundled_corpus() for p in grid]
+    if which == "sensitivity":  # the studies of sensitivity_curve(100)
+        return [(TwoByTwoData(y, 100, y, 100), LTPrior()) for y in range(51)]
+    return [(TwoByTwoData(*c), LTPrior()) for c in _BOUNDARY_STUDIES]
+
+
+class TestScheduleAccuracy:
+    @pytest.mark.parametrize("which", ["corpus", "sensitivity", "boundary"])
+    def test_marginals_match_fixed_241_node_rule(self, which):
+        # the schedule stops as early as 21/31 nodes; it must agree with a
+        # fixed 241-node rule around the same mode, and its error estimate
+        # must cover the difference
+        misses, fits = [], set()
+        for d, prior in _schedule_cases(which):
+            for hyp in (Hypothesis.H0, Hypothesis.H1):
+                key = (d, hyp, prior if hyp is Hypothesis.H1 else prior.sigma_beta)
+                if key in fits:
+                    continue
+                fits.add(key)
+                logf, _, _ = lt_mod._lt_problem(d, hyp, prior)
+                mode, cov, val, err = lt_mod._fit(d, hyp, prior)
+                coeffs = lt_mod._log_coeffs(d)
+                ref = _tensor_gauss_hermite(logf, mode, cov, 241)
+                diff = abs((coeffs + val) - (coeffs + ref))
+                if diff <= 1e-10 and err >= diff:
+                    continue
+                # only a case whose reference is itself resolved (241 and 481
+                # nodes agree to 1e-12) can fail
+                if abs(_tensor_gauss_hermite(logf, mode, cov, 481) - ref) <= 1e-12:
+                    misses.append((d, hyp.name, prior.sigma_psi, diff, err))
+        assert not misses, misses[:5]

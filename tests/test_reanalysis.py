@@ -8,12 +8,15 @@ import pytest
 
 import jsonschema
 
+import bf2p.dep_ib as dep_ib_mod
+import bf2p.lt as lt_mod
 from bf2p import averaging
 from bf2p.ib import bf01_ib
 from bf2p.lt import bf01_lt
-from bf2p.model import TwoByTwoData, ValidationError
+from bf2p.model import Hypothesis, IBPrior, LTPrior, TwoByTwoData, ValidationError
 from bf2p.reanalysis import (
     OUTPUT_COLUMNS,
+    PRIORS,
     ParseError,
     StudyRecord,
     SweepResult,
@@ -199,6 +202,57 @@ class TestSweep:
         p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         emit(serial, "csv", p1)
         emit(parallel, "csv", p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+ALL_METHODS = ("ib", "lt", "avg", "dep_ib")
+
+
+class TestStudyMemo:
+    """A study's cells share its marginals; the numbers must not notice."""
+
+    @pytest.fixture(scope="class")
+    def studies(self, corpus):
+        # rare events at large n, common events, and a zero count
+        picked = corpus[:3] + corpus[20:23]
+        return picked + [StudyRecord(id=999, label="zero", data=TwoByTwoData(0, 40, 7, 33))]
+
+    def test_cells_repr_identical_to_per_cell_evidence(self, studies):
+        data = {s.id: s.data for s in studies}
+        for r in run_sweep(studies, methods=ALL_METHODS):
+            d, p = data[r.study_id], r.params
+            if r.method == "avg":
+                params = averaging.ApproachParams(
+                    ib=IBPrior(p["a"]), lt=LTPrior(p["sigma_beta"], p["sigma_psi"])
+                )
+                ref = averaging.bf_avg01(d, averaging.equal_weights(), params)
+            else:
+                ref = averaging.evidence(d, PRIORS[r.method](**p))
+            assert r.error is None
+            assert (repr(r.log_bf01), repr(r.abs_error)) == (
+                repr(ref.log_bf01), repr(ref.abs_error_estimate)
+            ), (r.study_id, r.method, p)
+
+    def test_null_fitted_once_per_study_and_prior(self, studies, monkeypatch):
+        calls = []
+        for mod in (lt_mod, dep_ib_mod):
+            def counted(d, hypothesis, prior, _fit=mod._log_ml):
+                calls.append((type(prior).__name__, hypothesis))
+                return _fit(d, hypothesis, prior)
+
+            monkeypatch.setattr(mod, "_log_ml", counted)
+        run_sweep(studies, methods=ALL_METHODS)
+        grids, n = default_grids(), len(studies)
+        # avg's LT prior is the lt grid's first point, so it adds no fit
+        assert calls.count(("LTPrior", Hypothesis.H0)) == n
+        assert calls.count(("LTPrior", Hypothesis.H1)) == n * len(grids["lt"])
+        assert calls.count(("DepIBPrior", Hypothesis.H0)) == n
+        assert calls.count(("DepIBPrior", Hypothesis.H1)) == n * len(grids["dep_ib"])
+
+    def test_parallel_and_serial_csv_byte_identical_for_all_methods(self, studies, tmp_path):
+        p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        emit(run_sweep(studies, methods=ALL_METHODS, jobs=1), "csv", p1)
+        emit(run_sweep(studies, methods=ALL_METHODS, jobs=2), "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -20,7 +20,7 @@ from bf2p.special import (
     log_density_truncated_gaussian,
     psi_density_ib_a1,
 )
-from oracles import appell_f1_series, quad_normalization
+from oracles import appell_f1_series, eta_density_convolution, quad_normalization
 
 
 class TestLogBeta:
@@ -117,6 +117,15 @@ class TestEtaDensity:
             assert eta_density_ib(e, a).value == pytest.approx(
                 eta_density_ib(-e, a).value, rel=1e-9
             )
+
+    @pytest.mark.parametrize("a", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("eta", [2e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+    def test_small_eta_matches_direct_convolution(self, eta, a):
+        # F1's arguments sit within |eta| of 1 here, where x = 1 - eta
+        # alone would lose the digits of the boundary layer at t = 1
+        ref = eta_density_convolution(eta, a)
+        assert eta_density_ib(eta, a).value == pytest.approx(ref, rel=1e-9)
+        assert eta_density_ib(-eta, a).value == pytest.approx(ref, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):
