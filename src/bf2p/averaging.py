@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from scipy.special import logsumexp
+import numpy as np
 
 from . import dep_ib, ib, lt
 from .model import (
@@ -224,12 +224,12 @@ def bf_avg01(
     _warn_if_mixed([m for m, _ in num], [m for m, _ in den])
 
     mls = {m: _log_ml(m, d, params, log_ml) for m, _ in num + den}
-    log_num = logsumexp([math.log(w) + mls[m][0] for m, w in num])
-    log_den = logsumexp([math.log(w) + mls[m][0] for m, w in den])
+    log_num = lt._logsumexp(np.array([math.log(w) + mls[m][0] for m, w in num]))
+    log_den = lt._logsumexp(np.array([math.log(w) + mls[m][0] for m, w in den]))
     any_lt = any(m.approach is Approach.LT for m, _ in num + den)
     return EvidenceResult.from_log_marginals(
-        log_ml_h0=float(log_num),
-        log_ml_h1=float(log_den),
+        log_ml_h0=log_num,
+        log_ml_h1=log_den,
         # a log marginal moves its weighted log-sum by at most its own error
         abs_error_estimate=sum(err for _, err in mls.values()),
         method_tag=Method.QUADRATURE if any_lt else Method.ANALYTIC,

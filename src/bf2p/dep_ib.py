@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import tanhsinh
-from scipy.special import expit
 
 from .lt import (
     DEFAULT_REL_TOL,
@@ -60,6 +58,8 @@ from .model import (
     NumericalError,
     ProportionPair,
     TwoByTwoData,
+    expit,
+    expit_pair,
 )
 from .priors import _draw_rates, prior_correlation
 from .special import _log_gaussian_mass, log_density_truncated_gaussian
@@ -94,7 +94,7 @@ def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
         return _log_binom_lik(y + 1, n + 2, v[..., 0]) + _log_prior_zeta(expit(v[..., 0]), cfg)
 
     def grad_hess(v):
-        t, c = expit(v[0]), expit(-v[0])
+        t, c = expit_pair(v[0])
         dt = t * c
         b = -(t - zc) / sz2  # d log p(zeta) / d zeta
         g, w = _binom_grad_curv(y + 1, n + 2, v[0])
@@ -125,7 +125,7 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
 
     def grad_hess(v):
         x = _LOGITS @ v
-        t, c = expit(x), expit(-x)
+        t, c = np.array([expit_pair(xi) for xi in x]).T
         dt = t * c
         a = -(t[1] - t[0]) / se2  # d log p(eta) / d eta
         b = -(0.5 * (t[0] + t[1]) - zc) / sz2  # d log p(zeta) / d zeta
@@ -146,6 +146,8 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
     ``center``.  Given u, e = |eta| runs over (u, min(2u, 1)) with
     zeta = u - e/2, and the product of the two priors is Gaussian in e.
     """
+    from scipy.integrate import tanhsinh
+
     se, sz = cfg.sigma_eta, cfg.sigma_zeta
     s_w = math.hypot(sz, 0.5 * se)  # sd of u - center, marginal over e
     s_e = se * sz / s_w  # sd of e given u

@@ -13,23 +13,16 @@ factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from scipy.special import betaln, gammaln
-
 from .model import EvidenceResult, Hypothesis, IBPrior, Method, TwoByTwoData
+from .special import log_beta_fn
 
 
 def log_binomial_coeff(n: int, y: int) -> float:
     """ln C(n, y); bitwise-invariant under y <-> n - y."""
-    return float(gammaln(n + 1) - (gammaln(y + 1) + gammaln(n - y + 1)))
-
-
-def _betaln_sym(p: float, q: float) -> float:
-    # scipy's betaln takes internal branches that are not argument-symmetric
-    # at the last ulp; sort so the group- and event-swap symmetries of the
-    # Bayes factor hold exactly, not just to rounding
-    return float(betaln(min(p, q), max(p, q)))
+    return math.lgamma(n + 1) - (math.lgamma(y + 1) + math.lgamma(n - y + 1))
 
 
 def _log_ml(d: TwoByTwoData, hypothesis: Hypothesis, prior: IBPrior) -> tuple[float, float]:
@@ -45,12 +38,12 @@ def _log_ml(d: TwoByTwoData, hypothesis: Hypothesis, prior: IBPrior) -> tuple[fl
         return (
             log_binomial_coeff(d.n1, d.y1)
             + log_binomial_coeff(d.n2, d.y2)
-            + _betaln_sym(a + y, a + (n - y))  # int difference first: exact swaps
-            - betaln(a, a)
+            + log_beta_fn(a + y, a + (n - y))  # int difference first: exact swaps
+            - log_beta_fn(a, a)
         ), 0.0
 
     def group(y, n):
-        return log_binomial_coeff(n, y) + _betaln_sym(a + y, a + (n - y)) - betaln(a, a)
+        return log_binomial_coeff(n, y) + log_beta_fn(a + y, a + (n - y)) - log_beta_fn(a, a)
 
     # single commutative addition of the two group terms keeps the
     # group-swap symmetry exact in floating point

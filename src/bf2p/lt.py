@@ -15,15 +15,18 @@ the Laplace covariance then raises its node count (21, 31, 61, 121,
 241, 481, 961 per dimension) until two successive log-marginal
 estimates agree to ``rel_tol``; the final gap, floored at the rounding
 of the log integral, is the error estimate.  Each tensor rule is built
-once per process in whitened coordinates z and mapped to mode + L z by
-the Cholesky factor L of the covariance.  Centering matters: for large
-trials with rare events the likelihood sits many prior standard
-deviations away from zero, where a prior-centered rule would silently
-miss the mass.  Only when the schedule is exhausted does nested
-tanh-sinh quadrature in the same whitened coordinates take over, with
-its own error estimate.  The integrands leave out the binomial
-coefficients, which each marginal adds once.  The dependent variant
-(``bf2p.dep_ib``) uses the same engine.  Estimates are fully deterministic.
+once per process in whitened coordinates z, from Golub-Welsch nodes
+(numpy's ``eigvalsh``), and mapped to mode + L z by the Cholesky factor
+L of the covariance.  Centering matters: for large trials with rare
+events the likelihood sits many prior standard deviations away from
+zero, where a prior-centered rule would silently miss the mass.  Only
+when the schedule is exhausted does nested tanh-sinh quadrature
+(``scipy.integrate.tanhsinh``, imported on that first use) in the same
+whitened coordinates take over, with its own error estimate; everything
+else here runs on numpy and ``math``.  The integrands leave out the
+binomial coefficients, which each marginal adds once.  The dependent
+variant (``bf2p.dep_ib``) uses the same engine.  Estimates are fully
+deterministic.
 
 The null marginal does not depend on ``sigma_psi``, so a sweep
 (``bf2p.reanalysis``) fits each study's H0 once per prior.
@@ -36,8 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.integrate import tanhsinh
-from scipy.special import expit, roots_hermite
 
 from .model import (
     BetaPriorKind,
@@ -49,6 +50,7 @@ from .model import (
     NumericalError,
     TwoByTwoData,
     ValidationError,
+    expit_pair,
 )
 from .ib import log_binomial_coeff
 from .special import log_density_gaussian
@@ -112,8 +114,14 @@ def _log_binom_lik(y, n, x):
 
 
 def _binom_grad_curv(y, n, x):
-    """First derivative of :func:`_log_binom_lik` in x, and minus the second."""
-    s, c = expit(x), expit(-x)
+    """First derivative of :func:`_log_binom_lik` in x, and minus the second.
+
+    Takes floats, or 2-vectors with one entry per group.
+    """
+    if np.ndim(x):
+        (g1, w1), (g2, w2) = map(_binom_grad_curv, y, n, x)
+        return np.array([g1, g2]), np.array([w1, w2])
+    s, c = expit_pair(x)
     return y * c - (n - y) * s, n * s * c
 
 
@@ -322,30 +330,45 @@ def find_mode_and_scale(
     return QuadratureSpec(LogitCoords(mode[0], mode[1]), cov)
 
 
-def _gauss_hermite(n: int):
-    """Nodes x_i and effective log weights ln(w_i e^{x_i^2}).
+def _hermite_sums(x, n: int):
+    """(ln sum_{k<n} p_k(x)^2, p_n(x) / p_{n-1}(x)) at each node x.
 
-    The raw weights underflow for rules beyond a few hundred nodes, so
-    the effective weight is computed directly from the Christoffel
-    identity w_i = 1 / sum_k p_k(x_i)^2 (p_k orthonormal w.r.t. e^{-x^2})
-    with a rescaled three-term recurrence.
+    p_k are the Hermite polynomials orthonormal w.r.t. e^{-x^2}, run by
+    their three-term recurrence and rescaled on the fly, since they
+    overflow for rules beyond a few hundred nodes.
     """
-    x, _ = roots_hermite(n)
     b = np.full_like(x, math.pi ** -0.25)  # p_0, rescaled on the fly
     a = np.zeros_like(x)
     s = np.zeros_like(x)  # per-node log of the running rescale factor
     with np.errstate(divide="ignore"):
         tot = 2.0 * (np.log(np.abs(b)) + s)
-        for k in range(n - 1):
+        for k in range(n):
             a, b = b, x * b * math.sqrt(2.0 / (k + 1)) - a * math.sqrt(k / (k + 1.0))
             big = np.abs(b) > 1e100
             if big.any():
                 a[big] *= 1e-100
                 b[big] *= 1e-100
                 s[big] += math.log(1e100)
-            tot = np.logaddexp(tot, 2.0 * (np.log(np.abs(b)) + s))
-    lam = x * x - tot
-    return x, lam
+            if k < n - 1:
+                tot = np.logaddexp(tot, 2.0 * (np.log(np.abs(b)) + s))
+    return tot, b / a
+
+
+def _gauss_hermite(n: int):
+    """Nodes x_i and effective log weights ln(w_i e^{x_i^2}).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Hermite
+    recurrence (Golub & Welsch 1969), polished by one Newton step on
+    p_n, whose derivative is sqrt(2n) p_{n-1}, and made exactly
+    symmetric.  The raw weights underflow for rules beyond a few hundred
+    nodes, so the effective weight comes straight from the Christoffel
+    identity w_i = 1 / sum_k p_k(x_i)^2.
+    """
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, -1))
+    x -= _hermite_sums(x, n)[1] / math.sqrt(2.0 * n)
+    x = 0.5 * (x - x[::-1])
+    return x, x * x - _hermite_sums(x, n)[0]
 
 
 @lru_cache(maxsize=None)
@@ -418,6 +441,8 @@ def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str):
     100 times tighter so that their noise cannot stall it; their errors,
     integrated over z1, join its own.  The sum must meet ``rel_tol``.
     """
+    from scipy.integrate import tanhsinh
+
     peak = float(logf(mode))
     opts = _tanhsinh_opts(peak, rel_tol / 100.0)
     inner_opts = _tanhsinh_opts(peak, rel_tol / 1e4)

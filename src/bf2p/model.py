@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import expit
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -165,6 +165,27 @@ class DiffCoords:
             raise ValidationError(f"|eta| must be <= 1, got {self.eta!r}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValidationError(f"zeta must lie in [0, 1], got {self.zeta!r}")
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + e^-x), elementwise, within 2 ulp in both tails.
+
+    Both branches divide by 1 + e^-|x|, which cannot overflow, so rates
+    near 0 keep their digits down to the subnormal range.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(np.greater_equal(x, 0), 1.0, e) / (1.0 + e)
+
+
+def expit_pair(x: float) -> tuple[float, float]:
+    """(sigma(x), sigma(-x)) of a float by ``math.exp``, in :func:`expit`'s arithmetic.
+
+    The Newton steps of the quadrature engine take one or two of these
+    per iteration, where a numpy call costs more than the arithmetic.
+    """
+    e = math.exp(-abs(x))
+    hi, lo = 1.0 / (1.0 + e), e / (1.0 + e)
+    return (hi, lo) if x >= 0 else (lo, hi)
 
 
 def logit_to_proportions(c: LogitCoords) -> ProportionPair:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlog1py, xlogy
 
 from .averaging import Approach, ApproachParams, ModelId, M1_IB
 from .dep_ib import sample_prior_depib
@@ -64,6 +63,8 @@ def _rng_streams(seed: int, n_streams: int):
 
 def _log_group_lik(y: int, n: int, theta: np.ndarray) -> np.ndarray:
     """Binomial log pmf at array of rates, exact at clamped endpoints."""
+    from scipy.special import xlog1py, xlogy
+
     return log_binomial_coeff(n, y) + xlogy(y, theta) + xlog1py(n - y, -theta)
 
 
@@ -124,6 +125,8 @@ def mc_log_marginal_depib(
 
 def _snis_log_mean_with_se(lw: np.ndarray, lv: np.ndarray):
     """log of sum(w v)/sum(w) plus a delta-method SE and the weight ESS."""
+    from scipy.special import logsumexp
+
     log_num = float(logsumexp(lw + lv))
     log_den = float(logsumexp(lw))
     log_val = log_num - log_den

@@ -16,12 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import expit
 
 from .ib import ib_posterior
 from .lt import _fit, _log_integrand_h1
-from .model import Hypothesis, LTPrior, TwoByTwoData, ValidationError
+from .model import Hypothesis, LTPrior, TwoByTwoData, ValidationError, expit
 from .priors import DensityGrid, ParamSamples
 
 __all__ = [
@@ -89,22 +87,56 @@ def posterior_grid_lt(
     return DensityGrid.build(b_axis, np.exp(log_post), p_axis)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray, axis: int = -1):
+    """Composite Simpson's rule for samples y at the points x along ``axis``.
+
+    x needs an odd number of points, which may be unevenly spaced: each
+    pair of intervals (h0, h1) gets the weights of the parabola through
+    its three points, in the arithmetic of ``scipy.integrate.simpson``.
+    """
+    if x.size % 2 == 0:
+        raise ValidationError(f"Simpson's rule needs an odd number of points, got {x.size}")
+
+    def every_other(a, start):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, start + x.size - 2, 2)
+        return a[tuple(index)]
+
+    shape = [1] * y.ndim
+    shape[axis] = -1
+    h = np.diff(x).reshape(shape)
+    h0, h1 = every_other(h, 0), every_other(h, 1)
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    return np.sum(
+        hsum / 6.0 * (
+            every_other(y, 0) * (2.0 - 1.0 / ratio)
+            + every_other(y, 1) * (hsum * (hsum / hprod))
+            + every_other(y, 2) * (2.0 - ratio)
+        ),
+        axis=axis,
+    )
+
+
 def marginal_from_grid(grid: DensityGrid, quantity: str) -> DensityGrid:
-    """1D posterior marginal of "beta" or "psi" from a (beta, psi) grid."""
+    """1D posterior marginal of "beta" or "psi" from a (beta, psi) grid.
+
+    Simpson's rule integrates out the other axis, which needs an odd
+    number of points, as ``posterior_grid_lt`` makes them.
+    """
     if grid.y_axis is None:
         raise ValidationError("need a 2D (beta, psi) grid")
     if quantity == "psi":
-        vals = simpson(grid.values, x=grid.x_axis, axis=0)
+        vals = _simpson(grid.values, grid.x_axis, axis=0)
         return DensityGrid.build(grid.y_axis, vals)
     if quantity == "beta":
-        vals = simpson(grid.values, x=grid.y_axis, axis=1)
+        vals = _simpson(grid.values, grid.y_axis, axis=1)
         return DensityGrid.build(grid.x_axis, vals)
     raise ValidationError(f"unknown grid quantity {quantity!r}")
 
 
 def _summarize_1d_density(x: np.ndarray, f: np.ndarray, quantity: str) -> PosteriorSummary:
-    total = simpson(f, x=x)
-    mean = simpson(f * x, x=x) / total
+    total = _simpson(f, x)
+    mean = _simpson(f * x, x) / total
     cdf = np.concatenate(
         [[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))]
     ) / total

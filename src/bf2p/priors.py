@@ -4,7 +4,11 @@ Each prior family is specified on its own coordinates (rates for IB,
 log odds for LT, difference/mean for the dependent variant), but all of
 them induce distributions on every other quantity of interest.  This
 module evaluates those induced densities on grids (figure data) and
-draws seeded samples from them (Monte Carlo checks).
+draws seeded samples from them (Monte Carlo checks).  Sampling runs on
+numpy alone; the LT rate and eta marginals integrate with
+``scipy.integrate.quad``, the IB eta density goes through
+``bf2p.special``'s Appell F1, and dep-IB draws invert scipy's normal
+CDF, each importing scipy on first use.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit
 
 from .model import (
     BetaPriorKind,
@@ -26,6 +28,7 @@ from .model import (
     PriorConfig,
     UnsupportedFeatureError,
     ValidationError,
+    expit,
 )
 from .special import (
     _ppf_truncated_gaussian,
@@ -243,6 +246,8 @@ def conditional_theta2_density(
 def _lt_theta_marginal(t: float, cfg: LTPrior, which: int) -> float:
     # integrate the (theta, psi) joint over psi; `which` = +1 for theta1
     # (beta = logit t + psi/2), -1 for theta2
+    from scipy import integrate
+
     lt_ = math.log(t) - math.log1p(-t)
 
     def f(psi):
@@ -258,6 +263,8 @@ def _lt_theta_marginal(t: float, cfg: LTPrior, which: int) -> float:
 
 
 def _lt_eta_marginal(e: float, cfg: LTPrior) -> float:
+    from scipy import integrate
+
     lo = max(0.0, -e)
     hi = min(1.0, 1.0 - e)
     if not lo < hi:

@@ -1,6 +1,7 @@
 """Command-line interface: thin adapters, exit codes, determinism."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -321,6 +322,7 @@ class TestPriorsTypedErrors:
             ("--config", "lt", "--quantity", "conditional", "--theta1", "0"),
             ("--config", "lt", "--quantity", "correlation", "--n-draws", "10"),
             ("--config", "lt", "--quantity", "joint", "--resolution", "32"),
+            ("--config", "ib", "--quantity", "eta", "--a", "1e6", "--grid-points", "5"),
         ],
     )
     def test_exit_code_and_message(self, capsys, argv):
@@ -328,6 +330,18 @@ class TestPriorsTypedErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""
+
+    def test_ib_eta_density_at_large_a(self, capsys):
+        # the Euler kernel's powers overflow a float here unless kept in logs
+        code, out, _ = run(
+            capsys, "priors", "--config", "ib", "--quantity", "eta", "--a", "60", "--grid-points", "2001"
+        )
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == 2001
+        assert all(math.isfinite(v) and v >= 0.0 for _, v in rows)
+        step = rows[1][0] - rows[0][0]
+        assert sum(v for _, v in rows) * step == pytest.approx(1.0, abs=1e-4)
 
 
 class TestHelp:

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit as scipy_expit
 
 from bf2p.model import (
     DiffCoords,
@@ -16,6 +19,8 @@ from bf2p.model import (
     ValidationError,
     diff_to_proportions,
     evidence_label,
+    expit,
+    expit_pair,
     logit_to_proportions,
     proportions_to_diff,
     proportions_to_logit,
@@ -161,3 +166,33 @@ class TestEvidenceLabel:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             evidence_label(0.0)
+
+
+class TestSigmoid:
+    X = np.concatenate([np.linspace(-745.0, 745.0, 149_001), np.linspace(-40.0, 40.0, 80_001)])
+
+    @staticmethod
+    def ulps(got, ref):
+        return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+    def test_within_4_ulp_of_scipy(self):
+        # scipy's 1 / (1 + e^-x) underflows to 0 once e^-x overflows, below
+        # x = -709.78, where the true value is still a positive float
+        ref = scipy_expit(self.X)
+        live = ref > 0.0
+        assert np.all(self.X[~live] < -709.0)
+        assert np.max(self.ulps(expit(self.X), ref)[live]) <= 4.0
+
+    def test_within_4_ulp_of_mpmath_in_both_tails(self):
+        x = np.linspace(-745.0, 745.0, 2_981)
+        with mp.workdps(40):
+            ref = np.array([float(1 / (1 + mp.exp(-mp.mpf(float(t))))) for t in x])
+        assert np.max(self.ulps(expit(x), ref)) <= 4.0
+        assert np.all(expit(x[x > -745.0]) > 0.0)
+
+    def test_float_pair_matches_the_array_sigmoid(self):
+        # same formula; math.exp and numpy's exp may round e^-|x| apart by an ulp
+        x = self.X[::97]
+        s, c = np.array([expit_pair(float(t)) for t in x]).T
+        assert np.max(self.ulps(s, expit(x))) <= 2.0
+        assert np.max(self.ulps(c, expit(-x))) <= 2.0

@@ -1,18 +1,78 @@
-"""``import bf2p`` stays off ``scipy.stats``, whose import costs over half a second."""
+"""``import bf2p`` and the CLI's IB, LT and averaging paths stay on numpy alone.
 
+Importing ``scipy.special`` and ``scipy.integrate`` costs about twice as
+much as numpy itself, and a one-off ``bf2p bf`` call is almost all
+import.  Each check runs in a fresh interpreter and lists the scipy
+modules loaded at its end; only the cold paths (dep-IB, the tanh-sinh
+fallback, the prior marginals that integrate, the oracle) may load
+scipy, on first use.
+"""
+
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bf2p
+
+RARE = ["--y1", "18", "--n1", "493", "--y2", "10", "--n2", "488"]
+BOUNDARY = ["--y1", "0", "--n1", "40", "--y2", "3", "--n2", "37"]
+
+
+def _run(*code_and_args):
+    src = str(Path(bf2p.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", *code_and_args], capture_output=True, text=True, env=env, check=True,
+    ).stdout
+
+
+def _cli(argv):
+    """(exit code, scipy modules loaded) after ``bf2p.cli.main(argv)`` in a fresh interpreter."""
+    out = _run(
+        "import json, sys\n"
+        "from bf2p.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+        *argv,
+    )
+    code, loaded = json.loads(out.strip().splitlines()[-1])
+    return code, loaded
 
 
 def test_import_does_not_load_scipy_stats():
-    src = str(Path(bf2p.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import bf2p, sys; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout
+    out = _run("import bf2p, sys; print('scipy.stats' in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_import_does_not_load_scipy():
+    out = _run("import bf2p, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["bf", "--method", "ib", *RARE], id="bf-ib-rare"),
+        pytest.param(["bf", "--method", "ib", *BOUNDARY], id="bf-ib-boundary"),
+        pytest.param(["bf", "--method", "lt", *RARE], id="bf-lt-rare"),
+        pytest.param(["bf", "--method", "lt", *BOUNDARY], id="bf-lt-boundary"),
+        pytest.param(["avg", *RARE], id="avg-rare"),
+        pytest.param(["avg", *BOUNDARY], id="avg-boundary"),
+        pytest.param(["posterior", "--method", "lt", *RARE], id="posterior-lt"),
+        pytest.param(["priors", "--config", "lt", "--quantity", "correlation"], id="priors-lt-correlation"),
+    ],
+)
+def test_cli_path_does_not_load_scipy(argv):
+    assert _cli(argv) == (0, [])
+
+
+def test_integrating_prior_marginal_loads_scipy():
+    # control: the LT eta marginal integrates with scipy's quad, so the
+    # check above would see scipy if a path loaded it
+    code, loaded = _cli(["priors", "--config", "lt", "--quantity", "eta", "--grid-points", "11"])
+    assert code == 0
+    assert "scipy.integrate" in loaded

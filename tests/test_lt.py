@@ -218,6 +218,48 @@ class TestBayesFactor:
                 assert abs(exact - est.log_value) < 3 * est.std_error, (d, model)
 
 
+class TestGaussHermiteRule:
+    """The Golub-Welsch rule against scipy's ``roots_hermite`` and a 40-digit rule.
+
+    Above 150 nodes ``roots_hermite`` switches to an asymptotic expansion,
+    whose nodes are off by up to 2e-13 and whose log weights by up to
+    1.4e-14 relative, so larger rules are checked at 40 digits only.
+    """
+
+    @pytest.mark.parametrize("n", [k for k in lt_mod.NODE_SCHEDULE if k <= 150])
+    def test_matches_roots_hermite(self, n):
+        x, lam = lt_mod._gauss_hermite(n)
+        xr, wr = roots_hermite(n)
+        assert np.max(np.abs(x - xr) / np.maximum(np.abs(xr), 1e-300)) <= 1e-14
+        log_w = lam - x * x
+        assert np.max(np.abs(log_w - np.log(wr)) / np.abs(np.log(wr))) <= 1e-14
+
+    @pytest.mark.parametrize("n", lt_mod.NODE_SCHEDULE)
+    def test_matches_40_digit_rule(self, n):
+        import mpmath as mp
+
+        x, lam = lt_mod._gauss_hermite(n)
+        assert np.array_equal(x, -x[::-1])
+
+        def recurrence(t, upto):  # orthonormal p_{upto-1}, p_upto and sum_{k<upto} p_k^2
+            a, b = mp.mpf(0), mp.pi ** mp.mpf(-0.25)
+            total = b * b
+            for k in range(upto):
+                a, b = b, t * b * mp.sqrt(mp.mpf(2) / (k + 1)) - a * mp.sqrt(mp.mpf(k) / (k + 1))
+                total += b * b if k < upto - 1 else 0
+            return a, b, total
+
+        with mp.workdps(40):
+            for i in sorted({n // 2 + 1, (3 * n) // 4, n - 2, n - 1}):
+                root = mp.mpf(float(x[i]))
+                for _ in range(2):  # Newton: p_n' = sqrt(2n) p_{n-1}
+                    a, b, _ = recurrence(root, n)
+                    root -= b / a / mp.sqrt(2 * n)
+                log_w = -mp.log(recurrence(root, n)[2])
+                assert abs(x[i] - root) <= 1e-15 * abs(root)
+                assert abs((lam[i] - x[i] ** 2) - log_w) <= 1e-14 * abs(log_w)
+
+
 class TestNodeCap:
     def test_exhausted_schedule_raises(self, monkeypatch):
         import bf2p.lt as lt_mod

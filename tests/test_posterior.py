@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 from bf2p.lt import bf01_lt
 from bf2p.model import TwoByTwoData, ValidationError
 from bf2p.posterior import (
+    _simpson,
     marginal_from_grid,
     posterior_draws_ib,
     posterior_grid_lt,
@@ -16,6 +17,26 @@ from bf2p.posterior import (
 )
 from bf2p.special import log_density_gaussian
 from conftest import random_null_datasets
+
+
+class TestSimpsonRule:
+    """The numpy Simpson rule keeps ``scipy.integrate.simpson``'s odd-count arithmetic."""
+
+    @pytest.mark.parametrize("counts", [(18, 493, 10, 488), (0, 40, 3, 37), (26, 11034, 10, 11037)])
+    def test_matches_scipy_on_posterior_grids(self, counts):
+        g = posterior_grid_lt(TwoByTwoData(*counts), resolution=201)
+        for axis, x in ((0, g.x_axis), (1, g.y_axis)):
+            ref = simpson(g.values, x=x, axis=axis)
+            np.testing.assert_allclose(_simpson(g.values, x, axis=axis), ref, rtol=1e-15, atol=0.0)
+
+    def test_matches_scipy_on_uneven_axis(self):
+        x = np.sort(np.random.default_rng(3).uniform(-2.0, 2.0, 101))
+        y = np.exp(-x * x) * (2.0 + np.sin(3.0 * x))
+        assert _simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-15, abs=0.0)
+
+    def test_even_point_count_rejected(self):
+        with pytest.raises(ValidationError, match="odd"):
+            _simpson(np.ones(4), np.arange(4.0))
 
 
 class TestIBDraws:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from scipy.stats import truncnorm
 
 from bf2p.model import DomainError
 from bf2p.special import (
+    _log_gaussian_mass,
     _ppf_truncated_gaussian,
     appell_f1,
     eta_density_ib,
@@ -34,11 +36,11 @@ class TestLogBeta:
         assert log_beta_fn(2, 2) == pytest.approx(math.log(1 / 6), rel=1e-13)
 
     def test_large_arguments(self):
-        # B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b); spot value via log-gamma identity
-        from scipy.special import gammaln
-
+        # B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b); spot value via log-gamma identity,
+        # in 50 digits: in doubles the three log-gammas of ~1e7 cancel to ~5e-12
         a, b = 1e6, 3.5
-        expected = gammaln(a) + gammaln(b) - gammaln(a + b)
+        with mp.workdps(50):
+            expected = float(mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b))
         assert log_beta_fn(a, b) == pytest.approx(expected, rel=1e-13)
 
     def test_domain(self):
@@ -46,6 +48,23 @@ class TestLogBeta:
             log_beta_fn(0.0, 1.0)
         with pytest.raises(DomainError):
             log_beta_fn(1.0, -2.0)
+
+    def test_matches_mpmath_on_ib_arguments(self):
+        # (a + y, a + n - y) as the IB marginals pass them, n up to 3e8;
+        # swapping the arguments must not move a single bit
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        with mp.workdps(50):
+            for i in range(3000):
+                n = int(round(10 ** rng.uniform(0.0, 8.5)))
+                y = int(rng.integers(0, n + 1)) if i % 2 else int(rng.integers(0, min(n, 20) + 1))
+                a = float(rng.choice([1.0, 1.5, 2.0, 3.7, 10.0, 50.0]))
+                p, q = a + y, a + (n - y)
+                got = log_beta_fn(p, q)
+                assert log_beta_fn(q, p) == got
+                ref = mp.loggamma(p) + mp.loggamma(q) - mp.loggamma(mp.mpf(p) + q)
+                worst = max(worst, float(abs((got - ref) / ref)))
+        assert worst <= 1e-15
 
 
 class TestAppellF1:
@@ -126,6 +145,15 @@ class TestEtaDensity:
         ref = eta_density_convolution(eta, a)
         assert eta_density_ib(eta, a).value == pytest.approx(ref, rel=1e-9)
         assert eta_density_ib(-eta, a).value == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("a, eta", [(20.0, 1e-4), (20.0, -0.05), (60.0, 1e-3), (60.0, -0.3), (200.0, 1e-5)])
+    def test_large_a_matches_direct_convolution(self, a, eta):
+        # the Euler kernel's (1 - x t)^-(4a - 2) alone overflows a float here
+        assert eta_density_ib(eta, a).value == pytest.approx(eta_density_convolution(eta, a), rel=1e-11)
+
+    def test_unrepresentable_kernel_raises_domain_error(self):
+        with pytest.raises(DomainError, match="floating-point range"):
+            eta_density_ib(1e-4, 1e6)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -230,6 +258,26 @@ class TestLogDensityHelpers:
             lambda x: math.exp(log_density_gaussian(x, 1.7)), -30, 30
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+class TestGaussianMass:
+    """ln(Phi(b) - Phi(a)) against 50-digit mpmath, from narrow windows to wide ones."""
+
+    @pytest.mark.parametrize("mid", [-5.0, -2.0, -0.7, 0.0, 0.3, 1.0, 3.0, 5.0])
+    def test_relative_error_of_mass(self, mid):
+        widths = 10.0 ** np.arange(-12.0, 0.01, 0.25)
+        lo, hi = mid - 0.5 * widths, mid + 0.5 * widths
+        for sigma, center in ((1.0, 0.0), (0.2, 0.3)):
+            lo_, hi_ = center + sigma * lo, center + sigma * hi
+            got = _log_gaussian_mass(lo_, hi_, center, sigma)
+            with mp.workdps(50):
+                ref = [
+                    mp.log(mp.ncdf((mp.mpf(h) - center) / sigma) - mp.ncdf((mp.mpf(l) - center) / sigma))
+                    for l, h in zip(lo_, hi_)
+                ]
+            err = np.array([float(abs(g - r)) for g, r in zip(got, ref)])  # = relative error of the mass
+            assert np.max(err) <= 1e-14
+            assert _log_gaussian_mass(float(lo_[0]), float(hi_[0]), center, sigma) == got[0]
 
 
 class TestTruncatedGaussianInverseCdf:
