@@ -4,11 +4,10 @@ Each prior family is specified on its own coordinates (rates for IB,
 log odds for LT, difference/mean for the dependent variant), but all of
 them induce distributions on every other quantity of interest.  This
 module evaluates those induced densities on grids (figure data) and
-draws seeded samples from them (Monte Carlo checks).  Sampling runs on
-numpy alone; the LT rate and eta marginals integrate with
-``scipy.integrate.quad``, the IB eta density goes through
-``bf2p.special``'s Appell F1, and dep-IB draws invert scipy's normal
-CDF, each importing scipy on first use.
+draws seeded samples from them (Monte Carlo checks).  Sampling and the
+LT marginals run on numpy alone; only the IB eta density (Appell F1's
+``quad`` in ``bf2p.special``) and dep-IB draws (scipy's normal CDF)
+import scipy, on first use.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .model import (
     Hypothesis,
     IBPrior,
     LTPrior,
+    NumericalError,
     PriorConfig,
     UnsupportedFeatureError,
     ValidationError,
@@ -172,8 +172,8 @@ def prior_correlation(cfg: PriorConfig, n_draws: int = 1_000_000, seed: int = 0)
     """Monte Carlo Pearson correlation of (theta1, theta2) under H1."""
     if n_draws < 10**6:
         raise ValidationError(f"n_draws must be at least 1e6, got {n_draws}")
-    s = sample_prior(cfg, Hypothesis.H1, n_draws, seed)
-    return float(np.corrcoef(s.theta1, s.theta2)[0, 1])
+    rng = np.random.Generator(np.random.Philox(seed))
+    return float(np.corrcoef(*_draw_rates(cfg, Hypothesis.H1, n_draws, rng))[0, 1])
 
 
 # --------------------------------------------------------------------------
@@ -182,26 +182,23 @@ def prior_correlation(cfg: PriorConfig, n_draws: int = 1_000_000, seed: int = 0)
 
 
 def _log_joint_rates(t1, t2, cfg: IBPrior | LTPrior):
-    """Log density of (theta1, theta2) under the IB or LT prior (interior rates).
-
-    For LT this is a change of variables from (beta, psi); the Jacobian
-    is 1 / [t1 (1-t1) t2 (1-t2)].
-    """
+    """Log density of (theta1, theta2) under the IB or LT prior (interior rates)."""
     if isinstance(cfg, IBPrior):
         return log_density_beta(t1, cfg.a) + log_density_beta(t2, cfg.a)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    l1 = np.log(t1) - np.log1p(-t1)
-    l2 = np.log(t2) - np.log1p(-t2)
-    beta = 0.5 * (l1 + l2)
-    psi = l2 - l1
+    return _log_joint_lt(np.log(t1), np.log1p(-t1), np.log(t2), np.log1p(-t2), cfg)
+
+
+def _log_joint_lt(log_t1, log_1m_t1, log_t2, log_1m_t2, cfg: LTPrior):
+    """Log density of (theta1, theta2) under the LT prior, from log t1, log(1 - t1), log t2, log(1 - t2).
+
+    A change of variables from (beta, psi), with Jacobian 1 / [t1 (1-t1) t2 (1-t2)].
+    """
+    x1 = log_t1 - log_1m_t1
+    x2 = log_t2 - log_1m_t2
     return (
-        _log_prior_beta(beta, cfg.sigma_beta, cfg.beta_prior)
-        + log_density_gaussian(psi, cfg.sigma_psi)
-        - np.log(t1)
-        - np.log1p(-t1)
-        - np.log(t2)
-        - np.log1p(-t2)
+        _log_prior_beta(0.5 * (x1 + x2), cfg.sigma_beta, cfg.beta_prior)
+        + log_density_gaussian(x2 - x1, cfg.sigma_psi)
+        - (log_t1 + log_1m_t1 + log_t2 + log_1m_t2)
     )
 
 
@@ -243,38 +240,111 @@ def conditional_theta2_density(
     )
 
 
-def _lt_theta_marginal(t: float, cfg: LTPrior, which: int) -> float:
-    # integrate the (theta, psi) joint over psi; `which` = +1 for theta1
-    # (beta = logit t + psi/2), -1 for theta2
-    from scipy import integrate
+#: Abscissae t of the tanh-sinh rule, at steps 2^-k for k in _TS_LEVELS: s = 1 / (1 + e^{2u}),
+#: u = (pi/2) sinh t, reaches e^-4682 at t = 8, and the weights are below 1e-35 of their peak at t = -4.
+_TS_SPAN, _TS_LEVELS, _TS_REL_TOL = (-4.0, 8.0), range(2, 10), 1e-12
 
-    lt_ = math.log(t) - math.log1p(-t)
 
-    def f(psi):
-        beta = lt_ + which * 0.5 * psi
-        return np.exp(
-            _log_prior_beta(beta, cfg.sigma_beta, cfg.beta_prior)
-            + log_density_gaussian(psi, cfg.sigma_psi)
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    m = np.nan_to_num(a.max(axis=1), neginf=0.0)
+    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+
+
+def _tanh_sinh(log_f, points: np.ndarray, what: str) -> np.ndarray:
+    """Per point, log of the integral over s in (0, 1) of exp(log_f(rows, log s, log(1 - s))).
+
+    One rule for all points, as a (points x nodes) array, its step halved
+    until two levels agree to 1e-12.  A point that does not, or whose
+    rule still has mass at the ends of its span, raises ``NumericalError``.
+    """
+    lo, hi = _TS_SPAN
+
+    def log_terms(rows, t):
+        u = 0.5 * math.pi * np.sinh(t)
+        log_s, log_1m_s = -np.logaddexp(0.0, 2.0 * u), -np.logaddexp(0.0, -2.0 * u)
+        return log_f(rows, log_s, log_1m_s) + np.log(math.pi * np.cosh(t)) + log_s + log_1m_s
+
+    step = 2.0 ** -_TS_LEVELS[0]
+    rows = np.arange(points.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = log_terms(rows, lo + step * np.arange(round((hi - lo) / step) + 1))
+        log_int = _row_logsumexp(terms) + math.log(step)
+        for _ in _TS_LEVELS[1:]:
+            step /= 2.0
+            old = log_int[rows]
+            new = _row_logsumexp(log_terms(rows, lo + step * np.arange(1, round((hi - lo) / step), 2)))
+            log_int[rows] = new = np.logaddexp(old - math.log(2.0), new + math.log(step))
+            rows = rows[~((new == old) | (np.abs(np.expm1(new - old)) <= _TS_REL_TOL))]
+            if not rows.size:
+                break
+        bad = np.union1d(rows, np.flatnonzero(np.maximum(terms[:, 0], terms[:, -1]) - log_int > -40.0))
+    if bad.size:
+        raise NumericalError(f"{what} did not converge to {_TS_REL_TOL} at {points[bad].tolist()}")
+    return log_int
+
+
+def _lt_theta_marginal(t: np.ndarray, cfg: LTPrior) -> np.ndarray:
+    """Density of either rate at every t; its log odds x is beta -/+ psi/2.
+
+    Under a Gaussian beta prior x is N(0, sigma_beta^2 + sigma_psi^2/4).
+    Under a logistic one psi = m + c logit(s), where N(m, c^2) is psi's
+    prior times a Gaussian with the logistic factor's centre -2x and
+    variance (2 pi sigma_beta)^2 / 3: the rule follows the narrower factor.
+    """
+    vals = np.zeros_like(t)
+    inside = (t > 0.0) & (t < 1.0)
+    log_t, log_1m_t = np.log(t[inside]), np.log1p(-t[inside])
+    x = (log_t - log_1m_t)[:, None]
+    sb, sp = cfg.sigma_beta, cfg.sigma_psi
+    if cfg.beta_prior is BetaPriorKind.GAUSSIAN:
+        log_mix = log_density_gaussian(x[:, 0], math.hypot(sb, 0.5 * sp))
+    else:
+        c = 1.0 / math.sqrt(sp**-2 + 0.75 / (math.pi * sb) ** 2)
+        m = -1.5 * (c / (math.pi * sb)) ** 2 * x
+
+        def log_f(rows, log_s, log_1m_s):
+            psi = m[rows] + c * (log_s - log_1m_s)
+            log_g = _log_prior_beta(x[rows] + 0.5 * psi, sb, cfg.beta_prior) + log_density_gaussian(psi, sp)
+            return log_g + math.log(c) - log_s - log_1m_s
+
+        log_mix = _tanh_sinh(log_f, t[inside], "the LT rate density")
+    vals[inside] = np.exp(log_mix - log_t - log_1m_t)
+    return vals
+
+
+def _lt_eta_marginal(eta: np.ndarray, cfg: LTPrior) -> np.ndarray:
+    """Density of eta = theta2 - theta1 at every grid point.
+
+    f(eta) = f(-eta), and over theta1 in (0, 1 - |eta|) the integrand is
+    symmetric about the midpoint, as (theta1, theta2) -> (1 - theta2,
+    1 - theta1) keeps psi and flips beta.  So f is twice the integral
+    over theta1 = h s, h = (1 - |eta|)/2, with the logs of theta1,
+    theta2 = |eta| + h s and 1 - theta2 = h (2 - s) taken from log s, not
+    from a rounded theta1, which keeps the mass at the corner theta1 -> 0.
+    """
+    e = np.abs(eta)
+    if cfg.beta_prior is BetaPriorKind.LOGISTIC and cfg.sigma_beta >= 1.0 and np.any(e == 0.0):
+        raise DomainError(
+            f"the LT eta density has a pole at eta = 0 under a logistic beta prior with sigma_beta >= 1 "
+            f"(got {cfg.sigma_beta!r}): along theta1 = theta2 it grows like exp((1 - 1/sigma_beta) |beta|)"
         )
+    vals = np.zeros_like(e)
+    inside = e < 1.0
+    e = e[inside, None]
+    h = 0.5 * (1.0 - e)
+    with np.errstate(divide="ignore"):
+        log_e, log_h = np.log(e), np.log(h)
 
-    lim = 12.0 * cfg.sigma_psi
-    val, _ = integrate.quad(f, -lim, lim, epsabs=1e-13, epsrel=1e-10, limit=200)
-    return val / (t * (1.0 - t))
+    def log_f(rows, log_s, log_1m_s):
+        s, log_t1 = np.exp(log_s), log_h[rows] + log_s
+        log_t2, log_1m_t2 = np.logaddexp(log_e[rows], log_t1), log_h[rows] + np.log(2.0 - s)
+        return log_h[rows] + _log_joint_lt(log_t1, np.log1p(-h[rows] * s), log_t2, log_1m_t2, cfg)
 
-
-def _lt_eta_marginal(e: float, cfg: LTPrior) -> float:
-    from scipy import integrate
-
-    lo = max(0.0, -e)
-    hi = min(1.0, 1.0 - e)
-    if not lo < hi:
-        return 0.0
-
-    def f(t1):
-        return np.exp(_log_joint_rates(t1, t1 + e, cfg))
-
-    val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=200)
-    return val
+    with np.errstate(over="ignore"):
+        vals[inside] = 2.0 * np.exp(_tanh_sinh(log_f, eta[inside], "the LT eta density"))
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"the LT eta density at {eta[~np.isfinite(vals)].tolist()} overflows a float")
+    return vals
 
 
 def marginal_density(
@@ -287,9 +357,12 @@ def marginal_density(
     """Marginal prior density of ``quantity`` in {"eta", "psi", "theta"}.
 
     Closed forms are used where they exist (all IB eta densities; the
-    IB psi density at a = 1; the LT psi prior, which is simply Gaussian);
-    LT rate and eta marginals are pushforwards computed by quadrature
-    over the complementary coordinate.  The IB psi marginal for a != 1
+    IB psi density at a = 1; the LT psi prior, which is simply Gaussian;
+    the LT rate density under a Gaussian beta prior, logit-normal).  The
+    other LT rate and eta marginals are pushforwards, integrated over
+    the complementary coordinate by one tanh-sinh rule for the whole
+    grid, on numpy alone; of all these only the IB eta density imports
+    scipy (Appell F1's ``quad``).  The IB psi marginal for a != 1
     has no closed form and is served by a seeded Monte Carlo histogram,
     flagged as such.  ``theta2`` and ``theta1`` are accepted as aliases
     of ``theta`` for symmetry checks.
@@ -319,12 +392,9 @@ def marginal_density(
             vals = np.exp(log_density_gaussian(grid, cfg.sigma_psi))
             return DensityGrid.build(grid, vals)
         if quantity == "eta":
-            vals = np.array([_lt_eta_marginal(float(e), cfg) for e in grid])
-            return DensityGrid.build(grid, vals)
+            return DensityGrid.build(grid, _lt_eta_marginal(grid, cfg))
         if quantity in ("theta", "theta1", "theta2"):
-            which = -1 if quantity == "theta2" else +1
-            vals = np.array([_lt_theta_marginal(float(t), cfg, which) for t in grid])
-            return DensityGrid.build(grid, vals)
+            return DensityGrid.build(grid, _lt_theta_marginal(grid, cfg))
         raise UnsupportedFeatureError(f"unknown quantity {quantity!r}")
     raise UnsupportedFeatureError(
         f"marginal densities are not available for {type(cfg).__name__}: "

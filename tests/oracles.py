@@ -65,6 +65,99 @@ def eta_density_convolution(eta, a):
     return val
 
 
+def _mp_log_beta_prior(beta, sigma_beta, logistic):
+    """Log density of the LT grand mean's prior, Gaussian or logistic, in mpmath."""
+    import mpmath as mp
+
+    if logistic:
+        z = abs(beta) / sigma_beta
+        return -z - 2 * mp.log1p(mp.exp(-z)) - mp.log(sigma_beta)
+    return -beta * beta / (2 * sigma_beta**2) - mp.log(sigma_beta) - mp.log(2 * mp.pi) / 2
+
+
+def _mp_quad_halving(f, pts, rel_tol):
+    """mpmath ``quad`` over the pieces between ``pts``.
+
+    A piece whose own error estimate is below ``rel_tol`` of the total
+    over the number of pieces stands; any other is halved until its two
+    halves agree with it.
+    """
+    import mpmath as mp
+
+    pieces = [(a, b, *mp.quad(f, [a, b], error=True)) for a, b in zip(pts[:-1], pts[1:])]
+    total = mp.fsum(p[2] for p in pieces)
+    done = mp.fsum(v for _, _, v, err in pieces if err <= rel_tol * total / len(pieces))
+    todo = [(a, b, v) for a, b, v, err in pieces if err > rel_tol * total / len(pieces)]
+    if not todo:
+        return done
+    for _ in range(40):
+        halved = []
+        for a, b, v in todo:
+            m = (a + b) / 2
+            left, right = mp.quad(f, [a, m]), mp.quad(f, [m, b])
+            if abs(left + right - v) <= rel_tol * total:
+                done += left + right
+            else:
+                halved += [(a, m, left), (m, b, right)]
+        if not halved:
+            return done
+        todo, total = halved, done + mp.fsum(v for _, _, v in halved)
+    raise RuntimeError("mpmath quadrature did not converge")
+
+
+def lt_eta_density_mpmath(eta, sigma_beta, sigma_psi, logistic=False, dps=30, rel_tol=1e-13):
+    """Density of theta2 - theta1 under the LT prior, by mpmath quadrature in theta1.
+
+    The joint density of the rates, (beta, psi) prior over the Jacobian
+    t1 (1-t1) t2 (1-t2), is integrated along theta2 = theta1 + eta over
+    the whole interval, with breakpoints where either rate's log odds
+    is a multiple of 8 in [-40, 40].
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        e, sb, sp = mp.mpf(eta), mp.mpf(sigma_beta), mp.mpf(sigma_psi)
+        lo, hi = max(mp.mpf(0), -e), min(mp.mpf(1), 1 - e)
+        if not lo < hi:
+            return 0.0
+        log_c = -mp.log(sp) - mp.log(2 * mp.pi) / 2
+
+        def f(t1):
+            t2 = t1 + e
+            if not (0 < t1 < 1 and 0 < t2 < 1):  # a corner beyond the working precision
+                return mp.mpf(0)
+            a1, b1, a2, b2 = mp.log(t1), mp.log1p(-t1), mp.log(t2), mp.log1p(-t2)
+            x1, x2 = a1 - b1, a2 - b2
+            log_prior = _mp_log_beta_prior((x1 + x2) / 2, sb, logistic) - (x2 - x1) ** 2 / (2 * sp * sp) + log_c
+            return mp.exp(log_prior - a1 - b1 - a2 - b2)
+
+        rates = [1 / (1 + mp.exp(-x)) for x in range(-40, 41, 8)]
+        pts = [lo] + sorted({t for r in rates for t in (r, r - e) if lo < t < hi}) + [hi]
+        return float(_mp_quad_halving(f, pts, rel_tol))
+
+
+def lt_theta_density_mpmath(t, sigma_beta, sigma_psi, logistic=True, dps=30, rel_tol=1e-13):
+    """Density of either rate under the LT prior, by mpmath quadrature over beta.
+
+    logit(t) = beta - psi/2 with psi ~ N(0, sigma_psi), so the density is
+    the integral of p(beta) 2 phi(2 (beta - logit t); sigma_psi) over
+    beta, over t (1 - t).  beta runs over 60 scales of either factor
+    around its centre, with breakpoints at every 4 scales.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        t, sb, sp = mp.mpf(t), mp.mpf(sigma_beta), mp.mpf(sigma_psi)
+        x = mp.log(t) - mp.log1p(-t)
+        log_c = mp.log(2) - mp.log(sp) - mp.log(2 * mp.pi) / 2
+
+        def f(beta):
+            return mp.exp(_mp_log_beta_prior(beta, sb, logistic) - 2 * (beta - x) ** 2 / (sp * sp) + log_c)
+
+        pts = sorted({k * sb for k in range(-60, 61, 4)} | {x + k * sp / 2 for k in range(-60, 61, 4)})
+        return float(_mp_quad_halving(f, pts, rel_tol) / (t * (1 - t)))
+
+
 def log_ml_h0_lt_simpson(d, sigma_beta=1.0, half_width_sd=12.0, n_points=20001):
     """Adaptive-free 1D Simpson reference for the LT null marginal.
 

@@ -323,6 +323,7 @@ class TestPriorsTypedErrors:
             ("--config", "lt", "--quantity", "correlation", "--n-draws", "10"),
             ("--config", "lt", "--quantity", "joint", "--resolution", "32"),
             ("--config", "ib", "--quantity", "eta", "--a", "1e6", "--grid-points", "5"),
+            ("--config", "lt", "--quantity", "eta", "--sigma-beta", "40", "--grid-points", "5"),
         ],
     )
     def test_exit_code_and_message(self, capsys, argv):

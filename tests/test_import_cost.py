@@ -1,11 +1,11 @@
-"""``import bf2p`` and the CLI's IB, LT and averaging paths stay on numpy alone.
+"""``import bf2p`` and the CLI's IB, LT, averaging and LT prior paths stay on numpy alone.
 
 Importing ``scipy.special`` and ``scipy.integrate`` costs about twice as
 much as numpy itself, and a one-off ``bf2p bf`` call is almost all
 import.  Each check runs in a fresh interpreter and lists the scipy
 modules loaded at its end; only the cold paths (dep-IB, the tanh-sinh
-fallback, the prior marginals that integrate, the oracle) may load
-scipy, on first use.
+fallback of the quadrature engine, the IB eta density, the oracle) may
+load scipy, on first use.
 """
 
 import json
@@ -64,6 +64,8 @@ def test_import_does_not_load_scipy():
         pytest.param(["avg", *BOUNDARY], id="avg-boundary"),
         pytest.param(["posterior", "--method", "lt", *RARE], id="posterior-lt"),
         pytest.param(["priors", "--config", "lt", "--quantity", "correlation"], id="priors-lt-correlation"),
+        pytest.param(["priors", "--config", "lt", "--quantity", "eta"], id="priors-lt-eta"),
+        pytest.param(["priors", "--config", "lt", "--quantity", "theta"], id="priors-lt-theta"),
     ],
 )
 def test_cli_path_does_not_load_scipy(argv):
@@ -71,8 +73,8 @@ def test_cli_path_does_not_load_scipy(argv):
 
 
 def test_integrating_prior_marginal_loads_scipy():
-    # control: the LT eta marginal integrates with scipy's quad, so the
-    # check above would see scipy if a path loaded it
-    code, loaded = _cli(["priors", "--config", "lt", "--quantity", "eta", "--grid-points", "11"])
+    # control: the IB eta density integrates Appell F1 with scipy's quad,
+    # so the check above would see scipy if a path loaded it
+    code, loaded = _cli(["priors", "--config", "ib", "--quantity", "eta", "--grid-points", "11"])
     assert code == 0
     assert "scipy.integrate" in loaded

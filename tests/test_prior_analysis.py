@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from bf2p import priors
 from bf2p.model import (
+    BetaPriorKind,
     DepIBPrior,
     DomainError,
     Hypothesis,
     IBPrior,
     LTPrior,
+    NumericalError,
     UnsupportedFeatureError,
     WidePriorWarning,
 )
@@ -24,12 +27,20 @@ from bf2p.priors import (
     sample_prior,
 )
 from bf2p.special import log_density_beta, log_density_gaussian
+from oracles import lt_eta_density_mpmath, lt_theta_density_mpmath
 
 
 def wide_lt(sigma_psi):
+    return lt(1.0, sigma_psi)
+
+
+def lt(sigma_beta, sigma_psi, beta_prior=BetaPriorKind.GAUSSIAN):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WidePriorWarning)
-        return LTPrior(sigma_beta=1.0, sigma_psi=sigma_psi)
+        return LTPrior(sigma_beta, sigma_psi, beta_prior)
+
+
+LOGISTIC = BetaPriorKind.LOGISTIC
 
 
 class TestSamplePrior:
@@ -223,6 +234,63 @@ class TestMarginalDensity:
         ref = marginal_density(cfg, quantity, centers).values
         # bin-averaging bias is O(width^2 f''); allow it alongside 3 SE
         assert np.all(np.abs(dens - ref) < 3 * se + 0.02 * np.max(ref))
+
+
+class TestLTMarginalsAgainstOracle:
+    """The numpy LT marginals against 30-digit mpmath quadrature (tests/oracles.py)."""
+
+    ETA = (-0.95, -0.5, -0.1, 0.0, 0.02, 0.3, 0.77)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [lt(1, 1), lt(1, 2.5), lt(2, 0.5), lt(0.2, 0.2), lt(5, 5), lt(0.5, 1, LOGISTIC)],
+        ids=["1-1", "1-2.5", "2-0.5", "0.2-0.2", "5-5", "logistic-0.5-1"],
+    )
+    def test_eta_density(self, cfg):
+        got = marginal_density(cfg, "eta", np.array(self.ETA)).values
+        ref = np.array(
+            [lt_eta_density_mpmath(e, cfg.sigma_beta, cfg.sigma_psi, cfg.beta_prior is LOGISTIC) for e in self.ETA]
+        )
+        shown = ref > 1e-200
+        np.testing.assert_allclose(got[shown], ref[shown], rtol=1e-10, atol=0.0)
+        assert np.all(got[~shown] <= 1e-190)
+
+    def test_wide_prior_keeps_the_corner_mass(self):
+        # under LTPrior(5, 5) the mass at eta = 0 sits at theta ~ e^-25
+        assert marginal_density(lt(5, 5), "eta", np.array([0.0])).values[0] == pytest.approx(4.28206e4, rel=1e-5)
+
+    @pytest.mark.parametrize("sigma_beta, sigma_psi", [(0.5, 1.0), (0.05, 1.0), (3.0, 1.0)])
+    def test_logistic_theta_density(self, sigma_beta, sigma_psi):
+        t = np.array([1e-6, 0.05, 0.3, 0.5, 0.77, 0.999])
+        got = marginal_density(lt(sigma_beta, sigma_psi, LOGISTIC), "theta", t).values
+        ref = np.array([lt_theta_density_mpmath(v, sigma_beta, sigma_psi) for v in t])
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0.0)
+
+    def test_logistic_pole_at_zero_is_a_domain_error(self):
+        for sigma_beta in (1.0, 2.0):
+            with pytest.raises(DomainError, match="pole at eta = 0"):
+                marginal_density(lt(sigma_beta, 1, LOGISTIC), "eta", np.linspace(-1, 1, 201))
+        vals = marginal_density(lt(2, 1, LOGISTIC), "eta", np.linspace(-0.99, 0.99, 100)).values
+        assert np.all(np.isfinite(vals))
+
+    def test_unconverged_rule_names_its_points(self, monkeypatch):
+        # capped before any two levels can agree, the rule must raise, not return its last level
+        monkeypatch.setattr(priors, "_TS_LEVELS", range(2, 3))
+        with pytest.raises(NumericalError, match=r"\[-0\.5, 0\.25\]"):
+            marginal_density(lt(1, 1), "eta", np.array([-0.5, 0.25, 1.0]))
+
+    def test_mass_beyond_the_rule_is_a_numerical_error(self):
+        # sigma_beta just below 1: the eta = 0 integrand decays like e^(-0.001 |beta|)
+        with pytest.raises(NumericalError, match=r"\[0\.0\]"):
+            marginal_density(lt(0.999, 1, LOGISTIC), "eta", np.array([0.0, 0.5]))
+
+    def test_overflowing_density_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            marginal_density(lt(40, 1), "eta", np.array([0.0, 0.5]))
+
+    def test_outside_the_support_is_zero(self):
+        assert list(marginal_density(lt(1, 1), "eta", np.array([-1.0, 1.0, 1.5])).values) == [0.0] * 3
+        assert list(marginal_density(lt(0.5, 1, LOGISTIC), "theta", np.array([0.0, 1.0])).values) == [0.0] * 2
 
 
 class TestJointGrids:
