@@ -5,9 +5,9 @@ log odds for LT, difference/mean for the dependent variant), but all of
 them induce distributions on every other quantity of interest.  This
 module evaluates those induced densities on grids (figure data) and
 draws seeded samples from them (Monte Carlo checks).  Sampling and the
-LT marginals run on numpy alone; only the IB eta density (Appell F1's
-``quad`` in ``bf2p.special``) and dep-IB draws (scipy's normal CDF)
-import scipy, on first use.
+marginal densities run on numpy alone, the integrated ones on the
+tanh-sinh rule of ``bf2p.special``; only dep-IB draws (scipy's normal
+CDF) import scipy, on first use.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from .model import (
     Hypothesis,
     IBPrior,
     LTPrior,
-    NumericalError,
     PriorConfig,
     UnsupportedFeatureError,
     ValidationError,
     expit,
 )
 from .special import (
+    _log_eta_convolution,
+    _log_eta_density_ib,
     _ppf_truncated_gaussian,
-    eta_density_ib,
+    _tanh_sinh,
     log_density_beta,
     log_density_gaussian,
     psi_density_ib_a1,
@@ -240,49 +241,6 @@ def conditional_theta2_density(
     )
 
 
-#: Abscissae t of the tanh-sinh rule, at steps 2^-k for k in _TS_LEVELS: s = 1 / (1 + e^{2u}),
-#: u = (pi/2) sinh t, reaches e^-4682 at t = 8, and the weights are below 1e-35 of their peak at t = -4.
-_TS_SPAN, _TS_LEVELS, _TS_REL_TOL = (-4.0, 8.0), range(2, 10), 1e-12
-
-
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    m = np.nan_to_num(a.max(axis=1), neginf=0.0)
-    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
-
-
-def _tanh_sinh(log_f, points: np.ndarray, what: str) -> np.ndarray:
-    """Per point, log of the integral over s in (0, 1) of exp(log_f(rows, log s, log(1 - s))).
-
-    One rule for all points, as a (points x nodes) array, its step halved
-    until two levels agree to 1e-12.  A point that does not, or whose
-    rule still has mass at the ends of its span, raises ``NumericalError``.
-    """
-    lo, hi = _TS_SPAN
-
-    def log_terms(rows, t):
-        u = 0.5 * math.pi * np.sinh(t)
-        log_s, log_1m_s = -np.logaddexp(0.0, 2.0 * u), -np.logaddexp(0.0, -2.0 * u)
-        return log_f(rows, log_s, log_1m_s) + np.log(math.pi * np.cosh(t)) + log_s + log_1m_s
-
-    step = 2.0 ** -_TS_LEVELS[0]
-    rows = np.arange(points.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = log_terms(rows, lo + step * np.arange(round((hi - lo) / step) + 1))
-        log_int = _row_logsumexp(terms) + math.log(step)
-        for _ in _TS_LEVELS[1:]:
-            step /= 2.0
-            old = log_int[rows]
-            new = _row_logsumexp(log_terms(rows, lo + step * np.arange(1, round((hi - lo) / step), 2)))
-            log_int[rows] = new = np.logaddexp(old - math.log(2.0), new + math.log(step))
-            rows = rows[~((new == old) | (np.abs(np.expm1(new - old)) <= _TS_REL_TOL))]
-            if not rows.size:
-                break
-        bad = np.union1d(rows, np.flatnonzero(np.maximum(terms[:, 0], terms[:, -1]) - log_int > -40.0))
-    if bad.size:
-        raise NumericalError(f"{what} did not converge to {_TS_REL_TOL} at {points[bad].tolist()}")
-    return log_int
-
-
 def _lt_theta_marginal(t: np.ndarray, cfg: LTPrior) -> np.ndarray:
     """Density of either rate at every t; its log odds x is beta -/+ psi/2.
 
@@ -313,35 +271,18 @@ def _lt_theta_marginal(t: np.ndarray, cfg: LTPrior) -> np.ndarray:
 
 
 def _lt_eta_marginal(eta: np.ndarray, cfg: LTPrior) -> np.ndarray:
-    """Density of eta = theta2 - theta1 at every grid point.
-
-    f(eta) = f(-eta), and over theta1 in (0, 1 - |eta|) the integrand is
-    symmetric about the midpoint, as (theta1, theta2) -> (1 - theta2,
-    1 - theta1) keeps psi and flips beta.  So f is twice the integral
-    over theta1 = h s, h = (1 - |eta|)/2, with the logs of theta1,
-    theta2 = |eta| + h s and 1 - theta2 = h (2 - s) taken from log s, not
-    from a rounded theta1, which keeps the mass at the corner theta1 -> 0.
-    """
-    e = np.abs(eta)
-    if cfg.beta_prior is BetaPriorKind.LOGISTIC and cfg.sigma_beta >= 1.0 and np.any(e == 0.0):
+    """Density of eta = theta2 - theta1 at every grid point (``_log_eta_convolution``)."""
+    if cfg.beta_prior is BetaPriorKind.LOGISTIC and cfg.sigma_beta >= 1.0 and np.any(eta == 0.0):
         raise DomainError(
             f"the LT eta density has a pole at eta = 0 under a logistic beta prior with sigma_beta >= 1 "
             f"(got {cfg.sigma_beta!r}): along theta1 = theta2 it grows like exp((1 - 1/sigma_beta) |beta|)"
         )
-    vals = np.zeros_like(e)
-    inside = e < 1.0
-    e = e[inside, None]
-    h = 0.5 * (1.0 - e)
-    with np.errstate(divide="ignore"):
-        log_e, log_h = np.log(e), np.log(h)
 
-    def log_f(rows, log_s, log_1m_s):
-        s, log_t1 = np.exp(log_s), log_h[rows] + log_s
-        log_t2, log_1m_t2 = np.logaddexp(log_e[rows], log_t1), log_h[rows] + np.log(2.0 - s)
-        return log_h[rows] + _log_joint_lt(log_t1, np.log1p(-h[rows] * s), log_t2, log_1m_t2, cfg)
+    def log_joint(log_t1, log_1m_t1, log_t2, log_1m_t2, d1, d2):
+        return _log_joint_lt(log_t1, log_1m_t1, log_t2, log_1m_t2, cfg)
 
     with np.errstate(over="ignore"):
-        vals[inside] = 2.0 * np.exp(_tanh_sinh(log_f, eta[inside], "the LT eta density"))
+        vals = np.exp(_log_eta_convolution(eta, log_joint, "the LT eta density"))
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"the LT eta density at {eta[~np.isfinite(vals)].tolist()} overflows a float")
     return vals
@@ -356,13 +297,13 @@ def marginal_density(
 ) -> DensityGrid:
     """Marginal prior density of ``quantity`` in {"eta", "psi", "theta"}.
 
-    Closed forms are used where they exist (all IB eta densities; the
-    IB psi density at a = 1; the LT psi prior, which is simply Gaussian;
-    the LT rate density under a Gaussian beta prior, logit-normal).  The
-    other LT rate and eta marginals are pushforwards, integrated over
-    the complementary coordinate by one tanh-sinh rule for the whole
-    grid, on numpy alone; of all these only the IB eta density imports
-    scipy (Appell F1's ``quad``).  The IB psi marginal for a != 1
+    Closed forms are used where they exist (the IB psi density at
+    a = 1; the LT psi prior, which is simply Gaussian; the LT rate
+    density under a Gaussian beta prior, logit-normal).  The IB and LT
+    eta marginals and the other LT rate marginals are pushforwards,
+    integrated over the complementary coordinate by one tanh-sinh rule
+    for the whole grid, on numpy alone; the two eta marginals share one
+    convolution along theta2 = theta1 + eta.  The IB psi marginal for a != 1
     has no closed form and is served by a seeded Monte Carlo histogram,
     flagged as such.  ``theta2`` and ``theta1`` are accepted as aliases
     of ``theta`` for symmetry checks.
@@ -370,8 +311,7 @@ def marginal_density(
     grid = np.asarray(grid, dtype=float)
     if isinstance(cfg, IBPrior):
         if quantity == "eta":
-            vals = np.array([eta_density_ib(float(e), cfg.a).value for e in grid])
-            return DensityGrid.build(grid, vals)
+            return DensityGrid.build(grid, np.exp(_log_eta_density_ib(grid, cfg.a)))
         if quantity == "psi":
             if cfg.a == 1.0:
                 vals = np.array([psi_density_ib_a1(float(p)).value for p in grid])

@@ -1,15 +1,15 @@
 """Log-space special functions and induced prior densities.
 
 Hosts the log beta function (``math.lgamma`` plus the Stirling-series
-remainder of SLATEC's D9LGMC, as in R's ``lbeta``), the Appell F1
-two-variable hypergeometric function (via its Euler integral
-representation, integrated in log space by ``scipy.integrate.quad``),
-the closed-form density of the rate difference eta under independent
-symmetric Beta priors, the closed-form density of the log odds ratio psi
-for the uniform (a = 1) case, and the elementary log-density helpers,
-among them the truncated Gaussian, whose normal CDFs come from
-``scipy.special``.  scipy is imported by the functions that use it, so
-``import bf2p`` does not load it.
+remainder of SLATEC's D9LGMC, as in R's ``lbeta``); the one tanh-sinh
+rule for log-space integrals over (0, 1), which Appell's F1 (through its
+Euler integral) and every integrated induced density share, among them
+the density of the rate difference eta under independent Beta priors;
+the closed-form density of the log odds ratio psi for the uniform
+(a = 1) case; and the elementary log-density helpers, among them the
+truncated Gaussian, whose normal CDFs come from ``scipy.special``.
+scipy is imported by the functions that use it, so ``import bf2p`` does
+not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import DomainError
+from .model import DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -84,113 +84,146 @@ def log_beta_fn(a: float, b: float) -> float:
     return math.log(math.gamma(p) * (math.gamma(q) / math.gamma(p + q)))
 
 
+#: Abscissae t of the tanh-sinh rule, at steps 2^-k for k in _TS_LEVELS: s = 1 / (1 + e^{2u}),
+#: u = (pi/2) sinh t, reaches e^-4682 at t = 8, and the weights are below 1e-35 of their peak at t = -4.
+_TS_SPAN, _TS_LEVELS, _TS_REL_TOL = (-4.0, 8.0), range(2, 10), 1e-12
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    m = np.nan_to_num(a.max(axis=1), neginf=0.0)
+    return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+
+
+def _tanh_sinh(log_f, points: np.ndarray, what: str) -> np.ndarray:
+    """Per point, log of the integral over s in (0, 1) of exp(log_f(rows, log s, log(1 - s))).
+
+    One rule for all points, as a (points x nodes) array, its step halved
+    until two levels agree to 1e-12.  A point that does not, or whose
+    rule still has mass at the ends of its span, raises ``NumericalError``.
+    """
+    lo, hi = _TS_SPAN
+
+    def log_terms(rows, t):
+        u = 0.5 * math.pi * np.sinh(t)
+        log_s, log_1m_s = -np.logaddexp(0.0, 2.0 * u), -np.logaddexp(0.0, -2.0 * u)
+        return log_f(rows, log_s, log_1m_s) + np.log(math.pi * np.cosh(t)) + log_s + log_1m_s
+
+    step = 2.0 ** -_TS_LEVELS[0]
+    rows = np.arange(points.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = log_terms(rows, lo + step * np.arange(round((hi - lo) / step) + 1))
+        log_int = _row_logsumexp(terms) + math.log(step)
+        for _ in _TS_LEVELS[1:]:
+            step /= 2.0
+            old = log_int[rows]
+            new = _row_logsumexp(log_terms(rows, lo + step * np.arange(1, round((hi - lo) / step), 2)))
+            log_int[rows] = new = np.logaddexp(old - math.log(2.0), new + math.log(step))
+            rows = rows[~((new == old) | (np.abs(np.expm1(new - old)) <= _TS_REL_TOL))]
+            if not rows.size:
+                break
+        bad = np.union1d(rows, np.flatnonzero(np.maximum(terms[:, 0], terms[:, -1]) - log_int > -40.0))
+    if bad.size:
+        raise NumericalError(f"{what} did not converge to {_TS_REL_TOL} at {points[bad].tolist()}")
+    return log_int
+
+
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float) -> float:
-    """Appell's F1 via adaptive quadrature of the Euler integral.
+    """Appell's F1 by the tanh-sinh rule on its Euler integral.
 
     F1(a; b1, b2; c; x, y) =
         Gamma(c)/(Gamma(a)Gamma(c-a)) *
         integral_0^1 t^(a-1) (1-t)^(c-a-1) (1-x t)^(-b1) (1-y t)^(-b2) dt,
 
-    valid for c > a > 0 and x, y < 1.  Relative accuracy ~1e-9 or better
-    across that domain, including the boundary layer that forms near
-    t = 1 as x -> 1.  Raises ``DomainError`` where F1 exceeds the float
-    range.
+    valid for c > a > 0 and x, y < 1.  Split at t = 1/2 into the rows
+    t = s/2 and t = 1 - s/2, each half's endpoint singularity, and the
+    boundary layer near t = 1 as x or y -> 1, sit at s -> 0, where
+    1 - x t = (1 - x) + x s/2 keeps the digits of 1 - x.  Relative
+    accuracy is about 1e-12, 1e-11 for a or c - a near 1e-6.  Raises
+    ``DomainError`` where F1 exceeds the float range and
+    ``NumericalError`` where the rule does not converge.
     """
     if not (0.0 < a < c):
         raise DomainError(f"Euler representation needs c > a > 0, got a={a!r}, c={c!r}")
     if not (x < 1.0 and y < 1.0):
         raise DomainError(f"Euler representation needs x, y < 1, got x={x!r}, y={y!r}")
-    log_f1 = _log_appell_f1(a, b1, b2, c, 1.0 - x, 1.0 - y)
+    p = np.array([[a], [c - a]])  # per row, the power p - 1 of s/2, and the other row's of 1 - s/2
+    q = np.minimum(p, 1.0)  # the rule runs over s^q, in which a singular s^(p - 1) ds is bounded
+    # per row, 1 - x t and 1 - y t as base + slope s: at t = 1 - s/2 the base is 1 - x
+    base, slope = np.array([[1.0, 1.0], [1.0 - x, 1.0 - y]]), 0.5 * np.array([[-x, -y], [x, y]])
+
+    def log_f(rows, log_sigma, log_1m_sigma):
+        log_s = log_sigma / q[rows]
+        s, b, k = np.exp(log_s), base[rows], slope[rows]
+        log_lin = b1 * np.log(b[:, :1] + k[:, :1] * s) + b2 * np.log(b[:, 1:] + k[:, 1:] * s)
+        log_ends = (p[rows] - 1.0) * (log_s - math.log(2.0)) + (p[1 - rows] - 1.0) * np.log1p(-0.5 * s)
+        return log_ends - log_lin + log_s - log_sigma - np.log(q[rows])  # the last three: ds / d(s^q)
+
+    what = f"the Euler integral of F1({a!r}; {b1!r}, {b2!r}; {c!r}; {x!r}, {y!r})"
+    halves = _tanh_sinh(log_f, np.array(["t < 1/2", "t > 1/2"]), what)
+    log_f1 = float(np.logaddexp(*halves)) - math.log(2.0) - log_beta_fn(a, c - a)  # dt = ds/2
     try:
         return math.exp(log_f1)
     except OverflowError:
         raise DomainError(f"F1 = exp({log_f1:.6g}) overflows a float") from None
 
 
-def _log_appell_f1(a: float, b1: float, b2: float, c: float, u: float, v: float) -> float:
-    """ln F1 at x = 1 - u, y = 1 - v, for u, v > 0 that keep their digits near x, y = 1.
+def _log_eta_convolution(eta: np.ndarray, log_joint, what: str) -> np.ndarray:
+    """ln of the density of eta = theta2 - theta1 at every eta, -inf where |eta| >= 1.
 
-    The Euler integral is split at t = 1/2.  The upper half runs over
-    s = 1 - t, where 1 - x t = u + x s exactly, and its boundary layers
-    at s ~ u and s ~ v get a breakpoint at every tenfold multiple of u
-    and v below 1/2, so each piece sees about one decade of a power law.
-    Each half is integrated in log space, less its largest log integrand
-    on a grid of 20 points per decade down to a tenth of min(u, v):
-    between grid points the log integrand moves by at most the sum of
-    its four |exponents| times ln(10) / 20, so the scaled integrand
-    stays finite unless that sum is in the thousands.  Where it does
-    not, ``DomainError`` is raised.
+    The joint rate density exp(log_joint) must be unchanged by swapping
+    the rates and by (theta1, theta2) -> (1 - theta2, 1 - theta1), as the
+    IB and LT priors are.  Then f(eta) = f(-eta), and over theta1 in
+    (0, 1 - |eta|) the integrand is symmetric about the midpoint, so f is
+    twice the integral over theta1 = h s, h = (1 - |eta|)/2.
+    ``log_joint`` gets log theta1, log(1 - theta1), log theta2, log(1 -
+    theta2) = log h (2 - s), and each d = 1 - 2 theta, all from s and
+    1 - s, not from a rounded theta1: this keeps the corner theta1 -> 0.
     """
-    from scipy import integrate
+    e = np.abs(eta)
+    out = np.full(e.shape, -np.inf)
+    inside = e < 1.0
+    e = e[inside, None]
+    h = 0.5 * (1.0 - e)
+    with np.errstate(divide="ignore"):
+        log_e, log_h = np.log(e), np.log(h)
 
-    x, y = 1.0 - u, 1.0 - v
+    def log_f(rows, log_s, log_1m_s):
+        s, log_t1 = np.exp(log_s), log_h[rows] + log_s
+        log_t2, log_1m_t2 = np.logaddexp(log_e[rows], log_t1), log_h[rows] + np.log(2.0 - s)
+        log_1m_t1, d1 = np.log1p(-h[rows] * s), np.exp(log_1m_s) + e[rows] * s
+        return log_h[rows] + log_joint(log_t1, log_1m_t1, log_t2, log_1m_t2, d1, d1 - 2.0 * e[rows])
 
-    def log_lower(t):
-        return (
-            (a - 1.0) * math.log(t)
-            + (c - a - 1.0) * math.log1p(-t)
-            - b1 * math.log1p(-x * t)
-            - b2 * math.log1p(-y * t)
-        )
+    out[inside] = math.log(2.0) + _tanh_sinh(log_f, eta[inside], what)
+    return out
 
-    def log_upper(s):
-        return (
-            (a - 1.0) * math.log1p(-s)
-            + (c - a - 1.0) * math.log(s)
-            - b1 * math.log(u + x * s)
-            - b2 * math.log(v + y * s)
-        )
 
-    decades = max(1, math.ceil(math.log10(5.0 / min(u, v, 0.5))))
-    grid = [0.5 * 10.0 ** (-k / 20.0) for k in range(20 * decades + 1)]
-    pts = []
-    for w in sorted(10.0**k * w for w in (u, v) for k in range(decades)):
-        # points within 1% of each other or of 1/2 leave slivers that stall quad
-        if w < 0.495 and (not pts or w > 1.01 * pts[-1]):
-            pts.append(w)
-    opts = dict(epsabs=0.0, epsrel=1e-11, limit=400)
-    halves = []
-    for log_f, breaks in ((log_lower, None), (log_upper, pts or None)):
-        scale = max(map(log_f, grid))
-        try:
-            val = integrate.quad(lambda t: math.exp(log_f(t) - scale), 0.0, 0.5, points=breaks, **opts)[0]
-        except OverflowError:
-            val = math.inf
-        if not 0.0 < val < math.inf:
-            raise DomainError(
-                f"the Euler integrand of F1({a!r}; {b1!r}, {b2!r}; {c!r}) at 1 - ({u!r}, {v!r}) "
-                "leaves the floating-point range"
-            )
-        halves.append(scale + math.log(val))
-    return float(np.logaddexp(*halves)) - log_beta_fn(a, c - a)
+def _log_eta_density_ib(eta: np.ndarray, a: float) -> np.ndarray:
+    """ln ``eta_density_ib`` at every eta of an array."""
+    if a < 1.0:
+        raise DomainError(f"requires a >= 1, got a={a!r}")
+    if not np.all(np.abs(eta) <= 1.0):
+        raise DomainError(f"eta must lie in [-1, 1], got {eta[~(np.abs(eta) <= 1.0)].tolist()}")
+    # each rate's Beta kernel is (a - 1) ln(1 - d^2) - ln(4^(a-1) B(a, a)), d = 1 - 2 theta: near
+    # theta = 1/2 its two logs would cancel, and a - 1 times their rounding stalls the rule at large a
+    log_norm = 2.0 * ((a - 1.0) * math.log(4.0) + log_beta_fn(a, a))
+
+    def log_4var(d, log_t, log_1m_t):  # ln 4 theta (1 - theta)
+        return np.where(np.abs(d) < 0.5, np.log1p(-d * d), math.log(4.0) + log_t + log_1m_t)
+
+    def log_joint(log_t1, log_1m_t1, log_t2, log_1m_t2, d1, d2):
+        return (a - 1.0) * (log_4var(d1, log_t1, log_1m_t1) + log_4var(d2, log_t2, log_1m_t2)) - log_norm
+
+    return _log_eta_convolution(eta, log_joint, "the IB eta density")
 
 
 def eta_density_ib(eta: float, a: float) -> DensityValue:
     """Density of the rate difference theta2 - theta1 under independent Beta(a, a).
 
-    Two-branch closed form in terms of Appell F1, evaluated in log space;
-    at eta = 0 the branch formula degenerates (0 * inf) and the exact
-    value B(2a-1, 2a-1) / B(a, a)^2 is used instead.
+    The paper's closed form, B(a, a)^-1 e^(2a-1) (1-e)^(2a-1) F1(a; 4a-2,
+    1-a; 2a; 1-e, 1-e^2) for e = |eta| > 0, is the convolution of the two
+    Beta densities; ``_log_eta_convolution`` integrates it directly.
     """
-    if a < 1.0:
-        raise DomainError(f"requires a >= 1, got a={a!r}")
-    if not abs(eta) <= 1.0:
-        raise DomainError(f"eta must lie in [-1, 1], got {eta!r}")
-    if abs(eta) <= 1.1e-8:
-        # the density is even, so the center value is accurate to
-        # O(eta^2) here (O(eta) at the a = 1 kink)
-        return DensityValue.from_log(log_beta_fn(2 * a - 1, 2 * a - 1) - 2 * log_beta_fn(a, a))
-    if abs(eta) == 1.0:
-        # the (1 - |eta|)^(2a-1) factor vanishes for every a >= 1
-        return DensityValue(value=0.0, log_value=-math.inf)
-    # F1's arguments sit within |eta| of 1; pass their complements exactly
-    e = abs(eta)
-    if eta > 0.0:
-        log_f1 = _log_appell_f1(a, 4 * a - 2, 1 - a, 2 * a, e, e * e)
-    else:
-        log_f1 = _log_appell_f1(a, 1 - a, 4 * a - 2, 2 * a, e * e, e)
-    log_val = -log_beta_fn(a, a) + (2 * a - 1) * (math.log(e) + math.log1p(-e)) + log_f1
-    return DensityValue.from_log(log_val)
+    return DensityValue.from_log(float(_log_eta_density_ib(np.array([eta], dtype=float), a)[0]))
 
 
 # Even Taylor expansion of the psi density around 0; the closed form is a

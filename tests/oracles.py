@@ -105,6 +105,29 @@ def _mp_quad_halving(f, pts, rel_tol):
     raise RuntimeError("mpmath quadrature did not converge")
 
 
+def ib_eta_density_mpmath(eta, a, dps=30, rel_tol=1e-13):
+    """Density of theta2 - theta1 under independent Beta(a, a) rates, by mpmath quadrature in theta1.
+
+    The product of the two Beta densities along theta2 = theta1 + |eta|
+    is integrated over theta1 in (0, 1 - |eta|), with breakpoints every 4
+    widths 1/(4 sqrt(a)) of its peak at the midpoint, out to 40.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        e, a = abs(mp.mpf(eta)), mp.mpf(a)
+        log_norm = 2 * (2 * mp.loggamma(a) - mp.loggamma(2 * a))
+
+        def f(t1):
+            t2 = t1 + e
+            return mp.exp((a - 1) * (mp.log(t1) + mp.log1p(-t1) + mp.log(t2) + mp.log1p(-t2)) - log_norm)
+
+        hi = 1 - e
+        mid, width = hi / 2, 1 / (4 * mp.sqrt(a))
+        pts = [mp.mpf(0)] + [mid + k * width for k in range(-40, 41, 4) if 0 < mid + k * width < hi] + [hi]
+        return float(_mp_quad_halving(f, pts, rel_tol))
+
+
 def lt_eta_density_mpmath(eta, sigma_beta, sigma_psi, logistic=False, dps=30, rel_tol=1e-13):
     """Density of theta2 - theta1 under the LT prior, by mpmath quadrature in theta1.
 

@@ -322,7 +322,7 @@ class TestPriorsTypedErrors:
             ("--config", "lt", "--quantity", "conditional", "--theta1", "0"),
             ("--config", "lt", "--quantity", "correlation", "--n-draws", "10"),
             ("--config", "lt", "--quantity", "joint", "--resolution", "32"),
-            ("--config", "ib", "--quantity", "eta", "--a", "1e6", "--grid-points", "5"),
+            ("--config", "ib", "--quantity", "eta", "--a", "0.5", "--grid-points", "5"),
             ("--config", "lt", "--quantity", "eta", "--sigma-beta", "40", "--grid-points", "5"),
         ],
     )
@@ -343,6 +343,17 @@ class TestPriorsTypedErrors:
         assert all(math.isfinite(v) and v >= 0.0 for _, v in rows)
         step = rows[1][0] - rows[0][0]
         assert sum(v for _, v in rows) * step == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("points", [5, 201, 2001])
+    def test_ib_eta_density_at_very_large_a(self, capsys, points):
+        # the density is a spike of width ~1e-3 at eta = 0; each rate's two logs cancel there
+        code, out, _ = run(
+            capsys, "priors", "--config", "ib", "--quantity", "eta", "--a", "1e6", "--grid-points", str(points)
+        )
+        assert code == 0
+        vals = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(vals) == points
+        assert all(math.isfinite(v) and v >= 0.0 for v in vals)
 
 
 class TestHelp:

@@ -1,11 +1,11 @@
-"""``import bf2p`` and the CLI's IB, LT, averaging and LT prior paths stay on numpy alone.
+"""``import bf2p`` and the CLI's IB, LT, averaging and prior-density paths stay on numpy alone.
 
 Importing ``scipy.special`` and ``scipy.integrate`` costs about twice as
 much as numpy itself, and a one-off ``bf2p bf`` call is almost all
 import.  Each check runs in a fresh interpreter and lists the scipy
 modules loaded at its end; only the cold paths (dep-IB, the tanh-sinh
-fallback of the quadrature engine, the IB eta density, the oracle) may
-load scipy, on first use.
+fallback of the quadrature engine, the oracle) may load scipy, on first
+use.
 """
 
 import json
@@ -66,15 +66,16 @@ def test_import_does_not_load_scipy():
         pytest.param(["priors", "--config", "lt", "--quantity", "correlation"], id="priors-lt-correlation"),
         pytest.param(["priors", "--config", "lt", "--quantity", "eta"], id="priors-lt-eta"),
         pytest.param(["priors", "--config", "lt", "--quantity", "theta"], id="priors-lt-theta"),
+        pytest.param(["priors", "--config", "ib", "--quantity", "eta"], id="priors-ib-eta"),
     ],
 )
 def test_cli_path_does_not_load_scipy(argv):
     assert _cli(argv) == (0, [])
 
 
-def test_integrating_prior_marginal_loads_scipy():
-    # control: the IB eta density integrates Appell F1 with scipy's quad,
-    # so the check above would see scipy if a path loaded it
-    code, loaded = _cli(["priors", "--config", "ib", "--quantity", "eta", "--grid-points", "11"])
+def test_dep_ib_path_loads_scipy():
+    # control: dep-IB takes its truncated Gaussians' normal CDFs from
+    # scipy.special, so the check above would see scipy if a path loaded it
+    code, loaded = _cli(["bf", "--method", "dep-ib", *RARE])
     assert code == 0
-    assert "scipy.integrate" in loaded
+    assert "scipy.special" in loaded

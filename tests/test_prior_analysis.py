@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bf2p import priors
+from bf2p import special
 from bf2p.model import (
     BetaPriorKind,
     DepIBPrior,
@@ -275,7 +275,7 @@ class TestLTMarginalsAgainstOracle:
 
     def test_unconverged_rule_names_its_points(self, monkeypatch):
         # capped before any two levels can agree, the rule must raise, not return its last level
-        monkeypatch.setattr(priors, "_TS_LEVELS", range(2, 3))
+        monkeypatch.setattr(special, "_TS_LEVELS", range(2, 3))
         with pytest.raises(NumericalError, match=r"\[-0\.5, 0\.25\]"):
             marginal_density(lt(1, 1), "eta", np.array([-0.5, 0.25, 1.0]))
 

@@ -22,7 +22,7 @@ from bf2p.special import (
     log_density_truncated_gaussian,
     psi_density_ib_a1,
 )
-from oracles import appell_f1_series, eta_density_convolution, quad_normalization
+from oracles import appell_f1_series, eta_density_convolution, ib_eta_density_mpmath, quad_normalization
 
 
 class TestLogBeta:
@@ -95,6 +95,30 @@ class TestAppellF1:
             assert appell_f1(a, b1, b2, c, x, y) == pytest.approx(ref, rel=1e-7)
             checked += 1
 
+    @pytest.mark.parametrize(
+        "a, b1, b2, c, x, y",
+        [
+            # x or y within 1e-4 to 1e-9 of 1: a boundary layer at t = 1
+            (1.5, 2.0, 0.5, 3.0, 1 - 1e-4, 0.3),
+            (2.0, 6.0, -1.0, 4.0, 1 - 1e-6, 1 - 1e-4),
+            (0.7, 3.0, 1.5, 2.5, 1 - 1e-9, 0.5),
+            (2.0, 1.0, 2.0, 5.0, 0.2, 1 - 1e-9),
+            # a < 1 or c - a < 1: an integrable singularity at t = 0 or 1
+            (0.05, 1.0, 2.0, 1.5, 0.5, -0.5),
+            (0.3, 2.5, -1.5, 1.2, 1 - 1e-6, 0.2),
+            (0.001, 1.0, 1.0, 2.0, 0.5, 0.2),
+            (2.0, 1.0, 1.0, 2.001, 0.5, 0.2),
+            # x <= -20: beyond the double series' disc
+            (1.0, 2.0, 1.0, 3.5, -20.0, 0.4),
+            (2.5, 1.5, 3.0, 4.0, -50.0, -0.5),
+            (3.0, 0.5, -2.0, 6.0, -1000.0, 0.3),
+        ],
+    )
+    def test_against_mpmath_beyond_the_series(self, a, b1, b2, c, x, y):
+        with mp.workdps(40):
+            ref = float(mp.appellf1(a, b1, b2, c, mp.mpf(x), mp.mpf(y)))
+        assert appell_f1(a, b1, b2, c, x, y) == pytest.approx(ref, rel=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             appell_f1(2, 1, 1, 2, 0.5, 0.5)  # needs c > a
@@ -151,9 +175,20 @@ class TestEtaDensity:
         # the Euler kernel's (1 - x t)^-(4a - 2) alone overflows a float here
         assert eta_density_ib(eta, a).value == pytest.approx(eta_density_convolution(eta, a), rel=1e-11)
 
-    def test_unrepresentable_kernel_raises_domain_error(self):
-        with pytest.raises(DomainError, match="floating-point range"):
-            eta_density_ib(1e-4, 1e6)
+    @pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("eta", [0.0, 1e-4, 1e-3])
+    def test_very_large_a_matches_mpmath(self, a, eta):
+        # the two logs of each rate cancel to O(1 / a) near theta = 1/2 here
+        assert eta_density_ib(eta, a).value == pytest.approx(ib_eta_density_mpmath(eta, a), rel=1e-9)
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("e", [0.15, 0.5, 0.93])
+    def test_matches_appell_closed_form(self, e, a):
+        # B(a, a)^-1 e^(2a-1) (1-e)^(2a-1) F1(a; 4a-2, 1-a; 2a; 1-e, 1-e^2)
+        f1 = appell_f1(a, 4 * a - 2, 1 - a, 2 * a, 1 - e, 1 - e * e)
+        ref = math.exp((2 * a - 1) * math.log(e * (1 - e)) - log_beta_fn(a, a)) * f1
+        assert eta_density_ib(e, a).value == pytest.approx(ref, rel=1e-10)
+        assert eta_density_ib(-e, a).value == pytest.approx(ref, rel=1e-10)
 
     def test_domain(self):
         with pytest.raises(DomainError):
