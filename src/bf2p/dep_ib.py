@@ -23,9 +23,10 @@ boundaries: on the core, where both rates are interior, the engine
 integrates over LT's (beta, psi); a clamped wedge, where one rate sits
 on 0 or 1, carries likelihood only when that group's count sits on the
 same bound, and its prior eta integral is a difference of two normal
-CDFs, leaving a 1-D tanh-sinh integral over the free rate's log odds.
-The error estimate sums the engine's estimates for H0, the core and the
-wedges, each weighted by its share of its marginal.
+CDFs, leaving a 1-D integral over the free rate on ``bf2p.special``'s
+tanh-sinh rule.  The error estimate sums the engine's estimates for H0
+and the core and the rule's 1e-12 for each wedge, each weighted by its
+share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
 samples every family; the functions here delegate to it.
@@ -40,6 +41,7 @@ import numpy as np
 from .lt import (
     DEFAULT_REL_TOL,
     _LOGITS,
+    _ROUNDING,
     _binom_grad_curv,
     _empirical_logit,
     _laplace_gh,
@@ -47,7 +49,6 @@ from .lt import (
     _log_coeffs,
     _logsumexp,
     _newton,
-    _tanhsinh_opts,
     _to_beta_psi,
 )
 from .model import (
@@ -55,14 +56,13 @@ from .model import (
     EvidenceResult,
     Hypothesis,
     Method,
-    NumericalError,
     ProportionPair,
     TwoByTwoData,
     expit,
     expit_pair,
 )
 from .priors import _draw_rates, prior_correlation
-from .special import _log_gaussian_mass, log_density_truncated_gaussian
+from .special import _TS_REL_TOL, _log_gaussian_mass, _tanh_sinh, log_density_truncated_gaussian
 
 __all__ = [
     "clamped_rates",
@@ -145,30 +145,38 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
     1 - theta at 1), as are its counts (y, n) and the zeta prior's
     ``center``.  Given u, e = |eta| runs over (u, min(2u, 1)) with
     zeta = u - e/2, and the product of the two priors is Gaussian in e.
+    Pieces of u that do not matter next to exp(``log_scale``) stop early.
     """
-    from scipy.integrate import tanhsinh
-
     se, sz = cfg.sigma_eta, cfg.sigma_zeta
     s_w = math.hypot(sz, 0.5 * se)  # sd of u - center, marginal over e
     s_e = se * sz / s_w  # sd of e given u
     log_norm = _log_gaussian_mass(-1.0, 1.0, 0.0, se) + _log_gaussian_mass(0.0, 1.0, center, sz)
     log_norm += math.log(s_w) + 0.5 * math.log(2.0 * math.pi)
+    # pieces of u in (0, 1): the e window's upper end has a kink at u = 1/2, and at
+    # large n the likelihood peak near u_hat is too narrow for one piece to resolve
+    ends = np.array(sorted({0.0, 0.5, (y + 1.5) / (n + 3.0), 1.0}))
+    lo, hi = ends[:-1, None], ends[1:, None]
+    below = hi <= 0.5
+    with np.errstate(divide="ignore"):  # log of the piece's end nearer to u's bound 0 or 1
+        log_end, log_width = np.log(np.where(below, lo, 1.0 - hi)), np.log(hi - lo)
 
-    def logf(x):
-        u = expit(x)
+    def log_f(rows, log_s, log_1m_s):
+        # below 1/2, u = lo + width s and log(1 - u) is log1p(-u); above,
+        # v = 1 - u = (1 - hi) + width (1 - s) and log u is log1p(-v)
+        low = below[rows]
+        log_near = np.logaddexp(log_end[rows], log_width[rows] + np.where(low, log_s, log_1m_s))
+        log_far = np.log1p(-np.exp(log_near))
+        log_u, log_v = np.where(low, log_near, log_far), np.where(low, log_far, log_near)
+        u, v = np.exp(log_u), np.exp(log_v)
         w = u - center  # the mean of e given u is proportional to w
-        log_mass = _log_gaussian_mass(u, np.minimum(2.0 * u, 1.0), 0.5 * (se / s_w) ** 2 * w, s_e)
-        return _log_binom_lik(y + 1, n + 2, x) - 0.5 * (w / s_w) ** 2 + log_mass - log_norm
+        mean = 0.5 * (se / s_w) ** 2 * w
+        # above 1/2 the window (u, 1) is reflected to 1 - e in (0, v), which keeps its digits
+        lo_e, hi_e, c_e = np.where(low, u, 0.0), np.where(low, 2.0 * u, v), np.where(low, mean, 1.0 - mean)
+        log_mass = _log_gaussian_mass(lo_e, hi_e, c_e, s_e)
+        return y * log_u + (n - y) * log_v - 0.5 * (w / s_w) ** 2 + log_mass - log_norm + log_width[rows]
 
-    # the e window's upper end has a kink at u = 1/2, i.e. x = 0; at large n
-    # the likelihood peak near x_hat is too narrow for one tanh-sinh half
-    edges = sorted({0.0, _empirical_logit(y + 1, n + 2)})
-    opts = _tanhsinh_opts(log_scale, DEFAULT_REL_TOL / 100.0)
-    res = tanhsinh(logf, [-np.inf, *edges], [*edges, np.inf], **opts)
-    if np.any(res.status != 0):
-        raise NumericalError(f"dep-IB clamped wedge did not converge to {DEFAULT_REL_TOL}")
-    val = _logsumexp(res.integral)
-    return val, math.exp(_logsumexp(res.error) - val)
+    val = _logsumexp(_tanh_sinh(log_f, ends[:-1], "dep-IB clamped wedge", log_scale))
+    return val, max(_TS_REL_TOL, _ROUNDING * (1.0 + abs(val)))
 
 
 def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:

@@ -21,9 +21,10 @@ L of the covariance.  Centering matters: for large trials with rare
 events the likelihood sits many prior standard deviations away from
 zero, where a prior-centered rule would silently miss the mass.  Only
 when the schedule is exhausted does nested tanh-sinh quadrature
-(``scipy.integrate.tanhsinh``, imported on that first use) in the same
-whitened coordinates take over, with its own error estimate; everything
-else here runs on numpy and ``math``.  The integrands leave out the
+(``bf2p.special``'s rule, over the half-lines either side of the mode)
+in the same whitened coordinates take over; its error estimate is the
+1e-12 its levels agree to, per dimension, floored at the same rounding.
+Everything here runs on numpy and ``math``.  The integrands leave out the
 binomial coefficients, which each marginal adds once.  The dependent
 variant (``bf2p.dep_ib``) uses the same engine.  Estimates are fully
 deterministic.
@@ -53,7 +54,7 @@ from .model import (
     expit_pair,
 )
 from .ib import log_binomial_coeff
-from .special import log_density_gaussian
+from .special import _TS_REL_TOL, _tanh_sinh, log_density_gaussian
 
 __all__ = [
     "QuadratureSpec",
@@ -80,10 +81,6 @@ _DECREMENT_TOL = 1e-20
 #: whose float resolution would stall the iteration near the optimum.
 _UNCHECKED_GAIN = 1e-6
 
-#: Level cap of tanh-sinh rules: nested 2-D rules stay within tens of MB
-#: here, where an unreachable tolerance would otherwise run to GBs.
-_TANHSINH_MAXLEVEL = 7
-
 #: Least error estimate, relative to 1 + |log integral|: two rules that
 #: agree to the last bit still carry the rounding of log f's terms,
 #: measured up to 0.97 eps that scale on the LT corpus and edge cases.
@@ -92,6 +89,9 @@ _ROUNDING = 2.0 * float(np.finfo(float).eps)
 
 #: Most Gauss-Hermite points per integrand call.
 _BLOCK = 16384
+
+#: Most z1 slices per inner rule of the 2-D fallback, which keeps its arrays to some 10 MB.
+_SLICES = 128
 
 #: d(x1, x2) / d(beta, psi) for group log odds x1, x2 = beta -/+ psi/2.
 _LOGITS = np.array([[1.0, -0.5], [1.0, 0.5]])
@@ -417,64 +417,46 @@ def _laplace_gh(logf, mode, cov, rel_tol: float, what: str) -> tuple[float, floa
             if err <= rel_tol:
                 return cur, err
         prev = cur
-    val, err = _whitened_tanhsinh(logf, mode, chol, rel_tol, what)
-    return val + log_det, err
+    cur = log_det + _whitened_tanhsinh(logf, mode, chol, rel_tol, what)
+    return cur, max(mode.size * _TS_REL_TOL, _ROUNDING * (1.0 + abs(cur)))
 
 
-def _tanhsinh_opts(log_scale: float, tol: float) -> dict:
-    """Options of a ``tanhsinh(log=True)`` rule aiming at relative ``tol``.
+def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str) -> float:
+    """Log integral over z by tanh-sinh, where x = mode + chol z.
 
-    The absolute tolerance, tol / 100 times exp(log_scale), stops
-    negligible far tails short of the level cap.  Levels below 5 claimed
-    1e-12 on dep-IB integrands while off by 1e-10 to 1e-5.
+    Each axis splits at the mode into the half-lines z = -/+ log s, s in
+    (0, 1).  In 2-D the outer rule's integrand, at a block of its nodes
+    at once, is one inner rule over z2.  Both stop at 1e-12, relative to
+    their own value or, for slices of no weight, to the peak of f; a
+    ``rel_tol`` tighter than that raises ``NumericalError``.
     """
-    with np.errstate(divide="ignore"):
-        rtol = float(np.log(tol))
-    atol = log_scale + rtol - math.log(100.0)
-    return dict(log=True, minlevel=5, maxlevel=_TANHSINH_MAXLEVEL, rtol=rtol, atol=atol)
-
-
-def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str):
-    """(log integral over z, error) by tanh-sinh, where x = mode + chol z.
-
-    In 2-D an outer rule over z1 integrates inner rules over z2, which aim
-    100 times tighter so that their noise cannot stall it; their errors,
-    integrated over z1, join its own.  The sum must meet ``rel_tol``.
-    """
-    from scipy.integrate import tanhsinh
-
+    failed = f"{what}: log marginal did not converge to {rel_tol} by Gauss-Hermite or tanh-sinh"
+    if not mode.size * _TS_REL_TOL <= rel_tol:
+        raise NumericalError(failed)
     peak = float(logf(mode))
-    opts = _tanhsinh_opts(peak, rel_tol / 100.0)
-    inner_opts = _tanhsinh_opts(peak, rel_tol / 1e4)
+
+    def line(log_g, m: int):
+        """Per point i < m, log of the integral over z in R of exp(log_g(i, z))."""
+
+        def log_f(rows, log_s, _):  # row 2i + h is point i's half-line, z = -/+ log s
+            return log_g(rows[:, None] // 2, np.where(rows[:, None] % 2, log_s, -log_s)) - log_s
+
+        halves = _tanh_sinh(log_f, np.arange(2 * m), what, peak)
+        return np.logaddexp(halves[0::2], halves[1::2])
 
     def at(*z):
         return logf(mode + np.stack(np.broadcast_arrays(*z), axis=-1) @ chol.T)
 
-    slices = []  # (z1, log error) of every inner rule
+    def slices(z1):  # log of the integral over z2 at every z1
+        blocks = np.split(z1.ravel(), range(_SLICES, z1.size, _SLICES))
+        out = [line(lambda j, z2, b=b: at(b[j], z2), b.size) for b in blocks]
+        return np.concatenate(out).reshape(z1.shape)
 
-    def inner(z1):
-        lo = np.full(np.shape(z1), -np.inf)
-        r = tanhsinh(lambda z2, z1: at(z1, z2), lo, np.inf, args=(z1,), **inner_opts)
-        # a slice that underflows everywhere ends with status -3 and is
-        # zero; the outer rule also evaluates, and ignores, its infinite ends
-        zero = r.status == -3
-        live = np.isfinite(z1) & ~zero
-        slices.append((z1[live], r.error[live]))
-        return np.where(zero, -np.inf, r.integral)
-
-    res = tanhsinh(at if mode.size == 1 else inner, -np.inf, np.inf, **opts)
-    val = float(res.integral)
-    err = math.exp(float(res.error) - val)
-    if slices:
-        z1, log_err = (np.concatenate(a) for a in zip(*slices))
-        order = np.argsort(z1)
-        err += float(np.trapezoid(np.exp(log_err[order] - val), z1[order]))
-    if res.status != 0 or not err <= rel_tol:
-        raise NumericalError(
-            f"{what}: log marginal did not converge to {rel_tol} within {NODE_SCHEDULE[-1]} "
-            f"Gauss-Hermite nodes per dimension or {_TANHSINH_MAXLEVEL} tanh-sinh levels"
-        )
-    return val, err
+    outer = at if mode.size == 1 else slices
+    try:
+        return float(line(lambda _, z: outer(z), 1)[0])
+    except NumericalError:
+        raise NumericalError(failed) from None
 
 
 # --------------------------------------------------------------------------

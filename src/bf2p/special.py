@@ -1,12 +1,13 @@
 """Log-space special functions and induced prior densities.
 
 Hosts the log beta function (``math.lgamma`` plus the Stirling-series
-remainder of SLATEC's D9LGMC, as in R's ``lbeta``); the one tanh-sinh
-rule for log-space integrals over (0, 1), which Appell's F1 (through its
-Euler integral) and every integrated induced density share, among them
-the density of the rate difference eta under independent Beta priors;
-the closed-form density of the log odds ratio psi for the uniform
-(a = 1) case; and the elementary log-density helpers, among them the
+remainder of SLATEC's D9LGMC, as in R's ``lbeta``); the package's one
+tanh-sinh rule, for log-space integrals over (0, 1), which Appell's F1
+(through its Euler integral), every integrated induced density (among
+them the density of the rate difference eta under independent Beta
+priors), the clamped dep-IB wedges and the fallback of the quadrature
+engine in ``bf2p.lt`` share; the closed-form density of the log odds
+ratio psi for the uniform (a = 1) case; and the elementary log-density helpers, among them the
 truncated Gaussian, whose normal CDFs come from ``scipy.special``.
 scipy is imported by the functions that use it, so ``import bf2p`` does
 not load it.
@@ -94,12 +95,14 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(a - m[:, None]).sum(axis=1))
 
 
-def _tanh_sinh(log_f, points: np.ndarray, what: str) -> np.ndarray:
+def _tanh_sinh(log_f, points: np.ndarray, what: str, log_scale: float = -math.inf) -> np.ndarray:
     """Per point, log of the integral over s in (0, 1) of exp(log_f(rows, log s, log(1 - s))).
 
     One rule for all points, as a (points x nodes) array, its step halved
-    until two levels agree to 1e-12.  A point that does not, or whose
-    rule still has mass at the ends of its span, raises ``NumericalError``.
+    until two levels agree to 1e-12, or both lie below 1e-12 of
+    exp(``log_scale``), the size of the sum the point is part of.  A point
+    that does neither, or whose rule still has mass at the ends of its
+    span, raises ``NumericalError``.
     """
     lo, hi = _TS_SPAN
 
@@ -118,10 +121,12 @@ def _tanh_sinh(log_f, points: np.ndarray, what: str) -> np.ndarray:
             old = log_int[rows]
             new = _row_logsumexp(log_terms(rows, lo + step * np.arange(1, round((hi - lo) / step), 2)))
             log_int[rows] = new = np.logaddexp(old - math.log(2.0), new + math.log(step))
-            rows = rows[~((new == old) | (np.abs(np.expm1(new - old)) <= _TS_REL_TOL))]
+            small = np.maximum(new, old) < log_scale + math.log(_TS_REL_TOL)
+            rows = rows[~((new == old) | (np.abs(np.expm1(new - old)) <= _TS_REL_TOL) | small)]
             if not rows.size:
                 break
-        bad = np.union1d(rows, np.flatnonzero(np.maximum(terms[:, 0], terms[:, -1]) - log_int > -40.0))
+        ends = np.maximum(terms[:, 0], terms[:, -1]) - np.maximum(log_int, log_scale)
+        bad = np.union1d(rows, np.flatnonzero(ends > -40.0))
     if bad.size:
         raise NumericalError(f"{what} did not converge to {_TS_REL_TOL} at {points[bad].tolist()}")
     return log_int
@@ -205,7 +210,9 @@ def _log_eta_density_ib(eta: np.ndarray, a: float) -> np.ndarray:
         raise DomainError(f"eta must lie in [-1, 1], got {eta[~(np.abs(eta) <= 1.0)].tolist()}")
     # each rate's Beta kernel is (a - 1) ln(1 - d^2) - ln(4^(a-1) B(a, a)), d = 1 - 2 theta: near
     # theta = 1/2 its two logs would cancel, and a - 1 times their rounding stalls the rule at large a
-    log_norm = 2.0 * ((a - 1.0) * math.log(4.0) + log_beta_fn(a, a))
+    log_norm = 2.0 * ((a - 1.0) * math.log(4.0) + log_beta_fn(a, a))  # 2 ln(4^(a-1) B(a, a))
+    if a >= 10.0:  # by Stirling's series, in which the two O(a) terms above cancel in closed form
+        log_norm = 4.0 * _lgamma_remainder(a) - 2.0 * _lgamma_remainder(2.0 * a) - math.log(4 * a / math.pi)
 
     def log_4var(d, log_t, log_1m_t):  # ln 4 theta (1 - theta)
         return np.where(np.abs(d) < 0.5, np.log1p(-d * d), math.log(4.0) + log_t + log_1m_t)

@@ -181,6 +181,53 @@ def lt_theta_density_mpmath(t, sigma_beta, sigma_psi, logistic=True, dps=30, rel
         return float(_mp_quad_halving(f, pts, rel_tol) / (t * (1 - t)))
 
 
+def lt_log_ml_h1_boundary_quad(d, sigma_beta, sigma_psi):
+    """(log p(D|H1), relative error) of the LT model with Gaussian priors, for counts at 0 or n.
+
+    In the groups' log odds x1 = beta - psi/2, x2 = beta + psi/2 the
+    Jacobian is one and the prior is a bivariate Gaussian, so nested
+    ``quad`` runs over x1 against its marginal and over x2 against its
+    conditional Gaussian.  A group with y in {0, n} has the likelihood
+    (1 - sigma(-/+ x))^n: flat on one side of its knee at x = -/+ log n,
+    and zero within a few units on the other; its binomial coefficient
+    is 1.  Each axis runs over 40 standard deviations of its Gaussian,
+    split at its centre and at offsets of up to 30 from the knee.
+    """
+    var = sigma_beta**2 + 0.25 * sigma_psi**2
+    cov = sigma_beta**2 - 0.25 * sigma_psi**2
+    groups = []
+    for y, n in ((d.y1, d.n1), (d.y2, d.n2)):
+        if y not in (0, n):
+            raise ValueError(f"counts must sit at 0 or n, got {y} of {n}")
+        sign = 1.0 if y == 0 else -1.0
+        groups.append((n, sign, -sign * math.log(n)))
+
+    def quad_pieces(f, knee, center, sd):
+        lo, hi = center - 40.0 * sd, center + 40.0 * sd
+        knees = {knee + k for k in (-30, -10, -3, 0, 3, 10, 30)}
+        pts = sorted({lo, hi, center} | {p for p in knees if lo < p < hi})
+        parts = [integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200) for a, b in zip(pts, pts[1:])]
+        return sum(v for v, _ in parts), sum(e for _, e in parts)
+
+    def density(g, x, center, sd):  # group likelihood times a Gaussian density
+        n, sign, _ = g
+        softplus = max(sign * x, 0.0) + math.log1p(math.exp(-abs(x)))
+        return math.exp(-n * softplus - 0.5 * ((x - center) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+
+    inner_err = [0.0]
+    slope, cond_sd = cov / var, math.sqrt(var - cov * cov / var)
+
+    def slice_x1(x1):
+        m = slope * x1
+        val, err = quad_pieces(lambda x2: density(groups[1], x2, m, cond_sd), groups[1][2], m, cond_sd)
+        inner_err[0] = max(inner_err[0], err / val if val else 0.0)
+        return val
+
+    sd = math.sqrt(var)
+    val, err = quad_pieces(lambda x1: density(groups[0], x1, 0.0, sd) * slice_x1(x1), groups[0][2], 0.0, sd)
+    return math.log(val), err / val + inner_err[0]
+
+
 def log_ml_h0_lt_simpson(d, sigma_beta=1.0, half_width_sd=12.0, n_points=20001):
     """Adaptive-free 1D Simpson reference for the LT null marginal.
 

@@ -141,6 +141,18 @@ class TestAgainstGaussLegendreOracle:
         assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + 1e-10
 
     @pytest.mark.parametrize(
+        "counts, sigma_eta, sigma_zeta",
+        [((7, 7, 2, 9), 0.05, 0.3), ((0, 3, 0, 3), 0.05, 0.5), ((0, 2, 0, 2), 0.02, 0.5)],
+    )
+    def test_tanh_sinh_error_estimate_bounds_the_error(self, counts, sigma_eta, sigma_zeta):
+        # the tanh-sinh fallback and the clamped wedges run here; their error
+        # estimates must cover the distance to the oracle with no slack
+        d = TwoByTwoData(*counts)
+        res = bf01_depib(d, DepIBPrior(sigma_eta, sigma_zeta))
+        ml0, ml1, gap = depib_log_marginals_gauss_legendre(d, sigma_eta, sigma_zeta)
+        assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + gap
+
+    @pytest.mark.parametrize(
         "counts, sigma_eta", [((0, 8, 3, 9), 0.2), ((2, 7, 6, 6), 0.5), ((0, 3, 0, 3), 0.05)]
     )
     def test_group_and_event_swap_symmetry(self, counts, sigma_eta):

@@ -1,6 +1,8 @@
 """One dispatch from a prior config to an EvidenceResult, and the swap
 invariants every non-conjugate family must hold through it."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +101,15 @@ class TestSwapInvariance:
         here = _outcome(d, prior)
         _assert_same(here, _outcome(d.swapped(), prior))
         _assert_same(here, _outcome(_event_swapped(d), prior))
+
+
+class TestErrorFloor:
+    @pytest.mark.parametrize(
+        "counts, prior",
+        [((0, 10**8, 10**8, 10**8), LTPrior(1.0, 1.0)), ((3, 10**8, 10**8, 10**8), DepIBPrior())],
+    )
+    def test_error_estimate_covers_rounding_of_huge_log_marginals(self, counts, prior):
+        # the H0 log marginal is near -1.4e8, where one ulp is 3e-8: no rule
+        # can report an error below the rounding of its log integral
+        res = evidence(TwoByTwoData(*counts), prior)
+        assert res.abs_error_estimate >= 2 * sys.float_info.epsilon * abs(res.log_ml_h0)

@@ -3,11 +3,12 @@
 Importing ``scipy.special`` and ``scipy.integrate`` costs about twice as
 much as numpy itself, and a one-off ``bf2p bf`` call is almost all
 import.  Each check runs in a fresh interpreter and lists the scipy
-modules loaded at its end; only the cold paths (dep-IB, the tanh-sinh
-fallback of the quadrature engine, the oracle) may load scipy, on first
-use.
+modules loaded at its end; only dep-IB's normal CDFs and the oracle may
+load ``scipy.special``, on first use.  No module imports
+``scipy.integrate``: every integral runs on numpy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -71,6 +72,35 @@ def test_import_does_not_load_scipy():
 )
 def test_cli_path_does_not_load_scipy(argv):
     assert _cli(argv) == (0, [])
+
+
+def test_dep_ib_wedge_path_does_not_load_scipy_integrate():
+    # BOUNDARY has y1 = 0, so its H1 marginal integrates a clamped wedge
+    code, loaded = _cli(["bf", "--method", "dep-ib", *BOUNDARY])
+    assert code == 0
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_integrate():
+    # checked over the source, so that a path no test reaches is covered too
+    package = Path(bf2p.__file__).resolve().parent
+    offenders = [
+        (p.name, m)
+        for p in sorted(package.rglob("*.py"))
+        for m in _imported_modules(p)
+        if m == "scipy.integrate" or m.startswith("scipy.integrate.")
+    ]
+    assert offenders == []
 
 
 def test_dep_ib_path_loads_scipy():

@@ -30,7 +30,7 @@ from bf2p.oracle import mc_log_marginal
 from bf2p.averaging import M0_LT, M1_LT
 from bf2p.reanalysis import default_grids, load_bundled_corpus
 from conftest import random_small_datasets
-from oracles import log_ml_h0_lt_simpson
+from oracles import log_ml_h0_lt_simpson, lt_log_ml_h1_boundary_quad
 
 
 class TestIntegrand:
@@ -268,6 +268,23 @@ class TestNodeCap:
         with pytest.raises(NumericalError, match="converge"):
             # an unreachable tolerance forces the cap
             log_ml_h1_lt(TwoByTwoData(3, 10, 5, 12), 1.0, 1.0, rel_tol=0.0)
+
+
+class TestWidePriorBoundaryCounts:
+    @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
+    def test_h1_marginal_matches_nested_quad_on_every_side(self):
+        # under LTPrior(50, 50) the likelihood of a group with no events is flat
+        # below its knee at beta ~ -log n, so the posterior is half a Gaussian:
+        # Gauss-Hermite converges algebraically and the tanh-sinh fallback runs
+        d = TwoByTwoData(0, 10**6, 0, 10**6)
+        prior = LTPrior(50.0, 50.0)
+        ref, ref_err = lt_log_ml_h1_boundary_quad(d, 50.0, 50.0)
+        assert ref == pytest.approx(-1.3626872076, abs=1e-10)
+        events = TwoByTwoData(d.n1 - d.y1, d.n1, d.n2 - d.y2, d.n2)
+        for side in (d, d.swapped(), events):
+            val, err = lt_mod._log_ml(side, Hypothesis.H1, prior)
+            assert abs(val - ref) <= err + ref_err, side
+            assert math.isfinite(bf01_lt(side, 50.0, 50.0).log_bf01), side
 
 
 @functools.cache

@@ -178,8 +178,9 @@ class TestEtaDensity:
     @pytest.mark.parametrize("a", [1e4, 1e5, 1e6])
     @pytest.mark.parametrize("eta", [0.0, 1e-4, 1e-3])
     def test_very_large_a_matches_mpmath(self, a, eta):
-        # the two logs of each rate cancel to O(1 / a) near theta = 1/2 here
-        assert eta_density_ib(eta, a).value == pytest.approx(ib_eta_density_mpmath(eta, a), rel=1e-9)
+        # the two logs of each rate cancel to O(1 / a) near theta = 1/2 here,
+        # and the two O(a) terms of ln(4^(a-1) B(a, a)) would cancel to O(ln a)
+        assert eta_density_ib(eta, a).value == pytest.approx(ib_eta_density_mpmath(eta, a), rel=1e-13)
 
     @pytest.mark.parametrize("a", [1.5, 2.0, 5.0])
     @pytest.mark.parametrize("e", [0.15, 0.5, 0.93])
