@@ -40,7 +40,6 @@ import numpy as np
 
 from .lt import (
     DEFAULT_REL_TOL,
-    _LOGITS,
     _ROUNDING,
     _binom_grad_curv,
     _empirical_logit,
@@ -49,7 +48,6 @@ from .lt import (
     _log_coeffs,
     _logsumexp,
     _newton,
-    _to_beta_psi,
 )
 from .model import (
     DepIBPrior,
@@ -85,8 +83,8 @@ def _log_prior_zeta(z, cfg: DepIBPrior):
     return log_density_truncated_gaussian(z, cfg.sigma_zeta, 0.0, 1.0, center=cfg.zeta_center)
 
 
-def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
-    """(log marginal, error estimate) with eta = 0, over the shared rate's log odds."""
+def _h0(d: TwoByTwoData, cfg: DepIBPrior):
+    """(log f, gradient and Hessian, Newton start) of H0 in the shared rate's log odds."""
     y, n = d.pooled
     zc, sz2 = cfg.zeta_center, cfg.sigma_zeta**2
 
@@ -98,10 +96,16 @@ def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
         dt = t * c
         b = -(t - zc) / sz2  # d log p(zeta) / d zeta
         g, w = _binom_grad_curv(y + 1, n + 2, v[0])
-        return np.array([g + b * dt]), np.array([[b * dt * (c - t) - dt * dt / sz2 - w]])
+        return (g + b * dt,), (b * dt * (c - t) - dt * dt / sz2 - w,)
 
+    return logf, grad_hess, [_empirical_logit(y + 1, n + 2)]
+
+
+def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
+    """(log marginal, error estimate) with eta = 0, over the shared rate's log odds."""
     what = "dep-IB H0 marginal"
-    mode, cov = _newton(logf, grad_hess, [_empirical_logit(y + 1, n + 2)], what)
+    logf, grad_hess, x0 = _h0(d, cfg)
+    mode, cov = _newton(logf, grad_hess, x0, what)
     val, err = _laplace_gh(logf, mode, cov, DEFAULT_REL_TOL, what)
     return _log_coeffs(d) + val, err
 
@@ -112,10 +116,9 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
     zc, se2, sz2 = cfg.zeta_center, cfg.sigma_eta**2, cfg.sigma_zeta**2
     # Hessian of the log prior in the rates, eta = t2 - t1, zeta = (t1 + t2)/2
     diag, off = -1.0 / se2 - 0.25 / sz2, 1.0 / se2 - 0.25 / sz2
-    h_theta = np.array([[diag, off], [off, diag]])
 
     def logf(v):
-        x = v @ _LOGITS.T
+        x = np.stack([v[..., 0] - 0.5 * v[..., 1], v[..., 0] + 0.5 * v[..., 1]], axis=-1)
         t = expit(x)
         return (
             np.sum(_log_binom_lik(ys, ns, x), axis=-1)
@@ -124,15 +127,21 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
         )
 
     def grad_hess(v):
-        x = _LOGITS @ v
-        t, c = np.array([expit_pair(xi) for xi in x]).T
-        dt = t * c
-        a = -(t[1] - t[0]) / se2  # d log p(eta) / d eta
-        b = -(0.5 * (t[0] + t[1]) - zc) / sz2  # d log p(zeta) / d zeta
-        g_theta = np.array([0.5 * b - a, 0.5 * b + a])
-        g, w = _binom_grad_curv(ys, ns, x)
-        h = h_theta * np.outer(dt, dt) + np.diag(g_theta * dt * (c - t) - w)
-        return _to_beta_psi(g + g_theta * dt, h)
+        beta, psi = v
+        x1, x2 = beta - 0.5 * psi, beta + 0.5 * psi
+        (t1, c1), (t2, c2) = expit_pair(x1), expit_pair(x2)
+        dt1, dt2 = t1 * c1, t2 * c2
+        a = -(t2 - t1) / se2  # d log p(eta) / d eta
+        b = -(0.5 * (t1 + t2) - zc) / sz2  # d log p(zeta) / d zeta
+        g1, w1 = _binom_grad_curv(d.y1 + 1, d.n1 + 2, x1)
+        g2, w2 = _binom_grad_curv(d.y2 + 1, d.n2 + 2, x2)
+        # gradient and Hessian in (x1, x2), then carried over to (beta, psi)
+        g1, g2 = g1 + (0.5 * b - a) * dt1, g2 + (0.5 * b + a) * dt2
+        h11 = diag * (dt1 * dt1) + ((0.5 * b - a) * dt1 * (c1 - t1) - w1)
+        h22 = diag * (dt2 * dt2) + ((0.5 * b + a) * dt2 * (c2 - t2) - w2)
+        h12 = off * (dt1 * dt2)
+        hess = ((h11 + h12) + (h12 + h22), 0.5 * ((h12 + h22) - (h11 + h12)), 0.25 * ((h11 - h12) + (h22 - h12)))
+        return (g1 + g2, 0.5 * (g2 - g1)), hess
 
     x1, x2 = _empirical_logit(ys, ns)
     return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]

@@ -7,19 +7,23 @@ psi = 0).  Neither marginal likelihood is available in closed form.
 
 The engine (adaptive Gauss-Hermite; Liu & Pierce 1994) integrates a
 smooth log density on R^1 or R^2.  A damped Newton iteration finds the
-mode, stopping on the scale-free Newton decrement g'(-H)^-1 g;
-likelihood gradients are written y*sigma(-x) - (n-y)*sigma(x), so data
+mode, stopping on the scale-free Newton decrement g'(-H)^-1 g; it runs
+on plain floats, with each problem's gradient and Hessian in closed
+form, and calls the vectorized log density only to check a step.
+Likelihood gradients are written y*sigma(-x) - (n-y)*sigma(x), so data
 with all events or none, and their event-swapped mirrors, converge
 alike.  Gauss-Hermite quadrature centred on the mode and whitened by
 the Laplace covariance then raises its node count (21, 31, 61, 121,
 241, 481, 961 per dimension) until two successive log-marginal
-estimates agree to ``rel_tol``; the final gap, floored at the rounding
-of the log integral, is the error estimate.  Each tensor rule is built
-once per process in whitened coordinates z, from Golub-Welsch nodes
-(numpy's ``eigvalsh``), and mapped to mode + L z by the Cholesky factor
-L of the covariance.  Centering matters: for large trials with rare
-events the likelihood sits many prior standard deviations away from
-zero, where a prior-centered rule would silently miss the mass.  Only
+estimates agree to ``rel_tol``, or to the rounding of the log integral
+where that is larger; the final gap, floored at that rounding, is the
+error estimate.  Each tensor rule is built once per process in whitened
+coordinates z, from Golub-Welsch nodes (numpy's ``eigvalsh`` of half
+the squared Jacobi matrix), and mapped to mode + L z by the closed-form
+Cholesky factor L of the covariance.  Centering matters: for large
+trials with rare events the likelihood sits many prior standard
+deviations away from zero, where a prior-centered rule would silently
+miss the mass.  Only
 when the schedule is exhausted does nested tanh-sinh quadrature
 (``bf2p.special``'s rule, over the half-lines either side of the mode)
 in the same whitened coordinates take over; its error estimate is the
@@ -93,9 +97,6 @@ _BLOCK = 16384
 #: Most z1 slices per inner rule of the 2-D fallback, which keeps its arrays to some 10 MB.
 _SLICES = 128
 
-#: d(x1, x2) / d(beta, psi) for group log odds x1, x2 = beta -/+ psi/2.
-_LOGITS = np.array([[1.0, -0.5], [1.0, 0.5]])
-
 
 # --------------------------------------------------------------------------
 # Integrand pieces (vectorized over beta/psi arrays)
@@ -113,21 +114,10 @@ def _log_binom_lik(y, n, x):
     return -y * np.logaddexp(0.0, -x) - (n - y) * np.logaddexp(0.0, x)
 
 
-def _binom_grad_curv(y, n, x):
-    """First derivative of :func:`_log_binom_lik` in x, and minus the second.
-
-    Takes floats, or 2-vectors with one entry per group.
-    """
-    if np.ndim(x):
-        (g1, w1), (g2, w2) = map(_binom_grad_curv, y, n, x)
-        return np.array([g1, g2]), np.array([w1, w2])
+def _binom_grad_curv(y, n, x: float):
+    """First derivative of :func:`_log_binom_lik` in x, and minus the second."""
     s, c = expit_pair(x)
     return y * c - (n - y) * s, n * s * c
-
-
-def _to_beta_psi(g_x, h_x):
-    """Gradient and Hessian in (x1, x2) carried over to (beta, psi)."""
-    return _LOGITS.T @ g_x, _LOGITS.T @ h_x @ _LOGITS
 
 
 def _empirical_logit(y, n):
@@ -207,6 +197,8 @@ def _lt_problem(d, hypothesis, prior: LTPrior):
 
     The coordinates are (beta,) under H0 and (beta, psi) under H1; log f
     takes them on the last axis and leaves out the binomial coefficients.
+    ``grad_hess`` takes and returns floats: the gradient as a tuple, the
+    Hessian as (a,) or (a, b, d) for [[a, b], [b, d]].
     """
     sigma_beta, sigma_psi, beta_prior = prior.sigma_beta, prior.sigma_psi, prior.beta_prior
     if hypothesis is Hypothesis.H0:
@@ -218,22 +210,23 @@ def _lt_problem(d, hypothesis, prior: LTPrior):
         def grad_hess(v):
             g, w = _binom_grad_curv(y, n, v[0])
             pg, ph = _beta_prior_grad_hess(v[0], sigma_beta, beta_prior)
-            return np.array([g + pg]), np.array([[ph - w]])
+            return (g + pg,), (ph - w,)
 
         return logf, grad_hess, [_empirical_logit(y, n)]
-
-    ys, ns = np.array([[d.y1, d.y2], [d.n1, d.n2]], dtype=float)
 
     def logf(v):
         return _log_integrand_h1(d, v[..., 0], v[..., 1], prior)
 
     def grad_hess(v):
-        g, w = _binom_grad_curv(ys, ns, _LOGITS @ v)
-        g, h = _to_beta_psi(g, np.diag(-w))
-        pg, ph = _beta_prior_grad_hess(v[0], sigma_beta, beta_prior)
-        return g + [pg, -v[1] / sigma_psi**2], h + np.diag([ph, -1.0 / sigma_psi**2])
+        beta, psi = v
+        g1, w1 = _binom_grad_curv(d.y1, d.n1, beta - 0.5 * psi)
+        g2, w2 = _binom_grad_curv(d.y2, d.n2, beta + 0.5 * psi)
+        pg, ph = _beta_prior_grad_hess(beta, sigma_beta, beta_prior)
+        # x1, x2 = beta -/+ psi/2 carried over to (beta, psi)
+        grad = (g1 + g2 + pg, 0.5 * (g2 - g1) - psi / sigma_psi**2)
+        return grad, (ph - (w1 + w2), 0.5 * (w1 - w2), -0.25 * (w1 + w2) - 1.0 / sigma_psi**2)
 
-    x1, x2 = _empirical_logit(ys, ns)
+    x1, x2 = _empirical_logit(d.y1, d.n1), _empirical_logit(d.y2, d.n2)
     return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
 
 
@@ -243,51 +236,53 @@ def _lt_problem(d, hypothesis, prior: LTPrior):
 
 
 def _lowest_eigenvalue(c) -> float:
-    """Lowest eigenvalue of a symmetric 1x1 or 2x2 matrix, in closed form.
+    """Lowest eigenvalue of a symmetric 1x1 or 2x2 matrix (a,) or (a, b, d), in closed form.
 
     In 2-D it is det / (larger eigenvalue) when the trace is positive, so
     its sign is the determinant's and a small one keeps its digits.
     """
     if len(c) == 1:
-        return float(c[0, 0])
-    a, b, d = float(c[0, 0]), float(c[1, 0]), float(c[1, 1])
+        return c[0]
+    a, b, d = c
     m, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
     return (a * d - b * b) / (m + r) if m > 0.0 else m - r
-
-
-def _inverse(c) -> np.ndarray:
-    """Inverse of a symmetric positive definite 1x1 or 2x2 matrix, in closed form."""
-    if len(c) == 1:
-        return 1.0 / c
-    a, b, d = float(c[0, 0]), float(c[1, 0]), float(c[1, 1])
-    return np.array([[d, -b], [-b, a]]) / (a * d - b * b)
 
 
 def _newton(logf, grad_hess, x0, what: str, max_iter: int = 200):
     """(mode, Laplace covariance (-H)^-1) of a log density on R^1 or R^2.
 
-    Steps are halved until they ascend.  Where the density is not
-    log-concave, the step uses -H shifted to be positive definite.
+    The iteration runs on floats; only the step checks call the numpy
+    ``logf``, each at a new point.  Steps are halved until they ascend.
+    Where the density is not log-concave, the step uses -H shifted to be
+    positive definite.
     """
-    x = np.array(x0, dtype=float)
-    f = logf(x)
+    x, f = [float(v) for v in x0], None  # f: log f at x, once a checked step needs it
     for _ in range(max_iter):
         g, h = grad_hess(x)
-        curv = -h
-        lowest = _lowest_eigenvalue(curv)
-        if lowest <= 0.0:
-            curv = curv + (1.0 - lowest) * np.eye(x.size)
-        cov = _inverse(curv)
-        step = cov @ g
-        dec = float(g @ step)
+        lowest = _lowest_eigenvalue([-v for v in h])
+        shift = 1.0 - lowest if lowest <= 0.0 else 0.0
+        if len(x) == 1:
+            cov = (1.0 / (shift - h[0]),)
+            step = [cov[0] * g[0]]
+        else:  # (-H + shift I)^-1 = [[p, q], [q, r]] in closed form
+            a, b, d = shift - h[0], -h[1], shift - h[2]
+            det = a * d - b * b
+            cov = (d / det, -b / det, a / det)
+            step = [cov[0] * g[0] + cov[1] * g[1], cov[1] * g[0] + cov[2] * g[1]]
+        dec = sum(gi * si for gi, si in zip(g, step))
         if lowest > 0.0 and dec <= _DECREMENT_TOL:
-            return x, cov
-        t = 1.0
-        while 0.5 * t * dec > _UNCHECKED_GAIN and not logf(x + t * step) >= f:
-            t *= 0.5
-        x = x + t * step
-        f = logf(x)
-    raise NumericalError(f"{what} did not converge in {max_iter} Newton iterations", last_iterate=x)
+            return np.array(x), np.array([cov[:2], cov[1:]] if len(cov) == 3 else [cov])
+        t, f_new = 1.0, None
+        while f_new is None and 0.5 * t * dec > _UNCHECKED_GAIN:
+            if f is None:
+                f = logf(np.array(x))
+            trial = logf(np.array([xi + t * si for xi, si in zip(x, step)]))
+            if trial >= f:
+                f_new = trial
+            else:
+                t *= 0.5
+        x, f = [xi + t * si for xi, si in zip(x, step)], f_new
+    raise NumericalError(f"{what} did not converge in {max_iter} Newton iterations", last_iterate=np.array(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,37 +330,44 @@ def _hermite_sums(x, n: int):
 
     p_k are the Hermite polynomials orthonormal w.r.t. e^{-x^2}, run by
     their three-term recurrence and rescaled on the fly, since they
-    overflow for rules beyond a few hundred nodes.
+    overflow for rules beyond a few hundred nodes; the sum of squares
+    is kept in the same running scale.
     """
     b = np.full_like(x, math.pi ** -0.25)  # p_0, rescaled on the fly
     a = np.zeros_like(x)
+    tot = b * b
     s = np.zeros_like(x)  # per-node log of the running rescale factor
-    with np.errstate(divide="ignore"):
-        tot = 2.0 * (np.log(np.abs(b)) + s)
-        for k in range(n):
-            a, b = b, x * b * math.sqrt(2.0 / (k + 1)) - a * math.sqrt(k / (k + 1.0))
-            big = np.abs(b) > 1e100
-            if big.any():
-                a[big] *= 1e-100
-                b[big] *= 1e-100
-                s[big] += math.log(1e100)
-            if k < n - 1:
-                tot = np.logaddexp(tot, 2.0 * (np.log(np.abs(b)) + s))
-    return tot, b / a
+    for k in range(n):
+        a, b = b, x * b * math.sqrt(2.0 / (k + 1)) - a * math.sqrt(k / (k + 1.0))
+        if k < n - 1:
+            tot += b * b
+        big = np.abs(b) > 1e100
+        if big.any():
+            a[big] *= 1e-100
+            b[big] *= 1e-100
+            tot[big] *= 1e-200
+            s[big] += math.log(1e100)
+    return np.log(tot) + 2.0 * s, b / a
 
 
 def _gauss_hermite(n: int):
     """Nodes x_i and effective log weights ln(w_i e^{x_i^2}).
 
-    The nodes are the eigenvalues of the Jacobi matrix of the Hermite
-    recurrence (Golub & Welsch 1969), polished by one Newton step on
-    p_n, whose derivative is sqrt(2n) p_{n-1}, and made exactly
-    symmetric.  The raw weights underflow for rules beyond a few hundred
-    nodes, so the effective weight comes straight from the Christoffel
-    identity w_i = 1 / sum_k p_k(x_i)^2.
+    The nodes are the eigenvalues of the Jacobi matrix J of the Hermite
+    recurrence (Golub & Welsch 1969).  J has a zero diagonal, so J^2
+    splits into the rows of odd and of even index; the odd rows' block,
+    of order n // 2, has the squares of the positive nodes as its
+    eigenvalues.  The nodes are polished by one Newton step on p_n,
+    whose derivative is sqrt(2n) p_{n-1}, and made exactly symmetric.
+    The raw weights underflow for rules beyond a few hundred nodes, so
+    the effective weight comes straight from the Christoffel identity
+    w_i = 1 / sum_k p_k(x_i)^2.
     """
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    x = np.linalg.eigvalsh(np.diag(off, -1))
+    e = np.append(np.arange(n) / 2.0, 0.0)  # J[k - 1, k]^2 = k / 2 for 0 < k < n, else 0
+    i = np.arange(1, n, 2)  # rows i and i + 2 of J^2 meet through J[i + 1]
+    block = np.diag(e[i] + e[i + 1]) + np.diag(np.sqrt(e[i[:-1] + 1] * e[i[:-1] + 2]), -1)
+    r = np.sqrt(np.linalg.eigvalsh(block))
+    x = np.concatenate([-r[::-1], np.zeros(n % 2), r])
     x -= _hermite_sums(x, n)[1] / math.sqrt(2.0 * n)
     x = 0.5 * (x - x[::-1])
     return x, x * x - _hermite_sums(x, n)[0]
@@ -400,9 +402,19 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def _laplace_gh(logf, mode, cov, rel_tol: float, what: str) -> tuple[float, float]:
-    """(log of the integral of exp(logf) over R^k, error estimate), k = 1, 2."""
-    chol = np.linalg.cholesky(cov)
-    log_det = float(np.sum(np.log(np.diag(chol))))
+    """(log of the integral of exp(logf) over R^k, error estimate), k = 1, 2.
+
+    The schedule stops once two rules agree to ``rel_tol`` or to the
+    rounding floor of the error estimate, whichever is larger.
+    """
+    # Cholesky factor L of cov and ln det L, in closed form
+    l11 = math.sqrt(cov[0, 0])
+    if mode.size == 1:
+        chol, log_det = np.array([[l11]]), math.log(l11)
+    else:
+        l21 = cov[1, 0] / l11
+        l22 = math.sqrt(cov[1, 1] - l21 * l21)
+        chol, log_det = np.array([[l11, 0.0], [l21, l22]]), math.log(l11) + math.log(l22)
     prev = None
     for n in NODE_SCHEDULE:
         z, lw = _whitened_rule(n, mode.size)
@@ -411,10 +423,11 @@ def _laplace_gh(logf, mode, cov, rel_tol: float, what: str) -> tuple[float, floa
             _logsumexp(lw[i : i + _BLOCK] + logf(mode + z[i : i + _BLOCK] @ chol.T))
             for i in range(0, lw.size, _BLOCK)
         ]
-        cur = log_det + _logsumexp(np.array(sums))
+        cur = log_det + (sums[0] if len(sums) == 1 else _logsumexp(np.array(sums)))
         if prev is not None:
-            err = max(abs(cur - prev), _ROUNDING * (1.0 + abs(cur)))
-            if err <= rel_tol:
+            floor = _ROUNDING * (1.0 + abs(cur))
+            err = max(abs(cur - prev), floor)
+            if err <= max(rel_tol, floor):
                 return cur, err
         prev = cur
     cur = log_det + _whitened_tanhsinh(logf, mode, chol, rel_tol, what)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import truncnorm
 
+import bf2p.dep_ib as dep_ib_mod
 from bf2p.dep_ib import (
     bf01_depib,
     clamped_rates,
@@ -19,7 +20,7 @@ from bf2p.dep_ib import (
 from bf2p.ib import bf01_ib
 from bf2p.model import DepIBPrior, Hypothesis, Method, TwoByTwoData
 from bf2p.oracle import mc_log_marginal_depib
-from conftest import random_small_datasets
+from conftest import check_newton_mode, random_small_datasets
 from oracles import depib_log_marginals_gauss_legendre
 
 
@@ -164,6 +165,45 @@ class TestAgainstGaussLegendreOracle:
             res = bf01_depib(other, cfg)
             assert res.log_ml_h0 == pytest.approx(ref.log_ml_h0, rel=1e-12)
             assert res.log_ml_h1 == pytest.approx(ref.log_ml_h1, rel=1e-12)
+
+
+#: Interior, a count at 0 or n, rare events at large n, and n = 1e6.
+_NEWTON_STUDIES = [(3, 10, 5, 12), (0, 8, 3, 9), (7, 7, 2, 9), (26, 11034, 10, 11037), (0, 10**6, 5, 10**6)]
+_NEWTON_PRIORS = [DepIBPrior(), DepIBPrior(0.05, 0.3), DepIBPrior(1.0, 0.5, zeta_center=0.0)]
+
+
+class TestFloatNewton:
+    @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
+    @pytest.mark.parametrize("cfg", _NEWTON_PRIORS)
+    def test_mode_and_scale_match_finite_differences(self, counts, cfg):
+        for problem in (dep_ib_mod._h0, dep_ib_mod._core):
+            check_newton_mode(*problem(TwoByTwoData(*counts), cfg))
+
+    @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
+    @pytest.mark.parametrize("cfg", _NEWTON_PRIORS)
+    def test_no_point_evaluated_twice(self, counts, cfg, monkeypatch):
+        points = []
+
+        def counting(problem):
+            def build(*args):
+                logf, grad_hess, x0 = problem(*args)
+
+                def wrapped(v):
+                    if v.ndim == 1:  # one point: a Newton step check
+                        points.append(tuple(v))
+                    return logf(v)
+
+                return wrapped, grad_hess, x0
+
+            return build
+
+        for name in ("_h0", "_core"):
+            monkeypatch.setattr(dep_ib_mod, name, counting(getattr(dep_ib_mod, name)))
+        d = TwoByTwoData(*counts)
+        for hyp in (Hypothesis.H0, Hypothesis.H1):
+            points.clear()
+            dep_ib_mod._log_ml(d, hyp, cfg)
+            assert len(set(points)) == len(points), hyp
 
 
 class TestPriorDraws:

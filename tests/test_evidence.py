@@ -1,13 +1,14 @@
 """One dispatch from a prior config to an EvidenceResult, and the swap
 invariants every non-conjugate family must hold through it."""
 
+import math
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bf2p import lt
+from bf2p import dep_ib, lt
 from bf2p.averaging import ApproachParams, evidence
 from bf2p.dep_ib import bf01_depib
 from bf2p.ib import bf01_ib
@@ -17,6 +18,7 @@ from bf2p.model import (
     ConfigError,
     DepIBPrior,
     DomainError,
+    Hypothesis,
     IBPrior,
     LTPrior,
     NumericalError,
@@ -113,3 +115,19 @@ class TestErrorFloor:
         # can report an error below the rounding of its log integral
         res = evidence(TwoByTwoData(*counts), prior)
         assert res.abs_error_estimate >= 2 * sys.float_info.epsilon * abs(res.log_ml_h0)
+
+    @pytest.mark.parametrize(
+        "counts, prior",
+        [((0, 10**8, 10**8, 10**8), LTPrior(1.0, 1.0)), ((3, 10**8, 10**8, 10**8), DepIBPrior())],
+    )
+    def test_gauss_hermite_stops_at_the_rounding_floor(self, counts, prior, monkeypatch):
+        # two rules that agree to the floor have converged: these H0 fits must
+        # not build every rule up to the cap and then run the fallback
+        def fallback(*args):
+            raise AssertionError("the tanh-sinh fallback ran")
+
+        monkeypatch.setattr(lt, "_whitened_tanhsinh", fallback)
+        family = lt if isinstance(prior, LTPrior) else dep_ib
+        val, err = family._log_ml(TwoByTwoData(*counts), Hypothesis.H0, prior)
+        assert math.isfinite(val)
+        assert err == pytest.approx(2 * sys.float_info.epsilon * abs(val), rel=1e-5)

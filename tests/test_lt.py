@@ -18,6 +18,7 @@ from bf2p.lt import (
     log_ml_h1_lt,
 )
 from bf2p.model import (
+    BetaPriorKind,
     Hypothesis,
     LogitCoords,
     LTPrior,
@@ -29,7 +30,7 @@ from bf2p.model import (
 from bf2p.oracle import mc_log_marginal
 from bf2p.averaging import M0_LT, M1_LT
 from bf2p.reanalysis import default_grids, load_bundled_corpus
-from conftest import random_small_datasets
+from conftest import check_newton_mode, random_small_datasets
 from oracles import log_ml_h0_lt_simpson, lt_log_ml_h1_boundary_quad
 
 
@@ -119,6 +120,88 @@ class TestModeFinding:
                 TwoByTwoData(26, 11034, 10, 11037), Hypothesis.H1, 1.0, 1.0, max_iter=2
             )
         assert isinstance(err.value.last_iterate, LogitCoords)
+
+    def test_nonconvergence_carries_last_iterate_under_h0(self):
+        with pytest.raises(NumericalError) as err:
+            find_mode_and_scale(TwoByTwoData(26, 11034, 10, 11037), Hypothesis.H0, 1.0, max_iter=1)
+        assert isinstance(err.value.last_iterate, LogitCoords)
+        assert err.value.last_iterate.psi == 0.0
+
+
+#: Studies for the Newton checks: moderate, rare events at large n, a
+#: count at 0, all events at n = 1e6, complete separation at n = 1e7.
+_NEWTON_STUDIES = [
+    (18, 493, 10, 488), (26, 11034, 10, 11037), (0, 40, 7, 33),
+    (10**6, 10**6, 10**6, 10**6), (0, 10**7, 10**7, 10**7),
+]
+
+
+class TestFloatNewton:
+    @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
+    @pytest.mark.parametrize(
+        "prior", [LTPrior(), LTPrior(2.0, 0.5), LTPrior(1.0, 2.0, BetaPriorKind.LOGISTIC)]
+    )
+    def test_mode_and_scale_match_finite_differences(self, counts, prior):
+        for hyp in (Hypothesis.H0, Hypothesis.H1):
+            check_newton_mode(*lt_mod._lt_problem(TwoByTwoData(*counts), hyp, prior))
+
+    @staticmethod
+    def _double_well(k):
+        """log f = -x^4/4 + x^2/2 - (y - x/2)^2/2 on (x,) or (x, y), and its
+        float gradient and Hessian; -H is not positive definite near x = 0."""
+
+        def logf(v):
+            x = v[..., 0]
+            y = v[..., 1] if k == 2 else 0.5 * x
+            return -(x**4) / 4 + x**2 / 2 - (y - 0.5 * x) ** 2 / 2
+
+        def grad_hess(v):
+            x = v[0]
+            if k == 1:
+                return (-(x**3) + x,), (1.0 - 3.0 * x * x,)
+            y = v[1]
+            grad = (-(x**3) + x + 0.5 * (y - 0.5 * x), -(y - 0.5 * x))
+            return grad, (0.75 - 3.0 * x * x, 0.5, -1.0)
+
+        return logf, grad_hess
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_indefinite_start_takes_the_shifted_step(self, k):
+        logf, grad_hess = self._double_well(k)
+        seen = []
+
+        def recorded(v):
+            g, h = grad_hess(v)
+            seen.append(lt_mod._lowest_eigenvalue([-x for x in h]))
+            return g, h
+
+        x0 = [0.1, 0.0][:k]
+        mode, cov = check_newton_mode(logf, recorded, x0)
+        assert seen[0] <= 0.0  # the start is not log-concave
+        # the decrement stop leaves the mode within 1e-10 of (1, 1/2)
+        assert mode[0] == pytest.approx(1.0, abs=1e-9)
+        if k == 2:
+            assert mode[1] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("hyp", [Hypothesis.H0, Hypothesis.H1])
+    @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
+    def test_no_point_evaluated_twice(self, counts, hyp, monkeypatch):
+        problem = lt_mod._lt_problem
+        points = []
+
+        def counting(*args):
+            logf, grad_hess, x0 = problem(*args)
+
+            def wrapped(v):
+                if v.ndim == 1:  # one point: a Newton step check
+                    points.append(tuple(v))
+                return logf(v)
+
+            return wrapped, grad_hess, x0
+
+        monkeypatch.setattr(lt_mod, "_lt_problem", counting)
+        lt_mod._fit(TwoByTwoData(*counts), hyp, LTPrior())
+        assert len(set(points)) == len(points)
 
 
 class TestNullMarginal:
@@ -261,13 +344,16 @@ class TestGaussHermiteRule:
 
 
 class TestNodeCap:
+    @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
     def test_exhausted_schedule_raises(self, monkeypatch):
         import bf2p.lt as lt_mod
 
-        monkeypatch.setattr(lt_mod, "NODE_SCHEDULE", (61, 121))
+        monkeypatch.setattr(lt_mod, "NODE_SCHEDULE", (21, 31))
         with pytest.raises(NumericalError, match="converge"):
-            # an unreachable tolerance forces the cap
-            log_ml_h1_lt(TwoByTwoData(3, 10, 5, 12), 1.0, 1.0, rel_tol=0.0)
+            # the half-Gaussian posterior of a boundary study under a wide prior
+            # is far from Gaussian, so two short rules disagree and the cap is
+            # reached; tanh-sinh cannot meet a tolerance tighter than its own
+            log_ml_h1_lt(TwoByTwoData(0, 10**6, 0, 10**6), 50.0, 50.0, rel_tol=1e-13)
 
 
 class TestWidePriorBoundaryCounts:
