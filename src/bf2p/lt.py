@@ -14,12 +14,11 @@ Likelihood gradients are written y*sigma(-x) - (n-y)*sigma(x), so data
 with all events or none, and their event-swapped mirrors, converge
 alike.  Gauss-Hermite quadrature centred on the mode and whitened by
 the Laplace covariance then raises its node count (21, 31, 61, 121,
-241, 481, 961 per dimension) until two successive log-marginal
-estimates agree to ``rel_tol``, or to the rounding of the log integral
-where that is larger; the final gap, floored at that rounding, is the
-error estimate.  Each tensor rule is built once per process in whitened
-coordinates z, from Golub-Welsch nodes (numpy's ``eigvalsh`` of half
-the squared Jacobi matrix), and mapped to mode + L z by the closed-form
+241 per dimension) until two successive log-marginal estimates agree
+to ``rel_tol``, or to the rounding of the log integral where that is
+larger; the final gap, floored at that rounding, is the error estimate.
+Each tensor rule is built once per process in whitened coordinates z,
+from numpy's ``hermgauss``, and mapped to mode + L z by the closed-form
 Cholesky factor L of the covariance.  Centering matters: for large
 trials with rare events the likelihood sits many prior standard
 deviations away from zero, where a prior-centered rule would silently
@@ -71,9 +70,10 @@ __all__ = [
 ]
 
 #: Node counts tried per dimension; at 21 and 31 nodes most LT and dep-IB
-#: integrands already agree to DEFAULT_REL_TOL.  Past the cap the
-#: integrand is too far from Gaussian for more nodes to help.
-NODE_SCHEDULE = (21, 31, 61, 121, 241, 481, 961)
+#: integrands already agree to DEFAULT_REL_TOL, and no sweep fit climbs
+#: past 241.  An integrand that 241 nodes cannot resolve is too far from
+#: Gaussian for more nodes to help: it goes to the tanh-sinh fallback.
+NODE_SCHEDULE = (21, 31, 61, 121, 241)
 
 DEFAULT_REL_TOL = 1e-8
 
@@ -325,52 +325,12 @@ def find_mode_and_scale(
     return QuadratureSpec(LogitCoords(mode[0], mode[1]), cov)
 
 
-def _hermite_sums(x, n: int):
-    """(ln sum_{k<n} p_k(x)^2, p_n(x) / p_{n-1}(x)) at each node x.
-
-    p_k are the Hermite polynomials orthonormal w.r.t. e^{-x^2}, run by
-    their three-term recurrence and rescaled on the fly, since they
-    overflow for rules beyond a few hundred nodes; the sum of squares
-    is kept in the same running scale.
-    """
-    b = np.full_like(x, math.pi ** -0.25)  # p_0, rescaled on the fly
-    a = np.zeros_like(x)
-    tot = b * b
-    s = np.zeros_like(x)  # per-node log of the running rescale factor
-    for k in range(n):
-        a, b = b, x * b * math.sqrt(2.0 / (k + 1)) - a * math.sqrt(k / (k + 1.0))
-        if k < n - 1:
-            tot += b * b
-        big = np.abs(b) > 1e100
-        if big.any():
-            a[big] *= 1e-100
-            b[big] *= 1e-100
-            tot[big] *= 1e-200
-            s[big] += math.log(1e100)
-    return np.log(tot) + 2.0 * s, b / a
-
-
 def _gauss_hermite(n: int):
-    """Nodes x_i and effective log weights ln(w_i e^{x_i^2}).
+    """Nodes x_i and effective log weights ln(w_i e^{x_i^2}) of numpy's n-point rule."""
+    from numpy.polynomial.hermite import hermgauss
 
-    The nodes are the eigenvalues of the Jacobi matrix J of the Hermite
-    recurrence (Golub & Welsch 1969).  J has a zero diagonal, so J^2
-    splits into the rows of odd and of even index; the odd rows' block,
-    of order n // 2, has the squares of the positive nodes as its
-    eigenvalues.  The nodes are polished by one Newton step on p_n,
-    whose derivative is sqrt(2n) p_{n-1}, and made exactly symmetric.
-    The raw weights underflow for rules beyond a few hundred nodes, so
-    the effective weight comes straight from the Christoffel identity
-    w_i = 1 / sum_k p_k(x_i)^2.
-    """
-    e = np.append(np.arange(n) / 2.0, 0.0)  # J[k - 1, k]^2 = k / 2 for 0 < k < n, else 0
-    i = np.arange(1, n, 2)  # rows i and i + 2 of J^2 meet through J[i + 1]
-    block = np.diag(e[i] + e[i + 1]) + np.diag(np.sqrt(e[i[:-1] + 1] * e[i[:-1] + 2]), -1)
-    r = np.sqrt(np.linalg.eigvalsh(block))
-    x = np.concatenate([-r[::-1], np.zeros(n % 2), r])
-    x -= _hermite_sums(x, n)[1] / math.sqrt(2.0 * n)
-    x = 0.5 * (x - x[::-1])
-    return x, x * x - _hermite_sums(x, n)[0]
+    x, w = hermgauss(n)
+    return x, np.log(w) + x * x
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,7 @@ import numpy as np
 from .averaging import Approach, ApproachParams, ModelId, M1_IB
 from .dep_ib import sample_prior_depib
 from .ib import log_binomial_coeff
+from .lt import _logsumexp
 from .priors import _draw_rates
 from .model import DepIBPrior, Hypothesis, TwoByTwoData
 
@@ -62,10 +63,17 @@ def _rng_streams(seed: int, n_streams: int):
 
 
 def _log_group_lik(y: int, n: int, theta: np.ndarray) -> np.ndarray:
-    """Binomial log pmf at array of rates, exact at clamped endpoints."""
-    from scipy.special import xlog1py, xlogy
+    """Binomial log pmf at array of rates, exact at clamped endpoints.
 
-    return log_binomial_coeff(n, y) + xlogy(y, theta) + xlog1py(n - y, -theta)
+    A term whose count is 0 is 0, even at a rate of 0 or 1.
+    """
+    out = np.full(np.shape(theta), log_binomial_coeff(n, y))
+    with np.errstate(divide="ignore"):
+        if y:
+            out += y * np.log(theta)
+        if n - y:
+            out += (n - y) * np.log1p(-theta)
+    return out
 
 
 def _checked(params: ApproachParams | None, n_draws: int) -> ApproachParams:
@@ -125,10 +133,8 @@ def mc_log_marginal_depib(
 
 def _snis_log_mean_with_se(lw: np.ndarray, lv: np.ndarray):
     """log of sum(w v)/sum(w) plus a delta-method SE and the weight ESS."""
-    from scipy.special import logsumexp
-
-    log_num = float(logsumexp(lw + lv))
-    log_den = float(logsumexp(lw))
+    log_num = _logsumexp(lw + lv)
+    log_den = _logsumexp(lw)
     log_val = log_num - log_den
     wn = np.exp(lw - log_den)  # normalized weights
     v = np.exp(lv - log_val)  # v / estimate, keeps the variance sum stable

@@ -74,6 +74,7 @@ OUTPUT_COLUMNS = ("study_id", "method") + PARAM_COLUMNS + (
     "log_bf01",
     "bf01",
     "abs_error",
+    "error",
 )
 
 
@@ -267,6 +268,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    return str(v) if isinstance(v, (str, int)) else _fmt(v)
+
+
 def _result_fields(r: SweepResult) -> dict[str, object]:
     row: dict[str, object] = {"study_id": r.study_id, "method": r.method}
     for col in PARAM_COLUMNS:
@@ -276,6 +283,7 @@ def _result_fields(r: SweepResult) -> dict[str, object]:
     bf01 = None if failed else math.exp(r.log_bf01)
     row["bf01"] = bf01 if bf01 is None or math.isfinite(bf01) else None
     row["abs_error"] = None if failed else float(r.abs_error)
+    row["error"] = r.error
     return row
 
 
@@ -283,7 +291,8 @@ def emit(results: Iterable[SweepResult], fmt: str, path: str | Path) -> None:
     """Serialize sweep results; ``fmt`` is "csv" or "json".
 
     Column order is fixed; failed cells leave their numeric fields
-    empty (CSV) or null (JSON).
+    empty (CSV) or null (JSON) and name the exception in ``error``,
+    which is empty or null for a cell that returned a value.
     """
     results = list(results)
     path = Path(path)
@@ -293,16 +302,7 @@ def emit(results: Iterable[SweepResult], fmt: str, path: str | Path) -> None:
             w.writerow(OUTPUT_COLUMNS)
             for r in results:
                 fields = _result_fields(r)
-                w.writerow(
-                    [
-                        fields["study_id"],
-                        fields["method"],
-                        *[
-                            "" if fields[c] is None else _fmt(fields[c])
-                            for c in OUTPUT_COLUMNS[2:]
-                        ],
-                    ]
-                )
+                w.writerow([_csv_field(fields[c]) for c in OUTPUT_COLUMNS])
         return
     if fmt == "json":
         # hand-rolled so float values keep the 17-significant-digit form

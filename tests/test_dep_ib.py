@@ -125,7 +125,7 @@ class TestAgainstGaussLegendreOracle:
             ((7, 7, 2, 9), 0.2, 0.5),  # theta1 clamped to 1
             ((2, 6, 4, 7), 0.2, 0.0),  # zeta prior centred at 0
             ((0, 8, 3, 9), 1.0, 0.0),
-            # Gauss-Hermite has not converged by 961 nodes here, so the
+            # Gauss-Hermite has not converged by 241 nodes here, so the
             # tanh-sinh fallback runs
             ((0, 3, 0, 3), 0.05, 0.5),
             ((1, 2, 0, 2), 0.05, 0.5),

@@ -302,7 +302,8 @@ class TestBayesFactor:
 
 
 class TestGaussHermiteRule:
-    """The Golub-Welsch rule against scipy's ``roots_hermite`` and a 40-digit rule.
+    """numpy's ``hermgauss`` rule, at every size of the schedule, against
+    scipy's ``roots_hermite`` and a 40-digit rule.
 
     Above 150 nodes ``roots_hermite`` switches to an asymptotic expansion,
     whose nodes are off by up to 2e-13 and whose log weights by up to
@@ -371,6 +372,21 @@ class TestWidePriorBoundaryCounts:
             val, err = lt_mod._log_ml(side, Hypothesis.H1, prior)
             assert abs(val - ref) <= err + ref_err, side
             assert math.isfinite(bf01_lt(side, 50.0, 50.0).log_bf01), side
+
+    @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
+    def test_mixed_single_trial_cell_matches_nested_quad(self):
+        # one trial per group, one with no event and one with an event: no
+        # rule of the schedule resolves the two knees, and the fallback must
+        # meet the oracle to its own digits on both sides
+        d = TwoByTwoData(0, 1, 1, 1)
+        prior = LTPrior(50.0, 50.0)
+        ref, ref_err = lt_log_ml_h1_boundary_quad(d, 50.0, 50.0)
+        assert ref == pytest.approx(-1.9125107153, abs=1e-10)
+        events = TwoByTwoData(d.n1 - d.y1, d.n1, d.n2 - d.y2, d.n2)
+        for side in (d, d.swapped(), events):
+            val, err = lt_mod._log_ml(side, Hypothesis.H1, prior)
+            assert abs(val - ref) <= 1e-11, side
+            assert abs(val - ref) <= err + ref_err, side
 
 
 @functools.cache

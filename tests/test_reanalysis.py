@@ -1,5 +1,6 @@
 """Batch ingestion, sweeps, sensitivity curves, and serialization."""
 
+import csv
 import json
 import math
 
@@ -342,6 +343,21 @@ class TestEmit:
         assert rows[0]["log_bf01"] is None
         schema = json.loads(sweep_schema_path().read_text())
         jsonschema.validate(rows, schema)
+
+    def test_failed_cell_row_names_its_error(self, corpus, tmp_path):
+        # a = 0.5 is below IBPrior's range: that cell fails, its neighbour does not
+        results = run_sweep(corpus[:1], methods=("ib",), grids={"ib": [{"a": 1.0}, {"a": 0.5}]})
+        code = next(r.error for r in results if r.params["a"] == 0.5)
+        assert code is not None
+        p = tmp_path / "cells.csv"
+        emit(results, "csv", p)
+        rows = list(csv.DictReader(p.read_text().splitlines()))
+        assert {r["a"]: r["error"] for r in rows} == {"1": "", "0.5": code}
+        pj = tmp_path / "cells.json"
+        emit(results, "json", pj)
+        rows = json.loads(pj.read_text())
+        assert {r["a"]: r["error"] for r in rows} == {1.0: None, 0.5: code}
+        jsonschema.validate(rows, json.loads(sweep_schema_path().read_text()))
 
     def test_absent_hyperparameters_stay_empty(self, results, tmp_path):
         p = tmp_path / "cols.csv"
