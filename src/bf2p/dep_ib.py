@@ -39,15 +39,7 @@ import math
 import numpy as np
 
 from .lt import (
-    DEFAULT_REL_TOL,
-    _ROUNDING,
-    _binom_grad_curv,
-    _empirical_logit,
-    _laplace_gh,
-    _log_binom_lik,
-    _log_coeffs,
-    _logsumexp,
-    _newton,
+    _ROUNDING, _binom_grad_curv, _empirical_logit, _integrate, _log_binom_lik, _log_coeffs, _logsumexp,
 )
 from .model import (
     DepIBPrior,
@@ -103,10 +95,7 @@ def _h0(d: TwoByTwoData, cfg: DepIBPrior):
 
 def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     """(log marginal, error estimate) with eta = 0, over the shared rate's log odds."""
-    what = "dep-IB H0 marginal"
-    logf, grad_hess, x0 = _h0(d, cfg)
-    mode, cov = _newton(logf, grad_hess, x0, what)
-    val, err = _laplace_gh(logf, mode, cov, DEFAULT_REL_TOL, what)
+    val, err = _integrate(*_h0(d, cfg), "dep-IB H0")[2:]
     return _log_coeffs(d) + val, err
 
 
@@ -190,10 +179,7 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
 
 def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     """(log marginal, error estimate) of the free-(eta, zeta) model."""
-    what = "dep-IB H1 marginal"
-    logf, grad_hess, x0 = _core(d, cfg)
-    mode, cov = _newton(logf, grad_hess, x0, what)
-    parts = [_laplace_gh(logf, mode, cov, DEFAULT_REL_TOL, what)]
+    parts = [_integrate(*_core(d, cfg), "dep-IB H1 core")[2:]]
     zc = cfg.zeta_center
     wedges = (
         (d.y1 == 0, d.y2, d.n2, zc),  # theta1 clamped to 0

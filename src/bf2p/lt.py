@@ -15,8 +15,8 @@ with all events or none, and their event-swapped mirrors, converge
 alike.  Gauss-Hermite quadrature centred on the mode and whitened by
 the Laplace covariance then raises its node count (21, 31, 61, 121,
 241 per dimension) until two successive log-marginal estimates agree
-to ``rel_tol``, or to the rounding of the log integral where that is
-larger; the final gap, floored at that rounding, is the error estimate.
+to ``DEFAULT_REL_TOL``, or to the log integral's rounding if larger;
+the final gap, floored at that rounding, is the error estimate.
 Each tensor rule is built once per process in whitened coordinates z,
 from numpy's ``hermgauss``, and mapped to mode + L z by the closed-form
 Cholesky factor L of the covariance.  Centering matters: for large
@@ -28,9 +28,9 @@ when the schedule is exhausted does nested tanh-sinh quadrature
 in the same whitened coordinates take over; its error estimate is the
 1e-12 its levels agree to, per dimension, floored at the same rounding.
 Everything here runs on numpy and ``math``.  The integrands leave out the
-binomial coefficients, which each marginal adds once.  The dependent
-variant (``bf2p.dep_ib``) uses the same engine.  Estimates are fully
-deterministic.
+binomial coefficients, which each marginal adds once.  ``_integrate``
+is the engine's one entry point; the dependent variant (``bf2p.dep_ib``)
+calls it too.  Estimates are fully deterministic.
 
 The null marginal does not depend on ``sigma_psi``, so a sweep
 (``bf2p.reanalysis``) fits each study's H0 once per prior.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -361,11 +361,11 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.exp(a - m).sum()))
 
 
-def _laplace_gh(logf, mode, cov, rel_tol: float, what: str) -> tuple[float, float]:
+def _laplace_gh(logf, mode, cov, what: str) -> tuple[float, float]:
     """(log of the integral of exp(logf) over R^k, error estimate), k = 1, 2.
 
-    The schedule stops once two rules agree to ``rel_tol`` or to the
-    rounding floor of the error estimate, whichever is larger.
+    The schedule stops once two rules agree to ``DEFAULT_REL_TOL`` or to
+    the rounding floor of the error estimate, whichever is larger.
     """
     # Cholesky factor L of cov and ln det L, in closed form
     l11 = math.sqrt(cov[0, 0])
@@ -387,25 +387,22 @@ def _laplace_gh(logf, mode, cov, rel_tol: float, what: str) -> tuple[float, floa
         if prev is not None:
             floor = _ROUNDING * (1.0 + abs(cur))
             err = max(abs(cur - prev), floor)
-            if err <= max(rel_tol, floor):
+            if err <= max(DEFAULT_REL_TOL, floor):
                 return cur, err
         prev = cur
-    cur = log_det + _whitened_tanhsinh(logf, mode, chol, rel_tol, what)
+    cur = log_det + _whitened_tanhsinh(logf, mode, chol, what)
     return cur, max(mode.size * _TS_REL_TOL, _ROUNDING * (1.0 + abs(cur)))
 
 
-def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str) -> float:
+def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
     """Log integral over z by tanh-sinh, where x = mode + chol z.
 
     Each axis splits at the mode into the half-lines z = -/+ log s, s in
     (0, 1).  In 2-D the outer rule's integrand, at a block of its nodes
     at once, is one inner rule over z2.  Both stop at 1e-12, relative to
-    their own value or, for slices of no weight, to the peak of f; a
-    ``rel_tol`` tighter than that raises ``NumericalError``.
+    their own value or, for slices of no weight, to the peak of f: well
+    inside ``DEFAULT_REL_TOL``.  Levels that never agree raise NumericalError.
     """
-    failed = f"{what}: log marginal did not converge to {rel_tol} by Gauss-Hermite or tanh-sinh"
-    if not mode.size * _TS_REL_TOL <= rel_tol:
-        raise NumericalError(failed)
     peak = float(logf(mode))
 
     def line(log_g, m: int):
@@ -429,7 +426,7 @@ def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str) -> float:
     try:
         return float(line(lambda _, z: outer(z), 1)[0])
     except NumericalError:
-        raise NumericalError(failed) from None
+        raise NumericalError(f"{what}: log marginal did not converge by Gauss-Hermite or tanh-sinh") from None
 
 
 # --------------------------------------------------------------------------
@@ -437,20 +434,28 @@ def _whitened_tanhsinh(logf, mode, chol, rel_tol: float, what: str) -> float:
 # --------------------------------------------------------------------------
 
 
-def _fit(d, hypothesis, prior: LTPrior, rel_tol: float = DEFAULT_REL_TOL):
+def _integrate(logf, grad_hess, x0, what: str):
+    """(mode, Laplace covariance, log integral, error estimate) of exp(logf) over R^k.
+
+    The engine's one entry point: Newton from ``x0``, then Gauss-Hermite
+    with the tanh-sinh fallback.  ``what`` names the problem in errors.
+    """
+    mode, cov = _newton(logf, grad_hess, x0, f"{what} mode finding")
+    return mode, cov, *_laplace_gh(logf, mode, cov, f"{what} marginal")
+
+
+def _fit(d, hypothesis, prior: LTPrior):
     """(mode, Laplace covariance, log marginal, error estimate) under one hypothesis.
 
     The log marginal leaves out the binomial coefficients, as the
     integrands that ``_lt_problem`` builds do.
     """
-    logf, grad_hess, x0 = _lt_problem(d, hypothesis, prior)
-    mode, cov = _newton(logf, grad_hess, x0, f"{hypothesis.name} mode finding")
-    return mode, cov, *_laplace_gh(logf, mode, cov, rel_tol, f"{hypothesis.name} marginal")
+    return _integrate(*_lt_problem(d, hypothesis, prior), hypothesis.name)
 
 
-def _log_ml(d, hypothesis, prior: LTPrior, rel_tol: float = DEFAULT_REL_TOL):
+def _log_ml(d, hypothesis, prior: LTPrior):
     """(log marginal, error estimate) under one hypothesis."""
-    val, err = _fit(d, hypothesis, prior, rel_tol)[2:]
+    val, err = _fit(d, hypothesis, prior)[2:]
     return _log_coeffs(d) + val, err
 
 
@@ -458,10 +463,9 @@ def log_ml_h0_lt(
     d: TwoByTwoData,
     sigma_beta: float = 1.0,
     beta_prior: BetaPriorKind = BetaPriorKind.GAUSSIAN,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Log marginal likelihood of the null (psi = 0) model."""
-    return _log_ml(d, Hypothesis.H0, LTPrior(sigma_beta, beta_prior=beta_prior), rel_tol)[0]
+    return _log_ml(d, Hypothesis.H0, LTPrior(sigma_beta, beta_prior=beta_prior))[0]
 
 
 def log_ml_h1_lt(
@@ -469,10 +473,9 @@ def log_ml_h1_lt(
     sigma_beta: float = 1.0,
     sigma_psi: float = 1.0,
     beta_prior: BetaPriorKind = BetaPriorKind.GAUSSIAN,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """Log marginal likelihood of the free-psi model."""
-    return _log_ml(d, Hypothesis.H1, LTPrior(sigma_beta, sigma_psi, beta_prior), rel_tol)[0]
+    return _log_ml(d, Hypothesis.H1, LTPrior(sigma_beta, sigma_psi, beta_prior))[0]
 
 
 def bf01_lt(
@@ -480,10 +483,8 @@ def bf01_lt(
     sigma_beta: float = 1.0,
     sigma_psi: float = 1.0,
     beta_prior: BetaPriorKind = BetaPriorKind.GAUSSIAN,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> EvidenceResult:
     """Bayes factor for psi = 0 versus psi ~ N(0, sigma_psi)."""
-    log_ml = partial(_log_ml, rel_tol=rel_tol)
     return EvidenceResult.from_hypotheses(
-        log_ml, d, LTPrior(sigma_beta, sigma_psi, beta_prior), Method.QUADRATURE
+        _log_ml, d, LTPrior(sigma_beta, sigma_psi, beta_prior), Method.QUADRATURE
     )

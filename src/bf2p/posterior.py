@@ -70,76 +70,41 @@ def posterior_grid_lt(
 
     Axes cover the mode +/- 8 marginal posterior standard deviations.
     The values integrate to one by construction (they are divided by the
-    quadrature marginal likelihood); how close the grid's own Simpson
-    integral lands to one is a real consistency check between the grid
-    and the marginal-likelihood quadrature, exercised by the tests.
+    quadrature marginal likelihood); how close the grid's own trapezoid
+    integral, ``DensityGrid.normalization``, lands to one is a real
+    consistency check between the grid and the marginal-likelihood
+    quadrature, exercised by the tests.
     """
-    if resolution % 2 == 0:
-        resolution += 1  # Simpson wants an odd point count
     prior = LTPrior(sigma_beta, sigma_psi)
     mode, cov, log_ml, _ = _fit(d, Hypothesis.H1, prior)
-    sd_b = math.sqrt(float(cov[0, 0]))
-    sd_p = math.sqrt(float(cov[1, 1]))
-    b_axis = mode[0] + GRID_HALF_WIDTH_SD * sd_b * np.linspace(-1, 1, resolution)
-    p_axis = mode[1] + GRID_HALF_WIDTH_SD * sd_p * np.linspace(-1, 1, resolution)
+    half = GRID_HALF_WIDTH_SD * np.sqrt(np.diag(cov))
+    b_axis, p_axis = mode[:, None] + half[:, None] * np.linspace(-1, 1, resolution)
     bb, pp = np.meshgrid(b_axis, p_axis, indexing="ij")
     log_post = _log_integrand_h1(d, bb.ravel(), pp.ravel(), prior).reshape(bb.shape) - log_ml
     return DensityGrid.build(b_axis, np.exp(log_post), p_axis)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray, axis: int = -1):
-    """Composite Simpson's rule for samples y at the points x along ``axis``.
-
-    x needs an odd number of points, which may be unevenly spaced: each
-    pair of intervals (h0, h1) gets the weights of the parabola through
-    its three points, in the arithmetic of ``scipy.integrate.simpson``.
-    """
-    if x.size % 2 == 0:
-        raise ValidationError(f"Simpson's rule needs an odd number of points, got {x.size}")
-
-    def every_other(a, start):
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(start, start + x.size - 2, 2)
-        return a[tuple(index)]
-
-    shape = [1] * y.ndim
-    shape[axis] = -1
-    h = np.diff(x).reshape(shape)
-    h0, h1 = every_other(h, 0), every_other(h, 1)
-    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
-    return np.sum(
-        hsum / 6.0 * (
-            every_other(y, 0) * (2.0 - 1.0 / ratio)
-            + every_other(y, 1) * (hsum * (hsum / hprod))
-            + every_other(y, 2) * (2.0 - ratio)
-        ),
-        axis=axis,
-    )
-
-
 def marginal_from_grid(grid: DensityGrid, quantity: str) -> DensityGrid:
     """1D posterior marginal of "beta" or "psi" from a (beta, psi) grid.
 
-    Simpson's rule integrates out the other axis, which needs an odd
-    number of points, as ``posterior_grid_lt`` makes them.
+    The trapezoid rule integrates out the other axis, as it does for
+    the grid's ``DensityGrid.normalization``.
     """
     if grid.y_axis is None:
         raise ValidationError("need a 2D (beta, psi) grid")
     if quantity == "psi":
-        vals = _simpson(grid.values, grid.x_axis, axis=0)
+        vals = np.trapezoid(grid.values, grid.x_axis, axis=0)
         return DensityGrid.build(grid.y_axis, vals)
     if quantity == "beta":
-        vals = _simpson(grid.values, grid.y_axis, axis=1)
+        vals = np.trapezoid(grid.values, grid.y_axis, axis=1)
         return DensityGrid.build(grid.x_axis, vals)
     raise ValidationError(f"unknown grid quantity {quantity!r}")
 
 
 def _summarize_1d_density(x: np.ndarray, f: np.ndarray, quantity: str) -> PosteriorSummary:
-    total = _simpson(f, x)
-    mean = _simpson(f * x, x) / total
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))]
-    ) / total
+    total = np.trapezoid(f, x)
+    mean = np.trapezoid(f * x, x) / total
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))]) / total
     # CDF inversion by linear interpolation on the strictly increasing part
     lo = float(np.interp(0.025, cdf, x))
     hi = float(np.interp(0.975, cdf, x))

@@ -330,10 +330,11 @@ def _ppf_truncated_gaussian(u, sigma, lo, hi, center=0.0):
 def log_density_truncated_gaussian(
     x, sigma: float, lo: float, hi: float, center: float = 0.0
 ):
-    """Log density of N(center, sigma) truncated to (lo, hi).
+    """Log density of N(center, sigma) truncated to the closed window [lo, hi].
 
     Integrates to one over the window; evaluates to -inf (zero density,
-    not an error) outside it.
+    not an error) strictly outside it.  The ends keep their density, so a
+    rate that rounds to exactly 0 or 1 is not dropped from an integral.
     """
     if not sigma > 0:
         raise DomainError(f"sigma must be > 0, got {sigma!r}")
@@ -342,7 +343,7 @@ def log_density_truncated_gaussian(
     x = np.asarray(x, dtype=float)
     log_kernel = -0.5 * ((x - center) / sigma) ** 2 - math.log(sigma) - _LN_SQRT_2PI
     out = np.where(
-        (x > lo) & (x < hi),
+        (x >= lo) & (x <= hi),
         log_kernel - _log_truncation_mass(lo, hi, center, sigma),
         -np.inf,
     )

@@ -154,9 +154,12 @@ class TestAgainstGaussLegendreOracle:
         assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + gap
 
     @pytest.mark.parametrize(
-        "counts, sigma_eta", [((0, 8, 3, 9), 0.2), ((2, 7, 6, 6), 0.5), ((0, 3, 0, 3), 0.05)]
+        "counts, sigma_eta",
+        [((0, 8, 3, 9), 0.2), ((2, 7, 6, 6), 0.5), ((0, 3, 0, 3), 0.05), ((0, 10**8, 0, 10**8), 0.2)],
     )
     def test_group_and_event_swap_symmetry(self, counts, sigma_eta):
+        # at n = 1e8 the all-events side's rates round to exactly 1 in the
+        # prior's tail, which must keep its density as the no-events side does
         d = TwoByTwoData(*counts)
         cfg = DepIBPrior(sigma_eta=sigma_eta)
         ref = bf01_depib(d, cfg)

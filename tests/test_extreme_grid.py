@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bf2p.model import LTPrior
+from bf2p.model import DepIBPrior, LTPrior
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "extreme_grid.py"
 
@@ -41,7 +41,26 @@ def test_subset_records_every_side_and_a_summary(tool):
     assert summary["swap_sides_agree"] and summary["disagreeing"] == []
     assert summary["slowest"]["seconds"] == max(c["seconds"] for c in cells)
     assert summary["total_s"] == pytest.approx(sum(c["seconds"] for c in cells))
+    assert list(summary["warmup_s"]) == ["LTPrior"] and summary["warmup_s"]["LTPrior"] > 0.0
     json.dumps(out, allow_nan=False)
+
+
+def test_one_untimed_warm_up_per_family_runs_first(tool, monkeypatch):
+    # the first call of a family pays its imports and rule builds: one cell per
+    # family runs before the timed loop and stays out of the cells
+    calls, evidence = [], tool.evidence
+
+    def recording(d, prior):
+        calls.append(((d.y1, d.n1, d.y2, d.n2), tool.prior_label(prior)))
+        return evidence(d, prior)
+
+    monkeypatch.setattr(tool, "evidence", recording)
+    priors = [LTPrior(1.0, 1.0), LTPrior(0.01, 1.0), DepIBPrior(0.5, 0.5)]
+    out = tool.run_grid(studies=[(0, 1, 0, 1)], priors=priors)
+    assert calls[:2] == [((0, 1, 0, 1), "LTPrior(1, 1)"), ((0, 1, 0, 1), "DepIBPrior(0.5, 0.5)")]
+    assert len(calls) == 2 + out["summary"]["cells"] == 2 + 9
+    warmup = out["summary"]["warmup_s"]
+    assert list(warmup) == ["LTPrior", "DepIBPrior"] and min(warmup.values()) > 0.0
 
 
 def test_failed_cells_and_disagreeing_sides_are_listed(tool):

@@ -4,12 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from bf2p.lt import bf01_lt
 from bf2p.model import TwoByTwoData, ValidationError
 from bf2p.posterior import (
-    _simpson,
     marginal_from_grid,
     posterior_draws_ib,
     posterior_grid_lt,
@@ -19,24 +18,24 @@ from bf2p.special import log_density_gaussian
 from conftest import random_null_datasets
 
 
-class TestSimpsonRule:
-    """The numpy Simpson rule keeps ``scipy.integrate.simpson``'s odd-count arithmetic."""
+class TestGridRule:
+    """The trapezoid rule on the posterior grid meets ``scipy.integrate.simpson``."""
 
+    @pytest.mark.parametrize("resolution", [201, 200])
     @pytest.mark.parametrize("counts", [(18, 493, 10, 488), (0, 40, 3, 37), (26, 11034, 10, 11037)])
-    def test_matches_scipy_on_posterior_grids(self, counts):
-        g = posterior_grid_lt(TwoByTwoData(*counts), resolution=201)
-        for axis, x in ((0, g.x_axis), (1, g.y_axis)):
+    def test_marginals_and_psi_summary_match_simpson(self, counts, resolution):
+        g = posterior_grid_lt(TwoByTwoData(*counts), resolution=resolution)
+        assert g.x_axis.size == g.y_axis.size == resolution  # an even count is kept
+        for quantity, axis, x in (("psi", 0, g.x_axis), ("beta", 1, g.y_axis)):
             ref = simpson(g.values, x=x, axis=axis)
-            np.testing.assert_allclose(_simpson(g.values, x, axis=axis), ref, rtol=1e-15, atol=0.0)
-
-    def test_matches_scipy_on_uneven_axis(self):
-        x = np.sort(np.random.default_rng(3).uniform(-2.0, 2.0, 101))
-        y = np.exp(-x * x) * (2.0 + np.sin(3.0 * x))
-        assert _simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-15, abs=0.0)
-
-    def test_even_point_count_rejected(self):
-        with pytest.raises(ValidationError, match="odd"):
-            _simpson(np.ones(4), np.arange(4.0))
+            np.testing.assert_allclose(marginal_from_grid(g, quantity).values, ref, rtol=0.0, atol=1e-10)
+        psi, f = g.y_axis, simpson(g.values, x=g.x_axis, axis=0)
+        total = simpson(f, x=psi)
+        cdf = np.concatenate([[0.0], cumulative_trapezoid(f, psi)]) / total
+        s = summarize_posterior(g, "psi")
+        assert s.mean == pytest.approx(simpson(f * psi, x=psi) / total, rel=0.0, abs=1e-10)
+        assert s.ci_low == pytest.approx(np.interp(0.025, cdf, psi), rel=0.0, abs=1e-10)
+        assert s.ci_high == pytest.approx(np.interp(0.975, cdf, psi), rel=0.0, abs=1e-10)
 
 
 class TestIBDraws:

@@ -9,7 +9,9 @@ event swap.  Per cell the output gives the outcome ("value" or
 seconds taken.  The summary lists the failing (study, prior) pairs,
 whether the swap sides of every pair agree (the same outcome, and
 values within the sum of their estimates), the slowest cell and the
-total time.
+total time.  One untimed warm-up cell per prior family runs first, so
+that no timed cell pays a first import (``scipy.special`` for dep-IB)
+or a first rule build; the summary gives the warm-ups' seconds.
 
     PYTHONPATH=src python3 tools/extreme_grid.py --out extreme_grid.json
 """
@@ -91,8 +93,17 @@ def sides_agree(cells: list[dict]) -> bool:
     )
 
 
+def warm_up(study, priors) -> dict:
+    """Seconds of one cell of ``study`` under the first prior of each family, keyed by family."""
+    firsts = {}
+    for prior in priors:
+        firsts.setdefault(type(prior).__name__, prior)
+    return {family: run_cell(study, prior, "study")["seconds"] for family, prior in firsts.items()}
+
+
 def run_grid(studies=STUDIES, priors=PRIORS) -> dict:
-    """Every (study, prior, side) cell, and the summary of the grid."""
+    """Every (study, prior, side) cell, after the warm-ups, and the summary of the grid."""
+    warmup_s = warm_up(studies[0], priors) if studies else {}
     cells, failing, disagreeing = [], [], []
     for counts, prior in itertools.product(studies, priors):
         group = [run_cell(counts, prior, side) for side in SIDES]
@@ -110,6 +121,7 @@ def run_grid(studies=STUDIES, priors=PRIORS) -> dict:
         "disagreeing": disagreeing,
         "slowest": max(cells, key=lambda c: c["seconds"]) if cells else None,
         "total_s": sum(c["seconds"] for c in cells),
+        "warmup_s": warmup_s,
     }
     return {"summary": summary, "cells": cells}
 
@@ -127,7 +139,8 @@ def main(argv=None) -> int:
     print(
         f"{s['cells']} cells, {s['failed_cells']} failed ({len(s['failing'])} study-prior pairs), "
         f"swap sides agree: {s['swap_sides_agree']}, total {s['total_s']:.1f} s, slowest "
-        f"{slow['seconds']:.3f} s at {tuple(slow['study'])} {slow['prior']} {slow['side']}",
+        f"{slow['seconds']:.3f} s at {tuple(slow['study'])} {slow['prior']} {slow['side']}, warm-up "
+        + ", ".join(f"{family} {sec:.3f} s" for family, sec in s["warmup_s"].items()),
         file=sys.stderr,
     )
     return 0
