@@ -22,11 +22,11 @@ from numpy's ``hermgauss``, and mapped to mode + L z by the closed-form
 Cholesky factor L of the covariance.  Centering matters: for large
 trials with rare events the likelihood sits many prior standard
 deviations away from zero, where a prior-centered rule would silently
-miss the mass.  Only
-when the schedule is exhausted does nested tanh-sinh quadrature
-(``bf2p.special``'s rule, over the half-lines either side of the mode)
-in the same whitened coordinates take over; its error estimate is the
-1e-12 its levels agree to, per dimension, floored at the same rounding.
+miss the mass.  Only when the schedule is exhausted does nested
+tanh-sinh quadrature (``bf2p.special``'s rule, over the half-lines
+either side of the mode), whitened along the groups' log odds
+x = beta -/+ psi/2, take over; its error estimate is the 1e-12 its
+levels agree to, per dimension, floored at the same rounding.
 Everything here runs on numpy and ``math``.  The integrands leave out the
 binomial coefficients, which each marginal adds once.  ``_integrate``
 is the engine's one entry point; the dependent variant (``bf2p.dep_ib``)
@@ -390,6 +390,12 @@ def _laplace_gh(logf, mode, cov, what: str) -> tuple[float, float]:
             if err <= max(DEFAULT_REL_TOL, floor):
                 return cur, err
         prev = cur
+    if mode.size == 2:
+        # the fallback's factor A^-1 M: M M' = A cov A', the covariance of the groups' log odds x = A (beta, psi)
+        s11, s12 = cov[0, 0] - cov[0, 1] + 0.25 * cov[1, 1], cov[0, 0] - 0.25 * cov[1, 1]
+        m11 = math.sqrt(s11)
+        m21, m22 = s12 / m11, l11 * l22 / m11  # A = [[1, -1/2], [1, 1/2]], det A = 1: det M = det L
+        chol = np.array([[0.5 * (m11 + m21), 0.5 * m22], [m21 - m11, m22]])
     cur = log_det + _whitened_tanhsinh(logf, mode, chol, what)
     return cur, max(mode.size * _TS_REL_TOL, _ROUNDING * (1.0 + abs(cur)))
 
@@ -399,9 +405,12 @@ def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
 
     Each axis splits at the mode into the half-lines z = -/+ log s, s in
     (0, 1).  In 2-D the outer rule's integrand, at a block of its nodes
-    at once, is one inner rule over z2.  Both stop at 1e-12, relative to
-    their own value or, for slices of no weight, to the peak of f: well
-    inside ``DEFAULT_REL_TOL``.  Levels that never agree raise NumericalError.
+    at once, is one inner rule over z2; chol is whitened along the groups'
+    log odds, so x1 depends on z1 alone and z2 moves x2 alone, and each
+    likelihood knee (x1 = -log n1, x2 = log n2 at a count of 0) is one
+    point of its rule.  Both stop at 1e-12, relative to their own value
+    or, for slices of no weight, to the peak of f: well inside
+    ``DEFAULT_REL_TOL``.  Levels that never agree raise NumericalError.
     """
     peak = float(logf(mode))
 

@@ -73,8 +73,11 @@ def posterior_grid_lt(
     quadrature marginal likelihood); how close the grid's own trapezoid
     integral, ``DensityGrid.normalization``, lands to one is a real
     consistency check between the grid and the marginal-likelihood
-    quadrature, exercised by the tests.
+    quadrature, exercised by the tests.  Fewer than 64 points per axis
+    raise ``ValidationError``, as for ``joint_density_grid``.
     """
+    if resolution < 64:
+        raise ValidationError(f"resolution must be >= 64 per axis, got {resolution}")
     prior = LTPrior(sigma_beta, sigma_psi)
     mode, cov, log_ml, _ = _fit(d, Hypothesis.H1, prior)
     half = GRID_HALF_WIDTH_SD * np.sqrt(np.diag(cov))

@@ -93,9 +93,7 @@ class DensityGrid:
     """Density values tabulated on a 1D axis or a 2D product grid.
 
     ``normalization`` records the trapezoid-rule integral of the stored
-    values over the grid.  ``contains_point_mass`` flags priors whose
-    mass is not entirely absolutely continuous over the grid (the
-    clamped dependent prior); ``mc_estimate`` flags values estimated by
+    values over the grid.  ``mc_estimate`` flags values estimated by
     Monte Carlo rather than evaluated from a formula or quadrature.
     """
 
@@ -103,27 +101,16 @@ class DensityGrid:
     values: np.ndarray
     y_axis: np.ndarray | None = None
     normalization: float = field(default=float("nan"))
-    contains_point_mass: bool = False
     mc_estimate: bool = False
-
-    @staticmethod
-    def trapezoid(x_axis, values, y_axis=None) -> float:
-        if y_axis is None:
-            return float(np.trapezoid(values, x_axis))
-        return float(np.trapezoid(np.trapezoid(values, y_axis, axis=1), x_axis))
 
     @classmethod
     def build(cls, x_axis, values, y_axis=None, **flags) -> "DensityGrid":
         x_axis = np.asarray(x_axis, dtype=float)
         values = np.asarray(values, dtype=float)
-        norm = cls.trapezoid(x_axis, values, y_axis)
-        return cls(
-            x_axis=x_axis,
-            values=values,
-            y_axis=None if y_axis is None else np.asarray(y_axis, dtype=float),
-            normalization=norm,
-            **flags,
-        )
+        if y_axis is not None:
+            y_axis = np.asarray(y_axis, dtype=float)
+        norm = np.trapezoid(values if y_axis is None else np.trapezoid(values, y_axis, axis=1), x_axis)
+        return cls(x_axis=x_axis, values=values, y_axis=y_axis, normalization=float(norm), **flags)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import importlib.resources
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from pathlib import Path
@@ -230,6 +229,8 @@ def run_sweep(
             raise ValidationError(f"empty parameter grid for method {m!r}")
     cells = [(method, dict(params)) for method in methods for params in all_grids[method]]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only for workers
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_study = list(pool.map(_evaluate_study, batch, repeat(cells)))
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 
 
@@ -191,7 +191,9 @@ def lt_log_ml_h1_boundary_quad(d, sigma_beta, sigma_psi):
     (1 - sigma(-/+ x))^n: flat on one side of its knee at x = -/+ log n,
     and zero within a few units on the other; its binomial coefficient
     is 1.  Each axis runs over 40 standard deviations of its Gaussian,
-    split at its centre and at offsets of up to 30 from the knee.
+    split at its centre and at offsets of up to 30 from the knee.  Each
+    axis's factor at the integrand's peak is divided out of its rule, so
+    that a marginal far below 1 does not underflow.
     """
     var = sigma_beta**2 + 0.25 * sigma_psi**2
     cov = sigma_beta**2 - 0.25 * sigma_psi**2
@@ -209,23 +211,34 @@ def lt_log_ml_h1_boundary_quad(d, sigma_beta, sigma_psi):
         parts = [integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200) for a, b in zip(pts, pts[1:])]
         return sum(v for v, _ in parts), sum(e for _, e in parts)
 
-    def density(g, x, center, sd):  # group likelihood times a Gaussian density
+    def log_density(g, x, center, sd):  # log of group likelihood times a Gaussian density
         n, sign, _ = g
         softplus = max(sign * x, 0.0) + math.log1p(math.exp(-abs(x)))
-        return math.exp(-n * softplus - 0.5 * ((x - center) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+        return -n * softplus - 0.5 * ((x - center) / sd) ** 2 - math.log(sd * math.sqrt(2.0 * math.pi))
 
     inner_err = [0.0]
-    slope, cond_sd = cov / var, math.sqrt(var - cov * cov / var)
+    # var - cov^2 / var in closed form: the difference cancels for a strongly correlated prior
+    slope, cond_sd, sd = cov / var, sigma_beta * sigma_psi / math.sqrt(var), math.sqrt(var)
+
+    def log_f1(x1):
+        return log_density(groups[0], x1, 0.0, sd)
+
+    def log_f2(x1, x2):
+        return log_density(groups[1], x2, slope * x1, cond_sd)
+
+    # each axis's factor at the integrand's peak, found from the two knees, is taken
+    # out of its rule, so that a marginal far below 1 stays clear of underflow
+    peak = optimize.minimize(lambda x: -log_f1(x[0]) - log_f2(*x), [groups[0][2], groups[1][2]], method="Nelder-Mead")
+    shift1, shift2 = log_f1(peak.x[0]), log_f2(*peak.x)
 
     def slice_x1(x1):
         m = slope * x1
-        val, err = quad_pieces(lambda x2: density(groups[1], x2, m, cond_sd), groups[1][2], m, cond_sd)
+        val, err = quad_pieces(lambda x2: math.exp(log_f2(x1, x2) - shift2), groups[1][2], m, cond_sd)
         inner_err[0] = max(inner_err[0], err / val if val else 0.0)
         return val
 
-    sd = math.sqrt(var)
-    val, err = quad_pieces(lambda x1: density(groups[0], x1, 0.0, sd) * slice_x1(x1), groups[0][2], 0.0, sd)
-    return math.log(val), err / val + inner_err[0]
+    val, err = quad_pieces(lambda x1: math.exp(log_f1(x1) - shift1) * slice_x1(x1), groups[0][2], 0.0, sd)
+    return shift1 + shift2 + math.log(val), err / val + inner_err[0]
 
 
 def log_ml_h0_lt_simpson(d, sigma_beta=1.0, half_width_sd=12.0, n_points=20001):

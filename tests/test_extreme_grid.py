@@ -70,3 +70,26 @@ def test_failed_cells_and_disagreeing_sides_are_listed(tool):
     failed = {"outcome": "error", "error": "NumericalError", "log_bf01": None, "abs_error_estimate": None}
     assert tool.sides_agree([failed, failed])
     assert not tool.sides_agree([ok, failed])
+
+
+def test_warm_up_builds_every_gauss_hermite_rule(tool):
+    # a timed cell that climbs the whole ladder must not pay for the rule builds
+    tool._whitened_rule.cache_clear()
+    tool.warm_up((0, 1, 0, 1), [DepIBPrior(0.5, 0.5)])
+    info = tool._whitened_rule.cache_info()
+    assert info.currsize == info.misses == 2 * len(tool.NODE_SCHEDULE)
+
+
+@pytest.mark.parametrize(
+    "failed_cells, agree, status", [(0, True, 0), (3, True, 1), (0, False, 1), (3, False, 1)]
+)
+def test_exit_status_gates_on_failures_and_disagreement(tool, monkeypatch, tmp_path, failed_cells, agree, status):
+    cell = {"study": [0, 1, 0, 1], "prior": "LTPrior(1, 1)", "side": "study", "seconds": 0.01}
+    summary = {
+        "cells": 3, "failed_cells": failed_cells, "failing": [], "swap_sides_agree": agree,
+        "disagreeing": [], "slowest": cell, "total_s": 0.03, "warmup_s": {"LTPrior": 0.01},
+    }
+    monkeypatch.setattr(tool, "run_grid", lambda: {"summary": summary, "cells": [cell] * 3})
+    out = tmp_path / "grid.json"
+    assert tool.main(["--out", str(out)]) == status
+    assert json.loads(out.read_text())["summary"] == summary

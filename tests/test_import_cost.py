@@ -5,7 +5,9 @@ much as numpy itself, and a one-off ``bf2p bf`` call is almost all
 import.  Each check runs in a fresh interpreter and lists the scipy
 modules loaded at its end; only dep-IB's normal CDFs and the oracle may
 load ``scipy.special``, on first use.  No module imports
-``scipy.integrate``: every integral runs on numpy.
+``scipy.integrate``: every integral runs on numpy.  Nor does ``import
+bf2p`` load ``multiprocessing``, about 25 ms of imports that only a
+sweep with worker processes needs.
 """
 
 import ast
@@ -51,6 +53,15 @@ def test_import_does_not_load_scipy_stats():
 
 def test_import_does_not_load_scipy():
     out = _run("import bf2p, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
+
+
+def test_import_does_not_load_multiprocessing():
+    # run_sweep imports its process pool only when it runs workers
+    out = _run(
+        "import bf2p, sys; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
     assert out.strip() == "[]"
 
 

@@ -363,19 +363,36 @@ class TestNodeCap:
 
 class TestWidePriorBoundaryCounts:
     @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
-    def test_h1_marginal_matches_nested_quad_on_every_side(self):
-        # under LTPrior(50, 50) the likelihood of a group with no events is flat
-        # below its knee at beta ~ -log n, so the posterior is half a Gaussian:
-        # Gauss-Hermite converges algebraically and the tanh-sinh fallback runs
-        d = TwoByTwoData(0, 10**6, 0, 10**6)
-        prior = LTPrior(50.0, 50.0)
-        ref, ref_err = lt_log_ml_h1_boundary_quad(d, 50.0, 50.0)
-        assert ref == pytest.approx(-1.3626872076, abs=1e-10)
+    @pytest.mark.parametrize(
+        "counts, sigma_beta, sigma_psi, expected",
+        [
+            # under LTPrior(50, 50) the likelihood of a group with no events is flat
+            # below its knee at beta ~ -log n, so the posterior is half a Gaussian:
+            # Gauss-Hermite converges algebraically and the tanh-sinh fallback runs
+            ((0, 10**6, 0, 10**6), 50.0, 50.0, -1.3626872076),
+            # one group at 0 and the other at n: the two knees cross the (beta, psi)
+            # axes obliquely, and only the fallback whitened along the log odds
+            # puts each of them on one axis
+            ((0, 10**6, 10**6, 10**6), 50.0, 50.0, -2.7124684781),
+            ((0, 1, 10**6, 10**6), 50.0, 50.0, -2.2949278186),
+            ((0, 10**8, 10**8, 10**8), 50.0, 50.0, -3.0148368467),
+            ((0, 1, 0, 10**6), 50.0, 50.0, -1.2117756853),
+            # strongly correlated priors: the groups' log odds nearly coincide
+            ((0, 1, 0, 1), 50.0, 0.01, -0.7092230465),
+            ((0, 10**8, 10**8, 10**8), 50.0, 1.0, -518.5118279077),
+        ],
+    )
+    def test_h1_marginal_matches_nested_quad_on_every_side(self, counts, sigma_beta, sigma_psi, expected):
+        d = TwoByTwoData(*counts)
+        prior = LTPrior(sigma_beta, sigma_psi)
+        ref, ref_err = lt_log_ml_h1_boundary_quad(d, sigma_beta, sigma_psi)
+        assert ref == pytest.approx(expected, abs=1e-10)
         events = TwoByTwoData(d.n1 - d.y1, d.n1, d.n2 - d.y2, d.n2)
         for side in (d, d.swapped(), events):
             val, err = lt_mod._log_ml(side, Hypothesis.H1, prior)
+            assert abs(val - ref) <= 1e-11, side
             assert abs(val - ref) <= err + ref_err, side
-            assert math.isfinite(bf01_lt(side, 50.0, 50.0).log_bf01), side
+            assert math.isfinite(bf01_lt(side, sigma_beta, sigma_psi).log_bf01), side
 
     @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
     def test_mixed_single_trial_cell_matches_nested_quad(self):

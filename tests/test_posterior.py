@@ -66,6 +66,17 @@ class TestLTGrid:
         total = simpson(simpson(g.values, x=g.y_axis, axis=1), x=g.x_axis)
         assert total == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 5, 63])
+    def test_tiny_grid_rejected(self, magee_text, resolution):
+        # a grid this coarse misses its own normalization: 10.3 at 3 points per axis on (18, 493, 10, 488)
+        with pytest.raises(ValidationError, match="resolution"):
+            posterior_grid_lt(magee_text, 1.0, 1.0, resolution=resolution)
+
+    def test_smallest_grid_is_normalized(self, magee_text):
+        g = posterior_grid_lt(magee_text, 1.0, 1.0, resolution=64)
+        assert g.x_axis.size == g.y_axis.size == 64
+        assert g.normalization == pytest.approx(1.0, abs=1e-10)
+
     def test_symmetric_data_centers_psi_at_zero(self):
         g = posterior_grid_lt(TwoByTwoData(50, 100, 50, 100), 1.0, 1.0)
         s = summarize_posterior(g, "psi")

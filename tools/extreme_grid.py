@@ -9,9 +9,12 @@ event swap.  Per cell the output gives the outcome ("value" or
 seconds taken.  The summary lists the failing (study, prior) pairs,
 whether the swap sides of every pair agree (the same outcome, and
 values within the sum of their estimates), the slowest cell and the
-total time.  One untimed warm-up cell per prior family runs first, so
-that no timed cell pays a first import (``scipy.special`` for dep-IB)
-or a first rule build; the summary gives the warm-ups' seconds.
+total time.  An untimed warm-up runs first, so that no timed cell pays
+a first import (``scipy.special`` for dep-IB) or a first rule build: it
+builds every Gauss-Hermite rule of ``NODE_SCHEDULE``, 1-D and 2-D, and
+runs one cell per prior family; the summary gives the warm-up cells'
+seconds.  The exit status is 1 when any cell fails or the swap sides
+of any pair disagree.
 
     PYTHONPATH=src python3 tools/extreme_grid.py --out extreme_grid.json
 """
@@ -26,6 +29,7 @@ import time
 import warnings
 
 from bf2p import evidence
+from bf2p.lt import NODE_SCHEDULE, _whitened_rule
 from bf2p.model import (
     ConfigError,
     DepIBPrior,
@@ -94,7 +98,10 @@ def sides_agree(cells: list[dict]) -> bool:
 
 
 def warm_up(study, priors) -> dict:
-    """Seconds of one cell of ``study`` under the first prior of each family, keyed by family."""
+    """Build every Gauss-Hermite rule, then run one cell of ``study`` under the first prior of each
+    family; the cells' seconds, keyed by family."""
+    for n, k in itertools.product(NODE_SCHEDULE, (1, 2)):
+        _whitened_rule(n, k)
     firsts = {}
     for prior in priors:
         firsts.setdefault(type(prior).__name__, prior)
@@ -143,7 +150,7 @@ def main(argv=None) -> int:
         + ", ".join(f"{family} {sec:.3f} s" for family, sec in s["warmup_s"].items()),
         file=sys.stderr,
     )
-    return 0
+    return 1 if s["failed_cells"] or not s["swap_sides_agree"] else 0
 
 
 if __name__ == "__main__":
