@@ -24,9 +24,20 @@ integrates over LT's (beta, psi); a clamped wedge, where one rate sits
 on 0 or 1, carries likelihood only when that group's count sits on the
 same bound, and its prior eta integral is a difference of two normal
 CDFs, leaving a 1-D integral over the free rate on ``bf2p.special``'s
-tanh-sinh rule.  The error estimate sums the engine's estimates for H0
-and the core and the rule's 1e-12 for each wedge, each weighted by its
-share of its marginal.
+tanh-sinh rule.
+
+A core with a count at 0 or n has an exponential tail in log odds,
+which takes the engine's Gauss-Hermite ladder to its last rule.  In the
+rates (t1, t2) the same core, with no Jacobian, is smooth and
+log-concave on the unit square, so it first goes to a tensor
+Gauss-Legendre pair there (``RATE_NODES``, 20 and 40 nodes per rate).
+The finer value stands when the two agree to ``DEFAULT_REL_TOL``, or
+to the log integral's rounding where that is larger; the gap, floored
+at that rounding, is its error estimate.  Otherwise (a narrow eta
+prior's ridge along t1 = t2, or n of some 50 and more) the core goes
+to the engine, as an interior core always does.  The error estimate
+sums the estimates for H0 and the core and the rule's 1e-12 for each
+wedge, each weighted by its share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
 samples every family; the functions here delegate to it.
@@ -35,11 +46,19 @@ samples every family; the functions here delegate to it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .lt import (
-    _ROUNDING, _binom_grad_curv, _empirical_logit, _integrate, _log_binom_lik, _log_coeffs, _logsumexp,
+    DEFAULT_REL_TOL,
+    _ROUNDING,
+    _binom_grad_curv,
+    _empirical_logit,
+    _integrate,
+    _log_binom_lik,
+    _log_coeffs,
+    _logsumexp,
 )
 from .model import (
     DepIBPrior,
@@ -62,6 +81,11 @@ __all__ = [
     "sample_prior_depib",
     "prior_correlation_depib",
 ]
+
+#: Gauss-Legendre nodes per rate of the coarse and fine rules over a core
+#: with a count at 0 or n; the fine rule's value stands when the two agree.
+RATE_NODES = (20, 40)
+
 
 def clamped_rates(eta: float, zeta: float) -> ProportionPair:
     """Map (eta, zeta) to rates, clamping each into [0, 1]."""
@@ -136,6 +160,66 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
     return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
 
 
+@lru_cache(maxsize=None)
+def _rate_rule(m: int):
+    """(t, log t, log(1 - t), log weights) of the m-point Gauss-Legendre rule on (0, 1).
+
+    The nodes x on (-1, 1) are numpy's ``leggauss``; its weights lose up
+    to 3e3 eps at the ends, where a core with a count at 0 or n keeps its
+    mass, so they are taken again from P_m'(x) by the three-term recurrence.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    x = leggauss(m)[0]
+    p0, p1 = np.ones_like(x), x  # P_{k-1}(x), P_k(x)
+    for k in range(2, m + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (m * (p0 - x * p1)) ** 2  # 2 / ((1 - x^2) P_m'(x)^2)
+    # t = (1 + x)/2 and 1 - t = (1 - x)/2 each keep their digits near their own bound
+    out = 0.5 * (1.0 + x), np.log(0.5 * (1.0 + x)), np.log(0.5 * (1.0 - x)), np.log(0.5 * w)
+    for a in out:  # shared by every caller
+        a.setflags(write=False)
+    return out
+
+
+def _log_core_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
+    """Log integral of the H1 core over the rates' unit square by the m x m tensor rule.
+
+    In (t1, t2) the core is the two binomial kernels times the eta and
+    zeta densities, with no Jacobian (eta = t2 - t1, zeta = (t1 + t2)/2).
+    """
+    t, log_t, log_c, lw = _rate_rule(m)
+    lik1 = lw + d.y1 * log_t + (d.n1 - d.y1) * log_c
+    lik2 = lw + d.y2 * log_t + (d.n2 - d.y2) * log_c
+    t1, t2 = t[:, None], t[None, :]
+    logf = (
+        (lik1[:, None] + lik2[None, :])
+        + log_density_truncated_gaussian(t2 - t1, cfg.sigma_eta, -1.0, 1.0)
+        + _log_prior_zeta(0.5 * (t1 + t2), cfg)
+    )
+    return _logsumexp(logf.ravel())
+
+
+def _log_core(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
+    """(log integral, error estimate) of the H1 core, both rates interior.
+
+    With a count at 0 or n the core's logit tails are exponential, which
+    Gauss-Hermite resolves only slowly; on the rates' square the same
+    core is smooth and log-concave, so the ``RATE_NODES`` pair runs
+    first.  Its error estimate is the gap between the two rules, floored
+    at the rounding; a gap above ``DEFAULT_REL_TOL`` (a narrow eta prior's
+    ridge along t1 = t2, or a likelihood peak too narrow at large n)
+    hands the core to the engine, as every interior core is.
+    """
+    if d.y1 in (0, d.n1) or d.y2 in (0, d.n2):
+        coarse, val = (_log_core_rates(d, cfg, m) for m in RATE_NODES)
+        floor = _ROUNDING * (1.0 + abs(val))
+        err = max(abs(val - coarse), floor)
+        if err <= max(DEFAULT_REL_TOL, floor):
+            return val, err
+    return _integrate(*_core(d, cfg), "dep-IB H1 core")[2:]
+
+
 def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float):
     """(log integral, relative error) over one clamped wedge.
 
@@ -179,7 +263,7 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
 
 def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     """(log marginal, error estimate) of the free-(eta, zeta) model."""
-    parts = [_integrate(*_core(d, cfg), "dep-IB H1 core")[2:]]
+    parts = [_log_core(d, cfg)]
     zc = cfg.zeta_center
     wedges = (
         (d.y1 == 0, d.y2, d.n2, zc),  # theta1 clamped to 0

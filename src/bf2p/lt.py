@@ -423,8 +423,14 @@ def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
         halves = _tanh_sinh(log_f, np.arange(2 * m), what, peak)
         return np.logaddexp(halves[0::2], halves[1::2])
 
-    def at(*z):
-        return logf(mode + np.stack(np.broadcast_arrays(*z), axis=-1) @ chol.T)
+    mu, c = mode.tolist(), chol.tolist()
+
+    def at(z1, z2=None):  # x = mode + chol z, one coordinate at a time with chol's entries as floats
+        if z2 is None:
+            return logf((mu[0] + c[0][0] * z1)[..., None])
+        x1 = mu[0] + (c[0][0] * z1 + c[0][1] * z2)
+        x2 = mu[1] + (c[1][0] * z1 + c[1][1] * z2)
+        return logf(np.stack((x1, x2), axis=-1))
 
     def slices(z1):  # log of the integral over z2 at every z1
         blocks = np.split(z1.ravel(), range(_SLICES, z1.size, _SLICES))

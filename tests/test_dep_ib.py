@@ -9,6 +9,7 @@ from scipy import integrate
 from scipy.stats import truncnorm
 
 import bf2p.dep_ib as dep_ib_mod
+import bf2p.lt as lt_mod
 from bf2p.dep_ib import (
     bf01_depib,
     clamped_rates,
@@ -114,6 +115,40 @@ class TestBayesFactor:
         assert wide / bf01_ib(d, 1.0).bf01 == pytest.approx(2.0, rel=0.15)
 
 
+def _swap_sides(y1, n1, y2, n2):
+    """The study's counts, its group swap, its event swap and both swaps."""
+    return [(y1, n1, y2, n2), (y2, n2, y1, n1), (n1 - y1, n1, n2 - y2, n2), (n2 - y2, n2, n1 - y1, n1)]
+
+
+#: Cores that take the rate pair: the studies of the benchmark's dep-IB panel
+#: with a count at 0 or n, under the sweep's narrowest and widest eta scales,
+#: and a single-trial study on every swap side.
+_RATE_CELLS = [
+    (counts, DepIBPrior(sigma_eta))
+    for counts in [(0, 16, 3, 16), (8, 12, 12, 12), (0, 10, 2, 10), (0, 20, 0, 20)]
+    for sigma_eta in (0.2, 1.0)
+] + [(side, DepIBPrior(0.5, 0.5)) for side in _swap_sides(0, 1, 1, 1)]
+
+
+def _h1_core_route(d, cfg, monkeypatch) -> str:
+    """How the H1 core is integrated: "rates", "ladder" (Gauss-Hermite) or "tanh-sinh"."""
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.append(args[-1])  # the problem's name
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(dep_ib_mod, "_integrate", recording(dep_ib_mod._integrate))
+    monkeypatch.setattr(lt_mod, "_whitened_tanhsinh", recording(lt_mod._whitened_tanhsinh))
+    dep_ib_mod._log_ml_h1(d, cfg)
+    if "dep-IB H1 core marginal" in seen:
+        return "tanh-sinh"
+    return "ladder" if "dep-IB H1 core" in seen else "rates"
+
+
 class TestAgainstGaussLegendreOracle:
     @pytest.mark.parametrize(
         "counts, sigma_eta, zeta_center",
@@ -152,6 +187,31 @@ class TestAgainstGaussLegendreOracle:
         res = bf01_depib(d, DepIBPrior(sigma_eta, sigma_zeta))
         ml0, ml1, gap = depib_log_marginals_gauss_legendre(d, sigma_eta, sigma_zeta)
         assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + gap
+
+    @pytest.mark.parametrize("counts, cfg", _RATE_CELLS)
+    def test_rate_pair_error_estimate_bounds_the_error(self, counts, cfg):
+        d = TwoByTwoData(*counts)
+        res = bf01_depib(d, cfg)
+        ml0, ml1, gap = depib_log_marginals_gauss_legendre(d, cfg.sigma_eta, cfg.sigma_zeta)
+        assert gap <= 1e-11
+        assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize(
+        "counts, cfg, route",
+        [(counts, cfg, "rates") for counts, cfg in _RATE_CELLS]
+        + [
+            # a narrow eta prior's ridge along t1 = t2 defeats the rate pair, and
+            # these cores go on past the Gauss-Hermite ladder to tanh-sinh
+            ((0, 3, 0, 3), DepIBPrior(0.05), "tanh-sinh"),
+            ((1, 2, 0, 2), DepIBPrior(0.05), "tanh-sinh"),
+            ((0, 1, 1, 1), DepIBPrior(0.05), "tanh-sinh"),
+            ((7, 7, 2, 9), DepIBPrior(0.05, 0.3), "tanh-sinh"),
+            ((0, 2, 0, 2), DepIBPrior(0.02, 0.5), "tanh-sinh"),
+            ((3, 10, 5, 12), DepIBPrior(0.2), "ladder"),  # interior counts never try the rate pair
+        ],
+    )
+    def test_h1_core_route(self, counts, cfg, route, monkeypatch):
+        assert _h1_core_route(TwoByTwoData(*counts), cfg, monkeypatch) == route
 
     @pytest.mark.parametrize(
         "counts, sigma_eta",

@@ -40,6 +40,10 @@ def test_subset_records_every_side_and_a_summary(tool):
     assert summary["failing"] == [] and summary["failed_cells"] == 0
     assert summary["swap_sides_agree"] and summary["disagreeing"] == []
     assert summary["slowest"]["seconds"] == max(c["seconds"] for c in cells)
+    retimed = summary["retimed"]
+    slowest = sorted(c["seconds"] for c in cells)[-tool.RETIMED :]
+    assert sorted(r["seconds"] for r in retimed) == slowest
+    assert all(r["median_s"] > 0.0 for r in retimed)
     assert summary["total_s"] == pytest.approx(sum(c["seconds"] for c in cells))
     assert list(summary["warmup_s"]) == ["LTPrior"] and summary["warmup_s"]["LTPrior"] > 0.0
     json.dumps(out, allow_nan=False)
@@ -47,7 +51,8 @@ def test_subset_records_every_side_and_a_summary(tool):
 
 def test_one_untimed_warm_up_per_family_runs_first(tool, monkeypatch):
     # the first call of a family pays its imports and rule builds: one cell per
-    # family runs before the timed loop and stays out of the cells
+    # family runs before the timed loop and stays out of the cells; the five
+    # slowest cells then run three times more
     calls, evidence = [], tool.evidence
 
     def recording(d, prior):
@@ -58,7 +63,7 @@ def test_one_untimed_warm_up_per_family_runs_first(tool, monkeypatch):
     priors = [LTPrior(1.0, 1.0), LTPrior(0.01, 1.0), DepIBPrior(0.5, 0.5)]
     out = tool.run_grid(studies=[(0, 1, 0, 1)], priors=priors)
     assert calls[:2] == [((0, 1, 0, 1), "LTPrior(1, 1)"), ((0, 1, 0, 1), "DepIBPrior(0.5, 0.5)")]
-    assert len(calls) == 2 + out["summary"]["cells"] == 2 + 9
+    assert len(calls) == 2 + out["summary"]["cells"] + tool.REPEATS * tool.RETIMED == 2 + 9 + 3 * 5
     warmup = out["summary"]["warmup_s"]
     assert list(warmup) == ["LTPrior", "DepIBPrior"] and min(warmup.values()) > 0.0
 
@@ -70,6 +75,19 @@ def test_failed_cells_and_disagreeing_sides_are_listed(tool):
     failed = {"outcome": "error", "error": "NumericalError", "log_bf01": None, "abs_error_estimate": None}
     assert tool.sides_agree([failed, failed])
     assert not tool.sides_agree([ok, failed])
+
+
+def test_retime_reports_the_median_of_the_reruns(tool, monkeypatch):
+    # a single timing reads the machine's load; the re-runs' median stands next to it
+    times = iter([0.5, 0.1, 0.3, 0.2, 0.2, 0.2])
+    monkeypatch.setattr(tool, "run_cell", lambda counts, prior, side: {"seconds": next(times)})
+    cells = [
+        {"study": [0, 1, 0, 1], "prior": "LTPrior(1, 1)", "side": side, "seconds": sec}
+        for side, sec in (("study", 0.9), ("group_swap", 0.01), ("event_swap", 0.4))
+    ]
+    monkeypatch.setattr(tool, "RETIMED", 2)
+    out = tool.retime(cells, [LTPrior(1.0, 1.0)])
+    assert [(r["side"], r["seconds"], r["median_s"]) for r in out] == [("study", 0.9, 0.3), ("event_swap", 0.4, 0.2)]
 
 
 def test_warm_up_builds_every_gauss_hermite_rule(tool):
@@ -87,7 +105,8 @@ def test_exit_status_gates_on_failures_and_disagreement(tool, monkeypatch, tmp_p
     cell = {"study": [0, 1, 0, 1], "prior": "LTPrior(1, 1)", "side": "study", "seconds": 0.01}
     summary = {
         "cells": 3, "failed_cells": failed_cells, "failing": [], "swap_sides_agree": agree,
-        "disagreeing": [], "slowest": cell, "total_s": 0.03, "warmup_s": {"LTPrior": 0.01},
+        "disagreeing": [], "slowest": cell, "retimed": [{**cell, "median_s": 0.01}], "total_s": 0.03,
+        "warmup_s": {"LTPrior": 0.01},
     }
     monkeypatch.setattr(tool, "run_grid", lambda: {"summary": summary, "cells": [cell] * 3})
     out = tmp_path / "grid.json"
