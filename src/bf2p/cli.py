@@ -51,7 +51,10 @@ DEFAULT_SEED = 20150493
 
 def _seed_default() -> int:
     env = os.environ.get("BF2P_SEED")
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ConfigError(f"BF2P_SEED must be an integer, got {env!r}") from None
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -127,7 +130,10 @@ def _cmd_avg(args) -> int:
     if args.weights is None:
         weights = equal_weights()
     else:
-        vals = [float(w) for w in args.weights.split(",")]
+        try:
+            vals = [float(w) for w in args.weights.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--weights takes numbers: {exc}") from None
         if len(vals) != 4:
             raise ConfigError(
                 "--weights needs 4 comma-separated values for "
@@ -275,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="theta1-theta2", help="axes for --quantity joint",
     )
     p.add_argument("--resolution", type=int, default=128, help="joint grid axis size")
-    p.add_argument("--seed", type=int, default=_seed_default())
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=_cmd_priors)
 
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", choices=("psi", "eta"), default="psi")
     _add_prior_flags(p)
     p.add_argument("--n-draws", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=_seed_default())
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_posterior)
 
     p = sub.add_parser("reanalyze", help="batch sweep over a study corpus")
@@ -321,6 +327,8 @@ def main(argv=None) -> int:
     if getattr(args, "method", None) is None and args.command == "sensitivity":
         args.method = ["ib", "lt"]
     try:
+        if "seed" in args and args.seed is None:
+            args.seed = _seed_default()
         return args.func(args)
     except (ValidationError, ConfigError, DomainError, UnsupportedFeatureError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,15 +29,13 @@ tanh-sinh rule.
 A core with a count at 0 or n has an exponential tail in log odds,
 which takes the engine's Gauss-Hermite ladder to its last rule.  In the
 rates (t1, t2) the same core, with no Jacobian, is smooth and
-log-concave on the unit square, so it first goes to a tensor
-Gauss-Legendre pair there (``RATE_NODES``, 20 and 40 nodes per rate).
-The finer value stands when the two agree to ``DEFAULT_REL_TOL``, or
-to the log integral's rounding where that is larger; the gap, floored
-at that rounding, is its error estimate.  Otherwise (a narrow eta
-prior's ridge along t1 = t2, or n of some 50 and more) the core goes
-to the engine, as an interior core always does.  The error estimate
-sums the estimates for H0 and the core and the rule's 1e-12 for each
-wedge, each weighted by its share of its marginal.
+log-concave on the unit square, so it first climbs a ladder of two
+tensor Gauss-Legendre rules there (``RATE_NODES``, 20 and 40 nodes per
+rate), under the engine's stop test and error floor.  Where they do not
+agree (a narrow eta prior's ridge along t1 = t2, or n of some 50 and
+more) the core goes to the engine, as an interior core always does.
+The error estimate sums the estimates for H0 and the core and the
+rule's 1e-12 for each wedge, each weighted by its share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
 samples every family; the functions here delegate to it.
@@ -51,10 +49,10 @@ from functools import lru_cache
 import numpy as np
 
 from .lt import (
-    DEFAULT_REL_TOL,
     _ROUNDING,
     _binom_grad_curv,
     _empirical_logit,
+    _first_agreement,
     _integrate,
     _log_binom_lik,
     _log_coeffs,
@@ -71,7 +69,7 @@ from .model import (
     expit_pair,
 )
 from .priors import _draw_rates, prior_correlation
-from .special import _TS_REL_TOL, _log_gaussian_mass, _tanh_sinh, log_density_truncated_gaussian
+from .special import _TS_REL_TOL, _gauss_legendre, _log_gaussian_mass, _tanh_sinh, log_density_truncated_gaussian
 
 __all__ = [
     "clamped_rates",
@@ -162,19 +160,8 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
 
 @lru_cache(maxsize=None)
 def _rate_rule(m: int):
-    """(t, log t, log(1 - t), log weights) of the m-point Gauss-Legendre rule on (0, 1).
-
-    The nodes x on (-1, 1) are numpy's ``leggauss``; its weights lose up
-    to 3e3 eps at the ends, where a core with a count at 0 or n keeps its
-    mass, so they are taken again from P_m'(x) by the three-term recurrence.
-    """
-    from numpy.polynomial.legendre import leggauss
-
-    x = leggauss(m)[0]
-    p0, p1 = np.ones_like(x), x  # P_{k-1}(x), P_k(x)
-    for k in range(2, m + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (m * (p0 - x * p1)) ** 2  # 2 / ((1 - x^2) P_m'(x)^2)
+    """(t, log t, log(1 - t), log weights) of the m-point Gauss-Legendre rule on (0, 1)."""
+    x, w = _gauss_legendre(m)
     # t = (1 + x)/2 and 1 - t = (1 - x)/2 each keep their digits near their own bound
     out = 0.5 * (1.0 + x), np.log(0.5 * (1.0 + x)), np.log(0.5 * (1.0 - x)), np.log(0.5 * w)
     for a in out:  # shared by every caller
@@ -205,18 +192,16 @@ def _log_core(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
 
     With a count at 0 or n the core's logit tails are exponential, which
     Gauss-Hermite resolves only slowly; on the rates' square the same
-    core is smooth and log-concave, so the ``RATE_NODES`` pair runs
-    first.  Its error estimate is the gap between the two rules, floored
-    at the rounding; a gap above ``DEFAULT_REL_TOL`` (a narrow eta prior's
-    ridge along t1 = t2, or a likelihood peak too narrow at large n)
-    hands the core to the engine, as every interior core is.
+    core is smooth and log-concave, so the ``RATE_NODES`` rules are
+    tried first, as a ladder under ``lt._first_agreement``.  If they do
+    not agree (a narrow eta prior's ridge along t1 = t2, or a likelihood
+    peak too narrow at large n), the engine takes the core, as it takes
+    every interior core.
     """
     if d.y1 in (0, d.n1) or d.y2 in (0, d.n2):
-        coarse, val = (_log_core_rates(d, cfg, m) for m in RATE_NODES)
-        floor = _ROUNDING * (1.0 + abs(val))
-        err = max(abs(val - coarse), floor)
-        if err <= max(DEFAULT_REL_TOL, floor):
-            return val, err
+        found = _first_agreement(_log_core_rates(d, cfg, m) for m in RATE_NODES)
+        if found is not None:
+            return found
     return _integrate(*_core(d, cfg), "dep-IB H1 core")[2:]
 
 

@@ -6,9 +6,10 @@ tanh-sinh rule, for log-space integrals over (0, 1), which Appell's F1
 (through its Euler integral), every integrated induced density (among
 them the density of the rate difference eta under independent Beta
 priors), the clamped dep-IB wedges and the fallback of the quadrature
-engine in ``bf2p.lt`` share; the closed-form density of the log odds
-ratio psi for the uniform (a = 1) case; and the elementary log-density helpers, among them the
-truncated Gaussian, whose normal CDFs come from ``scipy.special``.
+engine in ``bf2p.lt`` share; its one Gauss-Legendre rule; the
+closed-form density of the log odds ratio psi for the uniform (a = 1)
+case; and the elementary log-density helpers, among them the truncated
+Gaussian, whose normal CDFs come from ``scipy.special``.
 scipy is imported by the functions that use it, so ``import bf2p`` does
 not load it.
 """
@@ -275,13 +276,20 @@ def log_density_gaussian(x, sigma: float):
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule():
-    """Gauss-Legendre nodes and weights on [-1, 1] for narrow Gaussian windows.
+def _gauss_legendre(m: int):
+    """Read-only nodes x and weights w of the m-point Gauss-Legendre rule on (-1, 1).
 
-    Seven nodes integrate exp(-m h xi - h^2 xi^2 / 2) to rounding while
-    h max(1, |m|) <= 1/2.
+    The nodes are numpy's ``leggauss``; its weights lose up to 3e3 eps at
+    the end nodes by m = 40, so they come from the three-term recurrence.
     """
-    return np.polynomial.legendre.leggauss(7)
+    x = np.polynomial.legendre.leggauss(m)[0]
+    p0, p1 = np.ones_like(x), x  # P_{k-1}(x), P_k(x)
+    for k in range(2, m + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (m * (p0 - x * p1)) ** 2  # 2 / ((1 - x^2) P_m'(x)^2)
+    for a in (x, w):  # shared by every caller
+        a.setflags(write=False)
+    return x, w
 
 
 def _log_gaussian_mass(lo, hi, center, sigma):
@@ -293,7 +301,8 @@ def _log_gaussian_mass(lo, hi, center, sigma):
     on a narrow window, to about eps / (2h) relative, so there the mass
     is 2h phi(m) times the mean of phi(m + h xi) / phi(m) over xi in
     (-1, 1), whose log is ln 2h + ln phi(m) + log1p(mean - 1), the mean
-    taken by Gauss-Legendre quadrature.
+    taken by the 7-point Gauss-Legendre rule, which integrates
+    exp(-m h xi - h^2 xi^2 / 2) to rounding while h max(1, |m|) <= 1/2.
     """
     from scipy.special import log_ndtr
 
@@ -307,7 +316,7 @@ def _log_gaussian_mass(lo, hi, center, sigma):
         out = lb + np.log(-np.expm1(la - lb))
         if narrow.any():
             m, h = np.where(narrow, m, 0.0), np.where(narrow, h, 0.0)
-            xi, w = _legendre_rule()
+            xi, w = _gauss_legendre(7)
             t = np.multiply.outer(-m * h, xi) - np.multiply.outer(0.5 * h * h, xi * xi)
             log_mean = np.log1p(0.5 * (np.expm1(t) @ w))
             out = np.where(narrow, np.log(2.0 * h) - 0.5 * m * m - _LN_SQRT_2PI + log_mean, out)

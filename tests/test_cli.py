@@ -106,6 +106,14 @@ class TestAvg:
         )
         assert code == 1
 
+    def test_non_numeric_weights_exit_code(self, capsys):
+        code, _, err = run(
+            capsys, "avg", "--y1", "1", "--n1", "5", "--y2", "1", "--n2", "5",
+            "--weights", "a,b,c,d",
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "'a'" in err
+
 
 class TestPriors:
     def test_lt_correlation_vanishes_at_doubled_scale(self, capsys):
@@ -157,6 +165,16 @@ class TestPriors:
         )
         explicit_out = capsys.readouterr().out
         assert env_out == explicit_out
+
+    def test_malformed_env_seed_fails_only_seeded_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("BF2P_SEED", "abc")
+        code, _, err = run(
+            capsys, "priors", "--config", "lt", "--quantity", "correlation", "--n-draws", "100000",
+        )
+        assert code == 1
+        assert err.splitlines() == ["error: BF2P_SEED must be an integer, got 'abc'"]
+        code, out, err = run(capsys, "bf", "--y1", "1", "--n1", "10", "--y2", "2", "--n2", "10")
+        assert code == 0 and "BF01 = " in out and not err
 
 
 class TestPosterior:

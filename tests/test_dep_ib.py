@@ -214,6 +214,23 @@ class TestAgainstGaussLegendreOracle:
         assert _h1_core_route(TwoByTwoData(*counts), cfg, monkeypatch) == route
 
     @pytest.mark.parametrize(
+        "counts, cfg, ref",
+        [
+            # 25-digit references, where tanh-sinh and Gauss-Legendre in mpmath
+            # agree to 22 digits; the rate pair's two rules agree to the last
+            # bits here, so only the rounding floor can cover the error
+            ((0, 20, 0, 1), DepIBPrior(0.5, 1.0, zeta_center=0.0), -4.0062175619169143386),
+            ((1, 2, 0, 16), DepIBPrior(0.2, 1.0), -5.36829711862840975563),
+            ((0, 9, 1, 16), DepIBPrior(0.5, 1.0), -8.152092689992427164145),
+        ],
+    )
+    def test_rate_pair_estimate_covers_its_rounding(self, counts, cfg, ref, monkeypatch):
+        d = TwoByTwoData(*counts)
+        assert _h1_core_route(d, cfg, monkeypatch) == "rates"
+        val, err = dep_ib_mod._log_core(d, cfg)
+        assert abs(val - ref) <= err
+
+    @pytest.mark.parametrize(
         "counts, sigma_eta",
         [((0, 8, 3, 9), 0.2), ((2, 7, 6, 6), 0.5), ((0, 3, 0, 3), 0.05), ((0, 10**8, 0, 10**8), 0.2)],
     )

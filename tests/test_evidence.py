@@ -130,4 +130,4 @@ class TestErrorFloor:
         family = lt if isinstance(prior, LTPrior) else dep_ib
         val, err = family._log_ml(TwoByTwoData(*counts), Hypothesis.H0, prior)
         assert math.isfinite(val)
-        assert err == pytest.approx(2 * sys.float_info.epsilon * abs(val), rel=1e-5)
+        assert err == pytest.approx(lt._ROUNDING * abs(val), rel=1e-5)

@@ -361,6 +361,28 @@ class TestNodeCap:
             log_ml_h1_lt(TwoByTwoData(0, 10**6, 0, 10**6), 50.0, 50.0)
 
 
+class TestFirstAgreement:
+    def test_stops_at_the_first_agreeing_pair_without_computing_further(self):
+        seen = []
+
+        def ladder():
+            for v in (-3.0, -2.5, -2.5 + 1e-9, -2.5 + 2e-9, None):
+                seen.append(v)
+                yield v
+
+        val, err = lt_mod._first_agreement(ladder())
+        assert (val, err) == (-2.5 + 1e-9, pytest.approx(1e-9))
+        assert len(seen) == 3
+
+    def test_floor_bounds_the_estimate_below(self):
+        val, err = lt_mod._first_agreement(iter([-7.0, -7.0]))
+        assert (val, err) == (-7.0, 8.0 * lt_mod._ROUNDING)
+
+    def test_none_when_no_two_agree(self):
+        assert lt_mod._first_agreement(iter([1.0, 2.0, 3.0])) is None
+        assert lt_mod._first_agreement(iter([1.0])) is None
+
+
 class TestWidePriorBoundaryCounts:
     @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
     @pytest.mark.parametrize(

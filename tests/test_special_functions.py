@@ -12,6 +12,7 @@ from scipy.stats import truncnorm
 
 from bf2p.model import DomainError
 from bf2p.special import (
+    _gauss_legendre,
     _log_gaussian_mass,
     _ppf_truncated_gaussian,
     appell_f1,
@@ -314,6 +315,47 @@ class TestGaussianMass:
             err = np.array([float(abs(g - r)) for g, r in zip(got, ref)])  # = relative error of the mass
             assert np.max(err) <= 1e-14
             assert _log_gaussian_mass(float(lo_[0]), float(hi_[0]), center, sigma) == got[0]
+
+
+class TestGaussLegendre:
+    """The one Gauss-Legendre builder against a 30-digit rule."""
+
+    EPS = float(np.finfo(float).eps)
+
+    @staticmethod
+    def _rule_30_digits(x0, m):
+        """Nodes polished by Newton from ``x0``, and weights 2 / ((1 - x^2) P_m'(x)^2)."""
+        out = []
+        with mp.workdps(30):
+            for x in map(mp.mpf, x0.tolist()):
+                for _ in range(4):
+                    p0, p1 = mp.mpf(1), x
+                    for k in range(2, m + 1):
+                        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                    dp = m * (p0 - x * p1) / (1 - x * x)
+                    x -= p1 / dp
+                out.append((x, 2 / ((1 - x * x) * dp * dp)))
+        return out
+
+    @pytest.mark.parametrize("m", [7, 20, 40])
+    def test_matches_30_digit_rule(self, m):
+        # numpy's own weights are off by 5.5 eps at m = 20 and 14 eps at m = 40
+        x, w = _gauss_legendre(m)
+        ref = self._rule_30_digits(x, m)
+        assert max(abs(float(xi - r)) for xi, (r, _) in zip(x, ref)) <= self.EPS
+        assert max(abs(float(wi - r)) for wi, (_, r) in zip(w, ref)) <= 2 * self.EPS
+
+    @pytest.mark.parametrize("m", [7, 20, 40])
+    def test_integrates_highest_exact_power(self, m):
+        # x^(2m-2) at nodes rounded by half an ulp carries (2m - 2) eps/2 relative
+        x, w = _gauss_legendre(m)
+        exact = 2.0 / (2 * m - 1)
+        assert abs(float(w @ x ** (2 * m - 2)) - exact) <= 2 * m * self.EPS * exact
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = _gauss_legendre(20)
+        assert _gauss_legendre(20)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 class TestTruncatedGaussianInverseCdf:
