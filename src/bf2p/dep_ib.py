@@ -14,28 +14,28 @@ so the prior places point mass exactly at rates 0 and 1.  The null model
 pins eta = 0 and keeps the same zeta prior, mirroring the shared-rate
 construction of the other two tests.
 
-Marginal likelihoods use the quadrature engine of ``bf2p.lt`` in
-log-odds coordinates, where each rate's Jacobian theta (1 - theta)
-turns its counts into (y + 1, n + 2) and the truncated-Gaussian priors
-are pulled back through the rates.  Under H0 the engine integrates over
-the shared rate's log odds.  Under H1 the domain splits along the clamp
-boundaries: on the core, where both rates are interior, the engine
-integrates over LT's (beta, psi); a clamped wedge, where one rate sits
-on 0 or 1, carries likelihood only when that group's count sits on the
-same bound, and its prior eta integral is a difference of two normal
-CDFs, leaving a 1-D integral over the free rate on ``bf2p.special``'s
-tanh-sinh rule.
+Under H0 the marginal integrates over the shared rate.  Under H1 the
+domain splits along the clamp boundaries: on the core both rates are
+interior; a clamped wedge, where one rate sits on 0 or 1, carries
+likelihood only when that group's count sits on the same bound, and
+its prior eta integral is a difference of two normal CDFs, leaving a
+1-D integral over the free rate on ``bf2p.special``'s tanh-sinh rule.
 
-A core with a count at 0 or n has an exponential tail in log odds,
-which takes the engine's Gauss-Hermite ladder to its last rule.  In the
-rates (t1, t2) the same core, with no Jacobian, is smooth and
-log-concave on the unit square, so it first climbs a ladder of two
-tensor Gauss-Legendre rules there (``RATE_NODES``, 20 and 40 nodes per
-rate), under the engine's stop test and error floor.  Where they do not
-agree (a narrow eta prior's ridge along t1 = t2, or n of some 50 and
-more) the core goes to the engine, as an interior core always does.
-The error estimate sums the estimates for H0 and the core and the
-rule's 1e-12 for each wedge, each weighted by its share of its marginal.
+H0 and the core are integrated in the rates, with no Jacobian
+(eta = t2 - t1, zeta = (t1 + t2)/2), by Gauss-Jacobi rules whose
+weights are the binomial kernels t^y (1 - t)^(n - y): what is left to
+integrate is the smooth product of the two truncated-Gaussian
+densities, however large n is.  Each takes a ladder of two rules
+(``RATE_NODES``, 20 and 40 nodes per rate) under the stop test and
+error floor of ``bf2p.lt``'s engine; the rules are cached per group
+count, so a sweep builds a study's rules once for its whole prior
+grid.  Where the two do not agree (a narrow eta prior's ridge along
+t1 = t2, which no polynomial in the rates follows), the engine takes
+over in log-odds coordinates, where each rate's Jacobian
+theta (1 - theta) turns its counts into (y + 1, n + 2): H0 over the
+shared rate's log odds, the core over LT's (beta, psi).  The error
+estimate sums the estimates for H0 and the core and the rule's 1e-12
+for each wedge, each weighted by its share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
 samples every family; the functions here delegate to it.
@@ -44,7 +44,6 @@ samples every family; the functions here delegate to it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,7 +68,7 @@ from .model import (
     expit_pair,
 )
 from .priors import _draw_rates, prior_correlation
-from .special import _TS_REL_TOL, _gauss_legendre, _log_gaussian_mass, _tanh_sinh, log_density_truncated_gaussian
+from .special import _TS_REL_TOL, _jacobi_rule, _log_gaussian_mass, _tanh_sinh, log_density_truncated_gaussian
 
 __all__ = [
     "clamped_rates",
@@ -80,8 +79,8 @@ __all__ = [
     "prior_correlation_depib",
 ]
 
-#: Gauss-Legendre nodes per rate of the coarse and fine rules over a core
-#: with a count at 0 or n; the fine rule's value stands when the two agree.
+#: Gauss-Jacobi nodes per rate of the coarse and fine rules over H0 and the
+#: H1 core; the fine rule's value stands when the two agree.
 RATE_NODES = (20, 40)
 
 
@@ -95,6 +94,35 @@ def clamped_rates(eta: float, zeta: float) -> ProportionPair:
 
 def _log_prior_zeta(z, cfg: DepIBPrior):
     return log_density_truncated_gaussian(z, cfg.sigma_zeta, 0.0, 1.0, center=cfg.zeta_center)
+
+
+def _kernel_rule(y: int, n: int, m: int):
+    """The m-point Gauss-Jacobi rule whose weight is the binomial kernel t^y (1 - t)^(n - y)."""
+    return _jacobi_rule(n - y, y, m)
+
+
+def _log_h0_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
+    """Log integral of H0 over the shared rate by the m-point rule of the pooled counts."""
+    t, log_mass, lw = _kernel_rule(*d.pooled, m)
+    return log_mass + _logsumexp(lw + _log_prior_zeta(t, cfg))
+
+
+def _log_core_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
+    """Log integral of the H1 core over the rates' unit square by the m x m tensor rule.
+
+    In (t1, t2) the core is the two binomial kernels, which the rules'
+    weights carry, times the eta and zeta densities, with no Jacobian
+    (eta = t2 - t1, zeta = (t1 + t2)/2).
+    """
+    t1, log_mass1, lw1 = _kernel_rule(d.y1, d.n1, m)
+    t2, log_mass2, lw2 = _kernel_rule(d.y2, d.n2, m)
+    t1, t2 = t1[:, None], t2[None, :]
+    logf = (
+        (lw1[:, None] + lw2[None, :])
+        + log_density_truncated_gaussian(t2 - t1, cfg.sigma_eta, -1.0, 1.0)
+        + _log_prior_zeta(0.5 * (t1 + t2), cfg)
+    )
+    return (log_mass1 + log_mass2) + _logsumexp(logf.ravel())
 
 
 def _h0(d: TwoByTwoData, cfg: DepIBPrior):
@@ -116,8 +144,14 @@ def _h0(d: TwoByTwoData, cfg: DepIBPrior):
 
 
 def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
-    """(log marginal, error estimate) with eta = 0, over the shared rate's log odds."""
-    val, err = _integrate(*_h0(d, cfg), "dep-IB H0")[2:]
+    """(log marginal, error estimate) with eta = 0.
+
+    The ``RATE_NODES`` rules of the pooled counts come first, as for the
+    H1 core; the engine takes H0 over the shared rate's log odds when
+    they do not agree.
+    """
+    found = _first_agreement(_log_h0_rates(d, cfg, m) for m in RATE_NODES)
+    val, err = found if found is not None else _integrate(*_h0(d, cfg), "dep-IB H0")[2:]
     return _log_coeffs(d) + val, err
 
 
@@ -158,51 +192,16 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
     return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
 
 
-@lru_cache(maxsize=None)
-def _rate_rule(m: int):
-    """(t, log t, log(1 - t), log weights) of the m-point Gauss-Legendre rule on (0, 1)."""
-    x, w = _gauss_legendre(m)
-    # t = (1 + x)/2 and 1 - t = (1 - x)/2 each keep their digits near their own bound
-    out = 0.5 * (1.0 + x), np.log(0.5 * (1.0 + x)), np.log(0.5 * (1.0 - x)), np.log(0.5 * w)
-    for a in out:  # shared by every caller
-        a.setflags(write=False)
-    return out
-
-
-def _log_core_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
-    """Log integral of the H1 core over the rates' unit square by the m x m tensor rule.
-
-    In (t1, t2) the core is the two binomial kernels times the eta and
-    zeta densities, with no Jacobian (eta = t2 - t1, zeta = (t1 + t2)/2).
-    """
-    t, log_t, log_c, lw = _rate_rule(m)
-    lik1 = lw + d.y1 * log_t + (d.n1 - d.y1) * log_c
-    lik2 = lw + d.y2 * log_t + (d.n2 - d.y2) * log_c
-    t1, t2 = t[:, None], t[None, :]
-    logf = (
-        (lik1[:, None] + lik2[None, :])
-        + log_density_truncated_gaussian(t2 - t1, cfg.sigma_eta, -1.0, 1.0)
-        + _log_prior_zeta(0.5 * (t1 + t2), cfg)
-    )
-    return _logsumexp(logf.ravel())
-
-
 def _log_core(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     """(log integral, error estimate) of the H1 core, both rates interior.
 
-    With a count at 0 or n the core's logit tails are exponential, which
-    Gauss-Hermite resolves only slowly; on the rates' square the same
-    core is smooth and log-concave, so the ``RATE_NODES`` rules are
-    tried first, as a ladder under ``lt._first_agreement``.  If they do
-    not agree (a narrow eta prior's ridge along t1 = t2, or a likelihood
-    peak too narrow at large n), the engine takes the core, as it takes
-    every interior core.
+    The ``RATE_NODES`` rules are a ladder under ``lt._first_agreement``;
+    where they do not agree (a narrow eta prior's ridge along t1 = t2,
+    which no polynomial in the rates follows), the engine takes the core
+    in log odds.
     """
-    if d.y1 in (0, d.n1) or d.y2 in (0, d.n2):
-        found = _first_agreement(_log_core_rates(d, cfg, m) for m in RATE_NODES)
-        if found is not None:
-            return found
-    return _integrate(*_core(d, cfg), "dep-IB H1 core")[2:]
+    found = _first_agreement(_log_core_rates(d, cfg, m) for m in RATE_NODES)
+    return found if found is not None else _integrate(*_core(d, cfg), "dep-IB H1 core")[2:]
 
 
 def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float):

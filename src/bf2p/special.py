@@ -6,10 +6,11 @@ tanh-sinh rule, for log-space integrals over (0, 1), which Appell's F1
 (through its Euler integral), every integrated induced density (among
 them the density of the rate difference eta under independent Beta
 priors), the clamped dep-IB wedges and the fallback of the quadrature
-engine in ``bf2p.lt`` share; its one Gauss-Legendre rule; the
-closed-form density of the log odds ratio psi for the uniform (a = 1)
-case; and the elementary log-density helpers, among them the truncated
-Gaussian, whose normal CDFs come from ``scipy.special``.
+engine in ``bf2p.lt`` share; its Gauss-Legendre rule and the
+Gauss-Jacobi rules of the dep-IB marginals; the closed-form density of
+the log odds ratio psi for the uniform (a = 1) case; and the elementary
+log-density helpers, among them the truncated Gaussian, whose normal
+CDFs come from ``scipy.special``.
 scipy is imported by the functions that use it, so ``import bf2p`` does
 not load it.
 """
@@ -292,6 +293,48 @@ def _gauss_legendre(m: int):
     return x, w
 
 
+@lru_cache(maxsize=256)
+def _jacobi_rule(a: float, b: float, m: int):
+    """Read-only nodes t, log mass and log weights of the m-point Gauss-Jacobi rule
+    for the weight t^b (1 - t)^a on (0, 1).
+
+    The weights are exp(log mass + lw): the log mass is ln B(a + 1, b + 1)
+    and lw, summing to 1 under exp, belong to the Beta(b + 1, a + 1) law.
+    The rule is built with b <= a, where the nodes crowd towards 0 and
+    keep their relative digits, and reflected to 1 - t for b > a, so both
+    orientations share one set of weights bit for bit.  The nodes are the
+    eigenvalues of the Jacobi matrix (Golub & Welsch 1969), whose
+    recurrence coefficients are written in t with no cancellation; the
+    weights are the Christoffel numbers 1 / sum_k p_k(t)^2 of the
+    orthonormal polynomials of the same recurrence.  Eigenvectors are not
+    used: on a 2-core machine ``eigh`` of a 40 x 40 matrix took 16 ms in
+    one call of ten (OpenBLAS threading), against 0.1 ms for ``eigvalsh``.
+    """
+    if b > a:
+        t, log_mass, lw = _jacobi_rule(b, a, m)
+        t = 1.0 - t
+        t.setflags(write=False)
+        return t, log_mass, lw
+    s = a + b
+    k = np.arange(1.0, m)
+    d = 2.0 * k + s
+    diag = np.concatenate((
+        [(b + 1.0) / (s + 2.0)],
+        (4.0 * k * k + 4.0 * k * (s + 1.0) + 2.0 * s * (b + 1.0)) / (2.0 * d * (d + 2.0)),
+    ))
+    off = np.sqrt(k * (k + b) / ((d + 1.0) * (d - 1.0)) * ((k + a) / d) * ((k + s) / d))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    off = np.concatenate(([0.0], off))
+    p0, p1, total = np.zeros(m), np.ones(m), np.ones(m)  # p_{j-1}(t), p_j(t), sum of p^2 so far
+    for j in range(m - 1):
+        p0, p1 = p1, ((t - diag[j]) * p1 - off[j] * p0) / off[j + 1]
+        total += p1 * p1
+    lw = -np.log(total)
+    for v in (t, lw):  # shared by every caller
+        v.setflags(write=False)
+    return t, log_beta_fn(a + 1.0, b + 1.0), lw
+
+
 def _log_gaussian_mass(lo, hi, center, sigma):
     """ln(Phi((hi-c)/s) - Phi((lo-c)/s)) elementwise, to about 1e-14 relative.
 
@@ -301,7 +344,7 @@ def _log_gaussian_mass(lo, hi, center, sigma):
     on a narrow window, to about eps / (2h) relative, so there the mass
     is 2h phi(m) times the mean of phi(m + h xi) / phi(m) over xi in
     (-1, 1), whose log is ln 2h + ln phi(m) + log1p(mean - 1), the mean
-    taken by the 7-point Gauss-Legendre rule, which integrates
+    taken by the 10-point Gauss-Legendre rule, which integrates
     exp(-m h xi - h^2 xi^2 / 2) to rounding while h max(1, |m|) <= 1/2.
     """
     from scipy.special import log_ndtr
@@ -316,7 +359,7 @@ def _log_gaussian_mass(lo, hi, center, sigma):
         out = lb + np.log(-np.expm1(la - lb))
         if narrow.any():
             m, h = np.where(narrow, m, 0.0), np.where(narrow, h, 0.0)
-            xi, w = _gauss_legendre(7)
+            xi, w = _gauss_legendre(10)
             t = np.multiply.outer(-m * h, xi) - np.multiply.outer(0.5 * h * h, xi * xi)
             log_mean = np.log1p(0.5 * (np.expm1(t) @ w))
             out = np.where(narrow, np.log(2.0 * h) - 0.5 * m * m - _LN_SQRT_2PI + log_mean, out)

@@ -200,14 +200,21 @@ class TestAgainstGaussLegendreOracle:
         "counts, cfg, route",
         [(counts, cfg, "rates") for counts, cfg in _RATE_CELLS]
         + [
-            # a narrow eta prior's ridge along t1 = t2 defeats the rate pair, and
-            # these cores go on past the Gauss-Hermite ladder to tanh-sinh
+            # a narrow eta prior's ridge along t1 = t2 defeats the rate pair: these
+            # cores go past the Gauss-Hermite ladder to tanh-sinh
             ((0, 3, 0, 3), DepIBPrior(0.05), "tanh-sinh"),
             ((1, 2, 0, 2), DepIBPrior(0.05), "tanh-sinh"),
             ((0, 1, 1, 1), DepIBPrior(0.05), "tanh-sinh"),
             ((7, 7, 2, 9), DepIBPrior(0.05, 0.3), "tanh-sinh"),
             ((0, 2, 0, 2), DepIBPrior(0.02, 0.5), "tanh-sinh"),
-            ((3, 10, 5, 12), DepIBPrior(0.2), "ladder"),  # interior counts never try the rate pair
+            # interior counts, and large n with a count at 0 or n, take the rate pair
+            ((3, 10, 5, 12), DepIBPrior(0.2), "rates"),
+            ((18, 493, 10, 488), DepIBPrior(0.2), "rates"),
+            ((0, 100, 3, 100), DepIBPrior(0.2), "rates"),
+            ((0, 100, 3, 100), DepIBPrior(0.05), "rates"),  # likelihoods narrower than the ridge
+            # the ridge sends these to the Gauss-Hermite ladder, which resolves them
+            ((3, 10, 5, 12), DepIBPrior(0.05), "ladder"),
+            ((4, 16, 6, 16), DepIBPrior(0.05), "ladder"),
         ],
     )
     def test_h1_core_route(self, counts, cfg, route, monkeypatch):

@@ -1,6 +1,7 @@
 """Special functions: Appell F1, induced prior densities, log-density helpers."""
 
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.stats import truncnorm
 from bf2p.model import DomainError
 from bf2p.special import (
     _gauss_legendre,
+    _jacobi_rule,
     _log_gaussian_mass,
     _ppf_truncated_gaussian,
     appell_f1,
@@ -316,6 +318,15 @@ class TestGaussianMass:
             assert np.max(err) <= 1e-14
             assert _log_gaussian_mass(float(lo_[0]), float(hi_[0]), center, sigma) == got[0]
 
+    @pytest.mark.parametrize("h, mid", [(0.5, 0.0), (0.5, 0.5), (0.5, -1.0), (0.25, 2.0)])
+    def test_narrow_branch_is_exact_to_rounding_at_its_edge(self, h, mid):
+        # h max(1, |m|) = 1/2, the widest narrow window: a truncated Gaussian of
+        # sd 1 on (0, 1) is one, where 7 Gauss-Legendre nodes were 40 eps off
+        got = _log_gaussian_mass(mid - h, mid + h, 0.0, 1.0)
+        with mp.workdps(50):
+            ref = mp.log(mp.ncdf(-abs(mid) + h) - mp.ncdf(-abs(mid) - h))
+        assert abs(float(got - ref)) <= 2 * np.finfo(float).eps * max(1.0, abs(got))
+
 
 class TestGaussLegendre:
     """The one Gauss-Legendre builder against a 30-digit rule."""
@@ -356,6 +367,80 @@ class TestGaussLegendre:
         x, w = _gauss_legendre(20)
         assert _gauss_legendre(20)[0] is x
         assert not x.flags.writeable and not w.flags.writeable
+
+
+@lru_cache(maxsize=None)
+def _jacobi_30_digits(a, b, m):
+    """Nodes t, log weights and ln B(a + 1, b + 1) of the rule for t^b (1 - t)^a on (0, 1).
+
+    mpmath builds the rule for (1 - x)^a (1 + x)^b on (-1, 1) at 50 digits,
+    which keep 30 digits of t = (1 + x)/2 down to t = 1e-20.
+    """
+    with mp.workdps(50):
+        x, w = mp.gauss_quadrature(m, "jacobi", a, b)
+        t = [(1 + xi) / 2 for xi in x]
+        log_w = [mp.log(wi) - (a + b + 1) * mp.log(2) for wi in w]
+        return t, log_w, mp.log(mp.beta(a + 1, b + 1))
+
+
+class TestGaussJacobi:
+    """The Gauss-Jacobi builder against 30-digit rules from mpmath's own builder.
+
+    Each case runs in both orientations: (a, b) with b <= a as built, and
+    (b, a), its reflection t -> 1 - t.
+    """
+
+    EPS = float(np.finfo(float).eps)
+    CASES = [
+        (a, b, m, flip)
+        for a, b in [(0, 0), (10, 3), (1e3, 0), (1e6, 5), (1e8, 0)]
+        for m in (20, 40)
+        for flip in (False, True)
+    ]
+
+    def _rules(self, a, b, m, flip):
+        """The builder's rule and the reference, each as (t, log w, ln B), nodes in increasing order."""
+        t, log_mass, lw = _jacobi_rule(*((b, a) if flip else (a, b)), m)
+        ref_t, ref_lw, ref_lb = _jacobi_30_digits(a, b, m)
+        if flip:
+            ref_t = [1 - r for r in ref_t]
+        order, ref_order = np.argsort(t), np.argsort([float(r) for r in ref_t])
+        return (t[order], lw[order], log_mass), ([ref_t[i] for i in ref_order], [ref_lw[i] for i in ref_order], ref_lb)
+
+    @pytest.mark.parametrize("a, b, m, flip", CASES)
+    def test_nodes_and_log_weights(self, a, b, m, flip):
+        (t, lw, log_mass), (ref_t, ref_lw, ref_lb) = self._rules(a, b, m, flip)
+        # eigenvalues carry rounding of order m eps times the largest
+        assert max(abs(float(ti - r)) for ti, r in zip(t, ref_t)) <= 0.5 * m * self.EPS * max(t)
+        assert abs(float(log_mass - ref_lb)) <= 2 * self.EPS * (1 + abs(log_mass))
+        # the errors of the log weights less the log mass, weighted as the rule weighs its nodes
+        ref_lw = [r - ref_lb for r in ref_lw]
+        err = np.array([float(abs(lwi - r)) for lwi, r in zip(lw, ref_lw)])
+        assert np.exp([float(r) for r in ref_lw]) @ err <= 2 * m * self.EPS
+
+    @pytest.mark.parametrize("a, b, m, flip", CASES)
+    def test_zeroth_and_first_moments(self, a, b, m, flip):
+        # exp(lw) are the weights of the rule for the Beta(b + 1, a + 1) law, and t's
+        # mean under it is (b + 1) / (a + b + 2); reflected, (a + 1) / (a + b + 2)
+        t, _, lw = _jacobi_rule(*((b, a) if flip else (a, b)), m)
+        w = np.exp(lw)
+        with mp.workdps(30):
+            log_mean = mp.log(mp.mpf((a if flip else b) + 1) / (a + b + 2))
+        assert abs(math.log(w.sum())) <= 2 * m * self.EPS
+        assert abs(float(math.log(w @ t) - log_mean)) <= 2 * m * self.EPS
+
+    @pytest.mark.parametrize("a, b", [(10, 3), (1e3, 0), (1e6, 5), (1e8, 0)])
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_reflection_is_bit_identical(self, a, b, m):
+        t, log_mass, lw = _jacobi_rule(a, b, m)
+        t_r, log_mass_r, lw_r = _jacobi_rule(b, a, m)
+        assert np.array_equal(t_r, 1.0 - t)
+        assert np.array_equal(lw_r, lw) and log_mass_r == log_mass
+
+    def test_cached_arrays_are_read_only(self):
+        t, _, lw = _jacobi_rule(10, 3, 20)
+        assert _jacobi_rule(10, 3, 20)[0] is t
+        assert not any(v.flags.writeable for v in (t, lw, _jacobi_rule(3, 10, 20)[0]))
 
 
 class TestTruncatedGaussianInverseCdf:
