@@ -139,7 +139,7 @@ def _cmd_avg(args) -> int:
                 "--weights needs 4 comma-separated values for "
                 "M0^IB, M1^IB, M0^LT, M1^LT"
             )
-        weights = dict(zip(ALL_MODELS, [vals[0], vals[1], vals[2], vals[3]]))
+        weights = dict(zip(ALL_MODELS, vals))
     res = bf_avg01(d, weights, params)
     print(_render_evidence(res, args.format == "json"))
     return 0
@@ -154,19 +154,11 @@ def _cmd_priors(args) -> int:
     if args.quantity in ("eta", "psi", "theta"):
         lo, hi = {"eta": (-1, 1), "psi": (-8, 8), "theta": (0.001, 0.999)}[args.quantity]
         grid = np.linspace(lo, hi, args.grid_points)
-        dg = marginal_density(cfg, args.quantity, grid, seed=args.seed)
-        rows = [f"{args.quantity},density"] + [
-            f"{x:.17g},{v:.17g}" for x, v in zip(dg.x_axis, dg.values)
-        ]
-        _write_lines(rows, args.out)
+        _write_density(args.quantity, marginal_density(cfg, args.quantity, grid, seed=args.seed), args.out)
         return 0
     if args.quantity == "conditional":
         grid = np.linspace(0.001, 0.999, args.grid_points)
-        dg = conditional_theta2_density(cfg, args.theta1, grid)
-        rows = ["theta2,density"] + [
-            f"{x:.17g},{v:.17g}" for x, v in zip(dg.x_axis, dg.values)
-        ]
-        _write_lines(rows, args.out)
+        _write_density("theta2", conditional_theta2_density(cfg, args.theta1, grid), args.out)
         return 0
     if args.quantity == "joint":
         coords = args.coords.replace("-", "_")
@@ -223,6 +215,11 @@ def _cmd_sensitivity(args) -> int:
     ]
     _write_lines(lines, args.out)
     return 0
+
+
+def _write_density(x_name: str, dg, out) -> None:
+    rows = [f"{x_name},density"] + [f"{x:.17g},{v:.17g}" for x, v in zip(dg.x_axis, dg.values)]
+    _write_lines(rows, out)
 
 
 def _write_lines(lines, out) -> None:

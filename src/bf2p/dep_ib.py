@@ -38,7 +38,7 @@ estimate sums the estimates for H0 and the core and the rule's 1e-12
 for each wedge, each weighted by its share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
-samples every family; the functions here delegate to it.
+samples every family; ``prior_correlation_depib`` delegates to it.
 """
 
 from __future__ import annotations
@@ -67,15 +67,22 @@ from .model import (
     expit,
     expit_pair,
 )
-from .priors import _draw_rates, prior_correlation
-from .special import _TS_REL_TOL, _jacobi_rule, _log_gaussian_mass, _tanh_sinh, log_density_truncated_gaussian
+from .priors import prior_correlation
+from .special import (
+    _LN_SQRT_2PI,
+    _TS_REL_TOL,
+    _jacobi_rule,
+    _log_gaussian_mass,
+    _log_truncation_mass,
+    _tanh_sinh,
+    log_density_truncated_gaussian,
+)
 
 __all__ = [
     "clamped_rates",
     "log_ml_h0_depib",
     "log_ml_h1_depib",
     "bf01_depib",
-    "sample_prior_depib",
     "prior_correlation_depib",
 ]
 
@@ -216,8 +223,8 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
     se, sz = cfg.sigma_eta, cfg.sigma_zeta
     s_w = math.hypot(sz, 0.5 * se)  # sd of u - center, marginal over e
     s_e = se * sz / s_w  # sd of e given u
-    log_norm = _log_gaussian_mass(-1.0, 1.0, 0.0, se) + _log_gaussian_mass(0.0, 1.0, center, sz)
-    log_norm += math.log(s_w) + 0.5 * math.log(2.0 * math.pi)
+    log_norm = _log_truncation_mass(-1.0, 1.0, 0.0, se) + _log_truncation_mass(0.0, 1.0, center, sz)
+    log_norm += math.log(s_w) + _LN_SQRT_2PI
     # pieces of u in (0, 1): the e window's upper end has a kink at u = 1/2, and at
     # large n the likelihood peak near u_hat is too narrow for one piece to resolve
     ends = np.array(sorted({0.0, 0.5, (y + 1.5) / (n + 3.0), 1.0}))
@@ -281,18 +288,6 @@ def bf01_depib(d: TwoByTwoData, cfg: DepIBPrior | None = None) -> EvidenceResult
     """Bayes factor for eta = 0 under the clamped truncated-Gaussian prior."""
     cfg = cfg if cfg is not None else DepIBPrior()
     return EvidenceResult.from_hypotheses(_log_ml, d, cfg, Method.QUADRATURE)
-
-
-def sample_prior_depib(
-    cfg: DepIBPrior, n_draws: int, seed: int, hypothesis_null: bool = False
-):
-    """Seeded draws of (theta1, theta2) under the clamped prior.
-
-    Inverse-CDF sampling from a counter-based generator, so streams are
-    reproducible and independent of draw order.
-    """
-    hypothesis = Hypothesis.H0 if hypothesis_null else Hypothesis.H1
-    return _draw_rates(cfg, hypothesis, n_draws, np.random.Generator(np.random.Philox(seed)))
 
 
 def prior_correlation_depib(cfg: DepIBPrior, n_draws: int = 1_000_000, seed: int = 0) -> float:

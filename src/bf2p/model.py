@@ -63,7 +63,6 @@ class Method(enum.Enum):
 
     ANALYTIC = "analytic"
     QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo"
 
 
 def _is_integer_scalar(v) -> bool:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import Approach, ApproachParams, ModelId, M1_IB
-from .dep_ib import sample_prior_depib
 from .ib import log_binomial_coeff
 from .lt import _logsumexp
 from .priors import _draw_rates
@@ -127,7 +126,7 @@ def mc_log_marginal_depib(
 ) -> MCEstimate:
     """Monte Carlo oracle for the clamped truncated-Gaussian variant."""
     _checked(None, n_draws)
-    rates = sample_prior_depib(cfg, n_draws, seed, hypothesis is Hypothesis.H0)
+    rates = _draw_rates(cfg, hypothesis, n_draws, np.random.Generator(np.random.Philox(seed)))
     return _mc_estimate(d, rates, n_draws, seed)
 
 

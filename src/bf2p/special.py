@@ -6,8 +6,9 @@ tanh-sinh rule, for log-space integrals over (0, 1), which Appell's F1
 (through its Euler integral), every integrated induced density (among
 them the density of the rate difference eta under independent Beta
 priors), the clamped dep-IB wedges and the fallback of the quadrature
-engine in ``bf2p.lt`` share; its Gauss-Legendre rule and the
-Gauss-Jacobi rules of the dep-IB marginals; the closed-form density of
+engine in ``bf2p.lt`` share; its one Gauss-Jacobi builder, whose rules
+carry the dep-IB marginals and, at a = b = 0, the Gauss-Legendre mean of
+a narrow Gaussian window; the closed-form density of
 the log odds ratio psi for the uniform (a = 1) case; and the elementary
 log-density helpers, among them the truncated Gaussian, whose normal
 CDFs come from ``scipy.special``.
@@ -276,23 +277,6 @@ def log_density_gaussian(x, sigma: float):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(m: int):
-    """Read-only nodes x and weights w of the m-point Gauss-Legendre rule on (-1, 1).
-
-    The nodes are numpy's ``leggauss``; its weights lose up to 3e3 eps at
-    the end nodes by m = 40, so they come from the three-term recurrence.
-    """
-    x = np.polynomial.legendre.leggauss(m)[0]
-    p0, p1 = np.ones_like(x), x  # P_{k-1}(x), P_k(x)
-    for k in range(2, m + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    w = 2.0 * (1.0 - x) * (1.0 + x) / (m * (p0 - x * p1)) ** 2  # 2 / ((1 - x^2) P_m'(x)^2)
-    for a in (x, w):  # shared by every caller
-        a.setflags(write=False)
-    return x, w
-
-
 @lru_cache(maxsize=256)
 def _jacobi_rule(a: float, b: float, m: int):
     """Read-only nodes t, log mass and log weights of the m-point Gauss-Jacobi rule
@@ -344,7 +328,8 @@ def _log_gaussian_mass(lo, hi, center, sigma):
     on a narrow window, to about eps / (2h) relative, so there the mass
     is 2h phi(m) times the mean of phi(m + h xi) / phi(m) over xi in
     (-1, 1), whose log is ln 2h + ln phi(m) + log1p(mean - 1), the mean
-    taken by the 10-point Gauss-Legendre rule, which integrates
+    taken by the 10-point Gauss-Legendre rule (``_jacobi_rule`` at
+    a = b = 0, in t = (1 + xi)/2), which integrates
     exp(-m h xi - h^2 xi^2 / 2) to rounding while h max(1, |m|) <= 1/2.
     """
     from scipy.special import log_ndtr
@@ -359,9 +344,10 @@ def _log_gaussian_mass(lo, hi, center, sigma):
         out = lb + np.log(-np.expm1(la - lb))
         if narrow.any():
             m, h = np.where(narrow, m, 0.0), np.where(narrow, h, 0.0)
-            xi, w = _gauss_legendre(10)
-            t = np.multiply.outer(-m * h, xi) - np.multiply.outer(0.5 * h * h, xi * xi)
-            log_mean = np.log1p(0.5 * (np.expm1(t) @ w))
+            t, _, lw = _jacobi_rule(0.0, 0.0, 10)  # the mean's weights are exp(lw)
+            xi = 2.0 * t - 1.0
+            z = np.multiply.outer(-m * h, xi) - np.multiply.outer(0.5 * h * h, xi * xi)
+            log_mean = np.log1p(np.expm1(z) @ np.exp(lw))
             out = np.where(narrow, np.log(2.0 * h) - 0.5 * m * m - _LN_SQRT_2PI + log_mean, out)
     return out if out.ndim else float(out)
 

@@ -16,11 +16,11 @@ from bf2p.dep_ib import (
     log_ml_h0_depib,
     log_ml_h1_depib,
     prior_correlation_depib,
-    sample_prior_depib,
 )
 from bf2p.ib import bf01_ib
 from bf2p.model import DepIBPrior, Hypothesis, Method, TwoByTwoData
 from bf2p.oracle import mc_log_marginal_depib
+from bf2p.priors import sample_prior
 from conftest import check_newton_mode, random_small_datasets
 from oracles import depib_log_marginals_gauss_legendre
 
@@ -315,7 +315,7 @@ class TestPriorDraws:
     def test_clamp_fraction_matches_analytic_tail_mass(self):
         cfg = DepIBPrior()
         n = 2_000_000
-        t1, _ = sample_prior_depib(cfg, n, seed=9)
+        t1 = sample_prior(cfg, Hypothesis.H1, n, seed=9).theta1
         frac = float(np.mean((t1 == 0.0) | (t1 == 1.0)))
         eta_rv = truncnorm(-1 / cfg.sigma_eta, 1 / cfg.sigma_eta, loc=0, scale=cfg.sigma_eta)
         zeta_rv = truncnorm(
@@ -334,10 +334,10 @@ class TestPriorDraws:
         assert abs(frac - expected) < 3 * se
 
     def test_reproducible_given_seed(self):
-        a1 = sample_prior_depib(DepIBPrior(), 1000, seed=4)
-        a2 = sample_prior_depib(DepIBPrior(), 1000, seed=4)
-        np.testing.assert_array_equal(a1[0], a2[0])
-        np.testing.assert_array_equal(a1[1], a2[1])
+        a1 = sample_prior(DepIBPrior(), Hypothesis.H1, 1000, seed=4)
+        a2 = sample_prior(DepIBPrior(), Hypothesis.H1, 1000, seed=4)
+        np.testing.assert_array_equal(a1.theta1, a2.theta1)
+        np.testing.assert_array_equal(a1.theta2, a2.theta2)
 
     def test_alternative_zeta_reading_available(self):
         # kernel centered at 0 concentrates the grand mean low and

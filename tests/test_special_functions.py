@@ -13,7 +13,6 @@ from scipy.stats import truncnorm
 
 from bf2p.model import DomainError
 from bf2p.special import (
-    _gauss_legendre,
     _jacobi_rule,
     _log_gaussian_mass,
     _ppf_truncated_gaussian,
@@ -327,46 +326,43 @@ class TestGaussianMass:
             ref = mp.log(mp.ncdf(-abs(mid) + h) - mp.ncdf(-abs(mid) - h))
         assert abs(float(got - ref)) <= 2 * np.finfo(float).eps * max(1.0, abs(got))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_narrow_windows_at_random(self, seed):
+        # midpoints m in (-8, 8) and half widths h = 10^U(-12, 0) / 2 max(1, |m|):
+        # every window takes the narrow branch, and its Gauss-Legendre mean
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(-8.0, 8.0, 300)
+        h = 10.0 ** rng.uniform(-12.0, 0.0, 300) * 0.5 / np.maximum(1.0, np.abs(m))
+        got = _log_gaussian_mass(m - h, m + h, 0.0, 1.0)
+        with mp.workdps(50):
+            ref = [mp.log(mp.ncdf(mp.mpf(b)) - mp.ncdf(mp.mpf(a))) for a, b in zip(m - h, m + h)]
+        err = np.array([float(abs(g - r)) for g, r in zip(got, ref)])
+        assert np.all(err <= 2 * np.finfo(float).eps * (1.0 + np.abs(got)))
+
 
 class TestGaussLegendre:
-    """The one Gauss-Legendre builder against a 30-digit rule."""
+    """The Gauss-Legendre rule on (-1, 1) that the narrow branch takes from the
+    Gauss-Jacobi builder at a = b = 0, mapped as x = 2t - 1, w = 2 exp(lw)."""
 
     EPS = float(np.finfo(float).eps)
 
     @staticmethod
-    def _rule_30_digits(x0, m):
-        """Nodes polished by Newton from ``x0``, and weights 2 / ((1 - x^2) P_m'(x)^2)."""
-        out = []
-        with mp.workdps(30):
-            for x in map(mp.mpf, x0.tolist()):
-                for _ in range(4):
-                    p0, p1 = mp.mpf(1), x
-                    for k in range(2, m + 1):
-                        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                    dp = m * (p0 - x * p1) / (1 - x * x)
-                    x -= p1 / dp
-                out.append((x, 2 / ((1 - x * x) * dp * dp)))
-        return out
-
-    @pytest.mark.parametrize("m", [7, 20, 40])
-    def test_matches_30_digit_rule(self, m):
-        # numpy's own weights are off by 5.5 eps at m = 20 and 14 eps at m = 40
-        x, w = _gauss_legendre(m)
-        ref = self._rule_30_digits(x, m)
-        assert max(abs(float(xi - r)) for xi, (r, _) in zip(x, ref)) <= self.EPS
-        assert max(abs(float(wi - r)) for wi, (_, r) in zip(w, ref)) <= 2 * self.EPS
+    def _rule(m):
+        t, _, lw = _jacobi_rule(0.0, 0.0, m)
+        return 2.0 * t - 1.0, 2.0 * np.exp(lw)
 
     @pytest.mark.parametrize("m", [7, 20, 40])
     def test_integrates_highest_exact_power(self, m):
         # x^(2m-2) at nodes rounded by half an ulp carries (2m - 2) eps/2 relative
-        x, w = _gauss_legendre(m)
+        x, w = self._rule(m)
         exact = 2.0 / (2 * m - 1)
         assert abs(float(w @ x ** (2 * m - 2)) - exact) <= 2 * m * self.EPS * exact
 
     def test_cached_arrays_are_read_only(self):
-        x, w = _gauss_legendre(20)
-        assert _gauss_legendre(20)[0] is x
-        assert not x.flags.writeable and not w.flags.writeable
+        t, log_mass, lw = _jacobi_rule(0.0, 0.0, 20)
+        assert _jacobi_rule(0.0, 0.0, 20)[0] is t
+        assert log_mass == 0.0  # ln B(1, 1): the weights exp(lw) are the rule's own
+        assert not t.flags.writeable and not lw.flags.writeable
 
 
 @lru_cache(maxsize=None)
