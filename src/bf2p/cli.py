@@ -6,8 +6,9 @@ logic lives here.  Both Bayes factor directions are always printed,
 since published analyses switch direction between examples and that is
 a classic source of reading errors.
 
-Exit codes: 0 success, 1 invalid input or unsupported request, 2 numerical
-failure in any cell under ``--strict``.  Seeded commands read their
+Exit codes: 0 success, 1 invalid input, an unreadable or unwritable file,
+or an unsupported request, 2 numerical failure (in any cell, under
+``--strict``).  Seeded commands read their
 default seed from the ``BF2P_SEED`` environment variable.
 """
 
@@ -327,7 +328,8 @@ def main(argv=None) -> int:
         if "seed" in args and args.seed is None:
             args.seed = _seed_default()
         return args.func(args)
-    except (ValidationError, ConfigError, DomainError, UnsupportedFeatureError, ParseError) as exc:
+    except (ValidationError, ConfigError, DomainError, UnsupportedFeatureError, ParseError, OSError) as exc:
+        # OSError: an input file that cannot be read or an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

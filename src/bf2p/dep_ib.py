@@ -133,19 +133,22 @@ def _log_core_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
 
 
 def _h0(d: TwoByTwoData, cfg: DepIBPrior):
-    """(log f, gradient and Hessian, Newton start) of H0 in the shared rate's log odds."""
-    y, n = d.pooled
-    zc, sz2 = cfg.zeta_center, cfg.sigma_zeta**2
+    """(log f, gradient and Hessian, Newton start) of H0 in the shared rate's log odds.
 
-    def logf(v):
-        return _log_binom_lik(y + 1, n + 2, v[..., 0]) + _log_prior_zeta(expit(v[..., 0]), cfg)
+    log f takes the log odds x, a float or an array, as ``lt._lt_problem``'s do.
+    """
+    y, n = d.pooled
+    zc, sz = cfg.zeta_center, cfg.sigma_zeta
+
+    def logf(x):
+        return _log_binom_lik(y + 1, n + 2, x) + _log_prior_zeta(expit(x), cfg)
 
     def grad_hess(v):
         t, c = expit_pair(v[0])
         dt = t * c
-        b = -(t - zc) / sz2  # d log p(zeta) / d zeta
+        b = -(t - zc) / sz / sz  # d log p(zeta) / d zeta
         g, w = _binom_grad_curv(y + 1, n + 2, v[0])
-        return (g + b * dt,), (b * dt * (c - t) - dt * dt / sz2 - w,)
+        return (g + b * dt,), (b * dt * (c - t) - dt * dt / sz / sz - w,)
 
     return logf, grad_hess, [_empirical_logit(y + 1, n + 2)]
 
@@ -163,19 +166,22 @@ def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
 
 
 def _core(d: TwoByTwoData, cfg: DepIBPrior):
-    """(log f, gradient and Hessian, Newton start) of the H1 core in (beta, psi)."""
-    ys, ns = np.array([[d.y1 + 1, d.y2 + 1], [d.n1 + 2, d.n2 + 2]], dtype=float)
-    zc, se2, sz2 = cfg.zeta_center, cfg.sigma_eta**2, cfg.sigma_zeta**2
-    # Hessian of the log prior in the rates, eta = t2 - t1, zeta = (t1 + t2)/2
-    diag, off = -1.0 / se2 - 0.25 / sz2, 1.0 / se2 - 0.25 / sz2
+    """(log f, gradient and Hessian, Newton start) of the H1 core in (beta, psi).
 
-    def logf(v):
-        x = np.stack([v[..., 0] - 0.5 * v[..., 1], v[..., 0] + 0.5 * v[..., 1]], axis=-1)
-        t = expit(x)
+    log f takes beta and psi, floats or arrays, as ``lt._lt_problem``'s do.
+    """
+    (y1, n1), (y2, n2) = (d.y1 + 1, d.n1 + 2), (d.y2 + 1, d.n2 + 2)
+    zc, se, sz = cfg.zeta_center, cfg.sigma_eta, cfg.sigma_zeta
+    # Hessian of the log prior in the rates, eta = t2 - t1, zeta = (t1 + t2)/2
+    diag, off = -1.0 / se / se - 0.25 / sz / sz, 1.0 / se / se - 0.25 / sz / sz
+
+    def logf(beta, psi):
+        x1, x2 = beta - 0.5 * psi, beta + 0.5 * psi
+        t1, t2 = expit(x1), expit(x2)
         return (
-            np.sum(_log_binom_lik(ys, ns, x), axis=-1)
-            + log_density_truncated_gaussian(t[..., 1] - t[..., 0], cfg.sigma_eta, -1.0, 1.0)
-            + _log_prior_zeta(0.5 * (t[..., 0] + t[..., 1]), cfg)
+            (_log_binom_lik(y1, n1, x1) + _log_binom_lik(y2, n2, x2))
+            + log_density_truncated_gaussian(t2 - t1, se, -1.0, 1.0)
+            + _log_prior_zeta(0.5 * (t1 + t2), cfg)
         )
 
     def grad_hess(v):
@@ -183,10 +189,10 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
         x1, x2 = beta - 0.5 * psi, beta + 0.5 * psi
         (t1, c1), (t2, c2) = expit_pair(x1), expit_pair(x2)
         dt1, dt2 = t1 * c1, t2 * c2
-        a = -(t2 - t1) / se2  # d log p(eta) / d eta
-        b = -(0.5 * (t1 + t2) - zc) / sz2  # d log p(zeta) / d zeta
-        g1, w1 = _binom_grad_curv(d.y1 + 1, d.n1 + 2, x1)
-        g2, w2 = _binom_grad_curv(d.y2 + 1, d.n2 + 2, x2)
+        a = -(t2 - t1) / se / se  # d log p(eta) / d eta
+        b = -(0.5 * (t1 + t2) - zc) / sz / sz  # d log p(zeta) / d zeta
+        g1, w1 = _binom_grad_curv(y1, n1, x1)
+        g2, w2 = _binom_grad_curv(y2, n2, x2)
         # gradient and Hessian in (x1, x2), then carried over to (beta, psi)
         g1, g2 = g1 + (0.5 * b - a) * dt1, g2 + (0.5 * b + a) * dt2
         h11 = diag * (dt1 * dt1) + ((0.5 * b - a) * dt1 * (c1 - t1) - w1)
@@ -195,7 +201,7 @@ def _core(d: TwoByTwoData, cfg: DepIBPrior):
         hess = ((h11 + h12) + (h12 + h22), 0.5 * ((h12 + h22) - (h11 + h12)), 0.25 * ((h11 - h12) + (h22 - h12)))
         return (g1 + g2, 0.5 * (g2 - g1)), hess
 
-    x1, x2 = _empirical_logit(ys, ns)
+    x1, x2 = _empirical_logit(y1, n1), _empirical_logit(y2, n2)
     return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
 
 

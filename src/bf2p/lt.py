@@ -6,10 +6,12 @@ hypotheses) and the log odds ratio ``psi`` (H1 only; the null pins
 psi = 0).  Neither marginal likelihood is available in closed form.
 
 The engine (adaptive Gauss-Hermite; Liu & Pierce 1994) integrates a
-smooth log density on R^1 or R^2.  A damped Newton iteration finds the
-mode, stopping on the scale-free Newton decrement g'(-H)^-1 g; it runs
-on plain floats, with each problem's gradient and Hessian in closed
-form, and calls the vectorized log density only to check a step.
+smooth log density on R^1 or R^2.  A problem is a log density ``logf``
+that takes one float or array per coordinate (``logf(beta)``,
+``logf(beta, psi)``), its gradient and Hessian in closed form on
+floats, and a Newton start.  A damped Newton iteration finds the mode,
+stopping on the scale-free Newton decrement g'(-H)^-1 g; it runs on
+plain floats and calls ``logf`` on floats only to check a step.
 Likelihood gradients are written y*sigma(-x) - (n-y)*sigma(x), so data
 with all events or none, and their event-swapped mirrors, converge
 alike.  Gauss-Hermite quadrature centred on the mode and whitened by
@@ -19,8 +21,11 @@ to ``DEFAULT_REL_TOL``, or to the log integral's rounding if larger;
 the final gap, floored at that rounding, is the error estimate.  This
 ladder (``_first_agreement``) also runs dep-IB's Gauss-Jacobi pairs.
 Each tensor rule is built once per process in whitened coordinates z,
-from numpy's ``hermgauss``, mapped to mode + L z by the closed-form
-Cholesky factor L of the covariance, and summed in one call.
+from numpy's ``hermgauss``, as one read-only array per coordinate, and
+mapped to mode + L z one coordinate at a time by the closed-form
+Cholesky factor L of the covariance.  No ladder stops at its first rule,
+so the 21- and 31-node rules are joined and evaluated in one ``logf``
+call; each finer rule takes one call when it is reached.
 Centering matters: for large trials with rare events the likelihood
 sits many prior standard deviations away from zero, where a
 prior-centered rule would silently miss the mass.  Only when the schedule is exhausted does nested
@@ -29,7 +34,9 @@ either side of the mode), whitened along the groups' log odds
 x = beta -/+ psi/2, take over; its error estimate is the 1e-12 its
 levels agree to, per dimension, floored at the same rounding.
 Everything here runs on numpy and ``math``.  The integrands leave out the
-binomial coefficients, which each marginal adds once.  ``_integrate``
+binomial coefficients, which each marginal adds once.  The binomial
+log likelihood is one kernel for floats and arrays, written with one
+exp and one log1p per point (``_log_binom_lik``).  ``_integrate``
 is the engine's one entry point; the dependent variant (``bf2p.dep_ib``)
 calls it too.  Estimates are fully deterministic.
 
@@ -99,19 +106,22 @@ _SLICES = 128
 
 
 # --------------------------------------------------------------------------
-# Integrand pieces (vectorized over beta/psi arrays)
+# Integrand pieces (floats or arrays of beta/psi)
 # --------------------------------------------------------------------------
 
 
 def _log_binom_lik(y, n, x):
-    """Log binomial likelihood of y/n at log odds x, without the coefficient.
+    """Log binomial likelihood of y/n at log odds x, a float or an array, without the coefficient.
 
-    y*log(sigma(x)) + (n-y)*log(1-sigma(x)) written with log1p-style
-    softplus terms; finite for |x| into the hundreds, -inf only where a
-    required factor underflows completely.
+    y log sigma(x) + (n - y) log sigma(-x) as softplus terms,
+    -y max(-x, 0) - (n - y) max(x, 0) - n log1p(e^-|x|), which is what
+    ``np.logaddexp`` does inside but with one exp and one log1p per
+    point, both vectorized.  Finite for |x| up to 8e307.  A float gives
+    the bits of a 1-element array, and the event swap
+    (y, x) -> (n - y, -x) gives the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    return -y * np.logaddexp(0.0, -x) - (n - y) * np.logaddexp(0.0, x)
+    ax = abs(x)
+    return 0.5 * ((x - ax) * y - (x + ax) * (n - y)) - n * np.log1p(np.exp(-ax))
 
 
 def _binom_grad_curv(y, n, x: float):
@@ -125,20 +135,21 @@ def _empirical_logit(y, n):
 
 
 def _log_prior_beta(beta, sigma: float, kind: BetaPriorKind):
-    beta = np.asarray(beta, dtype=float)
+    """Log prior density of beta, a float or an array."""
     if kind is BetaPriorKind.GAUSSIAN:
         return log_density_gaussian(beta, sigma)
     # logistic(0, sigma), written symmetrically for stability on both tails
-    z = np.abs(beta) / sigma
+    z = abs(beta) / sigma
     return -z - 2.0 * np.logaddexp(0.0, -z) - math.log(sigma)
 
 
 def _beta_prior_grad_hess(beta: float, sigma: float, kind: BetaPriorKind):
+    # dividing by sigma twice, not by sigma**2, cannot raise for any sigma > 0
     if kind is BetaPriorKind.GAUSSIAN:
-        return -beta / sigma**2, -1.0 / sigma**2
+        return -beta / sigma / sigma, -1.0 / sigma / sigma
     t = math.tanh(beta / (2.0 * sigma))
     grad = -t / sigma
-    hess = -(1.0 - t * t) / (2.0 * sigma**2)
+    hess = -(1.0 - t * t) / (2.0 * sigma) / sigma
     return grad, hess
 
 
@@ -148,24 +159,25 @@ def _log_coeffs(d: TwoByTwoData) -> float:
 
 
 def _log_integrand_h1(d, beta, psi, prior: LTPrior):
-    """The H1 integrand without the binomial coefficients."""
-    beta = np.asarray(beta, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    out = (
-        _log_binom_lik(d.y1, d.n1, beta - 0.5 * psi)
-        + _log_binom_lik(d.y2, d.n2, beta + 0.5 * psi)
+    """The H1 integrand without the binomial coefficients, at floats or arrays beta and psi."""
+    half = 0.5 * psi
+    return (
+        _log_binom_lik(d.y1, d.n1, beta - half)
+        + _log_binom_lik(d.y2, d.n2, beta + half)
         + _log_prior_beta(beta, prior.sigma_beta, prior.beta_prior)
         + log_density_gaussian(psi, prior.sigma_psi)
     )
-    return out if out.ndim else float(out)
 
 
 def _log_integrand_h0(d, beta, prior: LTPrior):
-    """The H0 integrand without the binomial coefficients."""
-    beta = np.asarray(beta, dtype=float)
+    """The H0 integrand without the binomial coefficients, at a float or an array beta."""
     y, n = d.pooled
-    out = _log_binom_lik(y, n, beta) + _log_prior_beta(beta, prior.sigma_beta, prior.beta_prior)
-    return out if out.ndim else float(out)
+    return _log_binom_lik(y, n, beta) + _log_prior_beta(beta, prior.sigma_beta, prior.beta_prior)
+
+
+def _as_output(out):
+    """An array of any shape, or a float in place of a 0-d value."""
+    return out if np.ndim(out) else float(out)
 
 
 def log_integrand_h1_lt(
@@ -178,7 +190,8 @@ def log_integrand_h1_lt(
 ):
     """Log of likelihood x priors at (beta, psi); the H1 evidence integrand."""
     prior = LTPrior(sigma_beta, sigma_psi, beta_prior)
-    return _log_coeffs(d) + _log_integrand_h1(d, beta, psi, prior)
+    beta, psi = np.asarray(beta, dtype=float), np.asarray(psi, dtype=float)
+    return _log_coeffs(d) + _as_output(_log_integrand_h1(d, beta, psi, prior))
 
 
 def log_integrand_h0_lt(
@@ -189,23 +202,27 @@ def log_integrand_h0_lt(
 ):
     """Log of likelihood x prior at beta with psi fixed to 0."""
     prior = LTPrior(sigma_beta, beta_prior=beta_prior)
-    return _log_coeffs(d) + _log_integrand_h0(d, beta, prior)
+    return _log_coeffs(d) + _as_output(_log_integrand_h0(d, np.asarray(beta, dtype=float), prior))
 
 
 def _lt_problem(d, hypothesis, prior: LTPrior):
     """(log f, gradient and Hessian, Newton start) of one LT integrand.
 
-    The coordinates are (beta,) under H0 and (beta, psi) under H1; log f
-    takes them on the last axis and leaves out the binomial coefficients.
-    ``grad_hess`` takes and returns floats: the gradient as a tuple, the
-    Hessian as (a,) or (a, b, d) for [[a, b], [b, d]].
+    The coordinates are (beta,) under H0 and (beta, psi) under H1.  log f
+    takes one float or array per coordinate, ``logf(beta)`` or
+    ``logf(beta, psi)``, and leaves out the binomial coefficients.
+    ``grad_hess`` takes a list of floats and returns floats: the gradient
+    as a tuple, the Hessian as (a,) or (a, b, d) for [[a, b], [b, d]].
+    Prior precisions are divided out one sigma at a time, so no finite
+    sigma > 0 raises; one whose precision overflows gives an infinite
+    Hessian, which Newton reports as a NumericalError.
     """
     sigma_beta, sigma_psi, beta_prior = prior.sigma_beta, prior.sigma_psi, prior.beta_prior
     if hypothesis is Hypothesis.H0:
         y, n = d.pooled
 
-        def logf(v):
-            return _log_integrand_h0(d, v[..., 0], prior)
+        def logf(beta):
+            return _log_integrand_h0(d, beta, prior)
 
         def grad_hess(v):
             g, w = _binom_grad_curv(y, n, v[0])
@@ -214,8 +231,8 @@ def _lt_problem(d, hypothesis, prior: LTPrior):
 
         return logf, grad_hess, [_empirical_logit(y, n)]
 
-    def logf(v):
-        return _log_integrand_h1(d, v[..., 0], v[..., 1], prior)
+    def logf(beta, psi):
+        return _log_integrand_h1(d, beta, psi, prior)
 
     def grad_hess(v):
         beta, psi = v
@@ -223,8 +240,8 @@ def _lt_problem(d, hypothesis, prior: LTPrior):
         g2, w2 = _binom_grad_curv(d.y2, d.n2, beta + 0.5 * psi)
         pg, ph = _beta_prior_grad_hess(beta, sigma_beta, beta_prior)
         # x1, x2 = beta -/+ psi/2 carried over to (beta, psi)
-        grad = (g1 + g2 + pg, 0.5 * (g2 - g1) - psi / sigma_psi**2)
-        return grad, (ph - (w1 + w2), 0.5 * (w1 - w2), -0.25 * (w1 + w2) - 1.0 / sigma_psi**2)
+        grad = (g1 + g2 + pg, 0.5 * (g2 - g1) - psi / sigma_psi / sigma_psi)
+        return grad, (ph - (w1 + w2), 0.5 * (w1 - w2), -0.25 * (w1 + w2) - 1.0 / sigma_psi / sigma_psi)
 
     x1, x2 = _empirical_logit(d.y1, d.n1), _empirical_logit(d.y2, d.n2)
     return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
@@ -251,14 +268,17 @@ def _lowest_eigenvalue(c) -> float:
 def _newton(logf, grad_hess, x0, what: str, max_iter: int = 200):
     """(mode, Laplace covariance (-H)^-1) of a log density on R^1 or R^2.
 
-    The iteration runs on floats; only the step checks call the numpy
-    ``logf``, each at a new point.  Steps are halved until they ascend.
-    Where the density is not log-concave, the step uses -H shifted to be
-    positive definite.
+    The iteration runs on floats; only the step checks call ``logf``,
+    with one float per coordinate, each at a new point.  Steps are halved
+    until they ascend.  Where the density is not log-concave, the step
+    uses -H shifted to be positive definite.  A gradient or Hessian that
+    is not finite raises NumericalError.
     """
     x, f = [float(v) for v in x0], None  # f: log f at x, once a checked step needs it
     for _ in range(max_iter):
         g, h = grad_hess(x)
+        if not all(map(math.isfinite, (*g, *h))):
+            raise NumericalError(f"{what}: the gradient or Hessian is not finite", last_iterate=np.array(x))
         lowest = _lowest_eigenvalue([-v for v in h])
         shift = 1.0 - lowest if lowest <= 0.0 else 0.0
         if len(x) == 1:
@@ -275,8 +295,8 @@ def _newton(logf, grad_hess, x0, what: str, max_iter: int = 200):
         t, f_new = 1.0, None
         while f_new is None and 0.5 * t * dec > _UNCHECKED_GAIN:
             if f is None:
-                f = logf(np.array(x))
-            trial = logf(np.array([xi + t * si for xi, si in zip(x, step)]))
+                f = logf(*x)
+            trial = logf(*[xi + t * si for xi, si in zip(x, step)])
             if trial >= f:
                 f_new = trial
             else:
@@ -335,22 +355,38 @@ def _gauss_hermite(n: int):
 
 @lru_cache(maxsize=None)
 def _whitened_rule(n: int, k: int):
-    """(points z, log weights) of the n^k-point tensor rule over z in R^k.
+    """(points z as k coordinate columns, log weights) of the n^k-point tensor rule over z in R^k.
 
     The rule integrates exp(g(z)) as a log-sum-exp of log weight plus g
     at the points: per axis z = sqrt(2) x, and 0.5 log 2 joins each
-    axis's effective log weight.
+    axis's effective log weight.  In 2-D point i n + j is (z_i, z_j).
     """
     x, lam = _gauss_hermite(n)
     z, lw = math.sqrt(2.0) * x, lam + 0.5 * math.log(2.0)
+    cols = (np.repeat(z, n), np.tile(z, n)) if k == 2 else (z,)
     if k == 2:
-        z = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1).reshape(-1, 2)
         lw = np.add.outer(lw, lw).ravel()
-    else:
-        z = z[:, None]
-    for a in (z, lw):  # shared by every caller
+    for a in (*cols, lw):  # shared by every caller
         a.setflags(write=False)
-    return z, lw
+    return cols, lw
+
+
+@lru_cache(maxsize=None)
+def _joined_rules(ns: tuple[int, ...], k: int):
+    """The rules ``_whitened_rule(n, k)`` for n in ``ns`` joined: their
+    coordinate columns end to end, and per rule its log weights and the
+    slice of the joined points that is its own.
+
+    One log f evaluation at the joined points serves every rule; being
+    elementwise, it gives each rule the bits of its own evaluation.
+    """
+    rules = [_whitened_rule(n, k) for n in ns]
+    cols = tuple(np.concatenate(c) for c in zip(*(z for z, _ in rules)))
+    ends = np.cumsum([lw.size for _, lw in rules]).tolist()
+    parts = tuple((lw, slice(end - lw.size, end)) for (_, lw), end in zip(rules, ends))
+    for a in cols:
+        a.setflags(write=False)
+    return cols, parts
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -379,6 +415,34 @@ def _first_agreement(estimates) -> tuple[float, float] | None:
     return None
 
 
+def _at_whitened(logf, mode, chol):
+    """log f at x = mode + chol z, z given one coordinate at a time (floats or arrays).
+
+    Each coordinate of x is formed from chol's entries as floats; no
+    matrix product runs.
+    """
+    (m1, *m2), c = mode.tolist(), chol
+    if not m2:
+        return lambda z1: logf(m1 + c[0][0] * z1)
+    return lambda z1, z2: logf(m1 + (c[0][0] * z1 + c[0][1] * z2), m2[0] + (c[1][0] * z1 + c[1][1] * z2))
+
+
+def _gh_ladder(at, k: int):
+    """Log integrals over z in R^k of exp(at(z)) by the ``NODE_SCHEDULE`` rules, coarsest first.
+
+    A ladder never stops at its first rule, so the first two rules are
+    evaluated in one call of ``at`` at their joined points; the finer
+    ones follow one call each, only when asked for.
+    """
+    cols, parts = _joined_rules(NODE_SCHEDULE[:2], k)
+    vals = at(*cols)
+    for lw, own in parts:
+        yield _logsumexp(lw + vals[own])
+    for n in NODE_SCHEDULE[2:]:
+        cols, lw = _whitened_rule(n, k)
+        yield _logsumexp(lw + at(*cols))
+
+
 def _laplace_gh(logf, mode, cov, what: str) -> tuple[float, float]:
     """(log of the integral of exp(logf) over R^k, error estimate), k = 1, 2.
 
@@ -387,13 +451,12 @@ def _laplace_gh(logf, mode, cov, what: str) -> tuple[float, float]:
     # Cholesky factor L of cov and ln det L, in closed form
     l11 = math.sqrt(cov[0, 0])
     if mode.size == 1:
-        chol, log_det = np.array([[l11]]), math.log(l11)
+        chol, log_det = [[l11]], math.log(l11)
     else:
         l21 = cov[1, 0] / l11
         l22 = math.sqrt(cov[1, 1] - l21 * l21)
-        chol, log_det = np.array([[l11, 0.0], [l21, l22]]), math.log(l11) + math.log(l22)
-    rules = (_whitened_rule(n, mode.size) for n in NODE_SCHEDULE)
-    found = _first_agreement(log_det + _logsumexp(lw + logf(mode + z @ chol.T)) for z, lw in rules)
+        chol, log_det = [[l11, 0.0], [l21, l22]], math.log(l11) + math.log(l22)
+    found = _first_agreement(log_det + v for v in _gh_ladder(_at_whitened(logf, mode, chol), mode.size))
     if found is not None:
         return found
     if mode.size == 2:
@@ -401,13 +464,13 @@ def _laplace_gh(logf, mode, cov, what: str) -> tuple[float, float]:
         s11, s12 = cov[0, 0] - cov[0, 1] + 0.25 * cov[1, 1], cov[0, 0] - 0.25 * cov[1, 1]
         m11 = math.sqrt(s11)
         m21, m22 = s12 / m11, l11 * l22 / m11  # A = [[1, -1/2], [1, 1/2]], det A = 1: det M = det L
-        chol = np.array([[0.5 * (m11 + m21), 0.5 * m22], [m21 - m11, m22]])
+        chol = [[0.5 * (m11 + m21), 0.5 * m22], [m21 - m11, m22]]
     cur = log_det + _whitened_tanhsinh(logf, mode, chol, what)
     return cur, max(mode.size * _TS_REL_TOL, _ROUNDING * (1.0 + abs(cur)))
 
 
 def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
-    """Log integral over z by tanh-sinh, where x = mode + chol z.
+    """Log integral over z by tanh-sinh, where x = mode + chol z (chol as nested lists of floats).
 
     Each axis splits at the mode into the half-lines z = -/+ log s, s in
     (0, 1).  In 2-D the outer rule's integrand, at a block of its nodes
@@ -418,7 +481,7 @@ def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
     or, for slices of no weight, to the peak of f: well inside
     ``DEFAULT_REL_TOL``.  Levels that never agree raise NumericalError.
     """
-    peak = float(logf(mode))
+    peak = float(logf(*mode.tolist()))
 
     def line(log_g, m: int):
         """Per point i < m, log of the integral over z in R of exp(log_g(i, z))."""
@@ -429,14 +492,7 @@ def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
         halves = _tanh_sinh(log_f, np.arange(2 * m), what, peak)
         return np.logaddexp(halves[0::2], halves[1::2])
 
-    mu, c = mode.tolist(), chol.tolist()
-
-    def at(z1, z2=None):  # x = mode + chol z, one coordinate at a time with chol's entries as floats
-        if z2 is None:
-            return logf((mu[0] + c[0][0] * z1)[..., None])
-        x1 = mu[0] + (c[0][0] * z1 + c[0][1] * z2)
-        x2 = mu[1] + (c[1][0] * z1 + c[1][1] * z2)
-        return logf(np.stack((x1, x2), axis=-1))
+    at = _at_whitened(logf, mode, chol)
 
     def slices(z1):  # log of the integral over z2 at every z1
         blocks = np.split(z1.ravel(), range(_SLICES, z1.size, _SLICES))

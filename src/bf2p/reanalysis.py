@@ -111,12 +111,17 @@ def ingest_csv(path: str | Path) -> list[StudyRecord]:
     """Parse study records, validating counts and id uniqueness.
 
     An empty (or header-only) file is an empty batch, not an error.
-    Errors carry the offending 1-based line number.
+    Errors carry the offending 1-based line number; text that is not
+    UTF-8 is a ParseError at the line of its first bad byte.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not text.strip():
         return []
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text, newline=None)))  # newline=None: universal newlines
     header = tuple(h.strip() for h in rows[0])
     if header != CSV_HEADER:
         raise ParseError(1, f"expected header {','.join(CSV_HEADER)}, got {','.join(header)}")

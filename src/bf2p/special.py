@@ -269,12 +269,16 @@ def psi_density_ib_a1(psi: float) -> DensityValue:
 
 
 def log_density_gaussian(x, sigma: float):
-    """Log density of N(0, sigma) at x (x may be an array)."""
+    """Log density of N(0, sigma) at x, a float or an array.
+
+    A float is computed as a float, with no round trip through a 0-d
+    array, in the same arithmetic as an array's entries.
+    """
     if not sigma > 0:
         raise DomainError(f"sigma must be > 0, got {sigma!r}")
-    x = np.asarray(x, dtype=float)
-    out = -0.5 * (x / sigma) ** 2 - math.log(sigma) - _LN_SQRT_2PI
-    return out if out.ndim else float(out)
+    z = (x if isinstance(x, float) else np.asarray(x, dtype=float)) / sigma
+    out = -0.5 * (z * z) - math.log(sigma) - _LN_SQRT_2PI
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @lru_cache(maxsize=256)

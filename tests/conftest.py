@@ -59,7 +59,8 @@ def check_newton_mode(logf, grad_hess, x0):
     In coordinates whitened by the returned covariance (u with
     x = mode + L u, L L' = cov), a central-difference gradient of the
     numpy ``logf`` must vanish at the mode and its Hessian must be -I,
-    which says that ``cov`` inverts the negative Hessian.
+    which says that ``cov`` inverts the negative Hessian.  ``logf`` takes
+    one float per coordinate, as the engine's problems do.
     """
     mode, cov = _newton(logf, grad_hess, x0, "test")
     k = mode.size
@@ -67,7 +68,7 @@ def check_newton_mode(logf, grad_hess, x0):
     chol = np.linalg.cholesky(cov)
 
     def f(u):
-        return float(logf(mode + chol @ np.asarray(u, dtype=float)))
+        return float(logf(*(mode + chol @ np.asarray(u, dtype=float))))
 
     # steps of 1e-3 and 1e-2 sd keep the rounding of log f ~ -1e7 below the tolerances
     eye = np.eye(k)

@@ -230,6 +230,23 @@ class TestReanalyze:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--input", "{tmp}/missing.csv"], "No such file or directory"),
+            (["--input", "{tmp}/latin1.csv"], "line 3: not UTF-8 text"),
+            (["--input", "{tmp}/in.csv", "--methods", "ib", "--out", "{tmp}/no/such/dir/x.csv"],
+             "No such file or directory"),
+        ],
+    )
+    def test_file_errors_print_one_error_line(self, capsys, tmp_path, argv, message):
+        (tmp_path / "latin1.csv").write_bytes(b"id,label,y1,n1,y2,n2\n1,x,3,10,5,12\n2,caf\xe9,1,10,2,10\n")
+        (tmp_path / "in.csv").write_text("id,label,y1,n1,y2,n2\n1,x,3,10,5,12\n")
+        code, _, err = run(capsys, "reanalyze", *[a.format(tmp=tmp_path) for a in argv])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_strict_mode_exit_code_on_cell_failure(self, capsys, tmp_path, monkeypatch):
         import bf2p.reanalysis as re_mod
 
@@ -260,6 +277,30 @@ class TestReanalyze:
             "--out", str(tmp_path / "o.csv"),
         )
         assert code == 0
+
+
+class TestExtremePriorScales:
+    @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in (["bf", "--method", "lt"], ["avg"], ["posterior", "--method", "lt"])
+            for flag in ("--sigma-beta", "--sigma-psi")
+        ]
+        + [(["bf", "--method", "dep-ib"], flag) for flag in ("--sigma-eta", "--sigma-zeta")],
+    )
+    def test_value_or_one_numerical_error_line(self, capsys, command, flag, scale):
+        data = ["--y1", "18", "--n1", "493", "--y2", "10", "--n2", "488"]
+        code, out, err = run(capsys, *command, *data, flag, scale)
+        if scale == "1e300":
+            assert (code, err) == (0, "")
+            assert out.startswith(("BF01 = ", "psi: mean = "))
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("numerical error: ") and err.count("\n") == 1
 
 
 class TestSensitivity:

@@ -275,10 +275,10 @@ class TestFloatNewton:
             def build(*args):
                 logf, grad_hess, x0 = problem(*args)
 
-                def wrapped(v):
-                    if v.ndim == 1:  # one point: a Newton step check
-                        points.append(tuple(v))
-                    return logf(v)
+                def wrapped(*coords):
+                    if isinstance(coords[0], float):  # one point: a Newton step check
+                        points.append(coords)
+                    return logf(*coords)
 
                 return wrapped, grad_hess, x0
 

@@ -1,4 +1,4 @@
-"""``tools/error_audit.py``: dep-IB error estimates against pinned 30-digit references."""
+"""``tools/error_audit.py``: dep-IB and LT error estimates against pinned 30-digit references."""
 
 import importlib.util
 from pathlib import Path
@@ -39,4 +39,31 @@ def test_references_are_pinned_for_the_whole_sample(tool):
 def test_error_estimates_cover_the_error(tool, cell):
     row = tool.audit_cell(*cell, tool.load_refs()[tool.cell_key(*cell)])
     for name in ("h0", "core", "log_bf01"):
+        assert row[name]["ratio"] <= 1.0, name
+
+
+#: Five cells of the LT slice: the worst H0 (a count at 0 at n ~ 8e5), the worst
+#: H1 and log BF01, a logistic beta prior with a count at 0 in a group of 40,
+#: every event against none at n ~ 1e8, and every event in both groups under a
+#: logistic prior, whose flat likelihood leaves only the priors' tails.
+LT_CELLS = [
+    ((13466, 37521, 0, 839247), 2.0, 2.0, "gaussian"),
+    ((20, 42, 178319, 245870), 2.0, 1.5, "gaussian"),
+    ((758, 2115, 0, 40), 2.0, 0.5, "logistic"),
+    ((99044818, 99044818, 0, 412719), 0.5, 2.0, "gaussian"),
+    ((42537, 42537, 1313654, 1313654), 1.0, 1.5, "logistic"),
+]
+
+
+def test_lt_references_are_pinned_for_the_whole_sample(tool):
+    sample = tool.lt_sample()
+    assert len(sample) == 30
+    assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("lt"))
+    assert set(LT_CELLS) <= set(sample)
+
+
+@pytest.mark.parametrize("cell", LT_CELLS)
+def test_lt_error_estimates_cover_the_error(tool, cell):
+    row = tool.audit_lt_cell(*cell, tool.load_refs("lt")[tool.cell_key(*cell)])
+    for name in ("h0", "h1", "log_bf01"):
         assert row[name]["ratio"] <= 1.0, name

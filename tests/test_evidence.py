@@ -131,3 +131,38 @@ class TestErrorFloor:
         val, err = family._log_ml(TwoByTwoData(*counts), Hypothesis.H0, prior)
         assert math.isfinite(val)
         assert err == pytest.approx(lt._ROUNDING * abs(val), rel=1e-5)
+
+
+#: Every prior scale field, with how many times a flat prior's factor 1/scale
+#: enters each log marginal: (H0, H1).
+_SCALE_FIELDS = [
+    (LTPrior, "sigma_beta", (1, 1)),
+    (LTPrior, "sigma_psi", (0, 1)),
+    (DepIBPrior, "sigma_eta", (0, 0)),
+    (DepIBPrior, "sigma_zeta", (0, 0)),
+]
+
+
+class TestExtremePriorScales:
+    """A prior scale at either end of the float range gives a value or a
+    typed error, never a ZeroDivisionError or OverflowError."""
+
+    @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("family, field, flat", _SCALE_FIELDS)
+    def test_huge_scale_is_the_flat_prior_limit(self, family, field, flat, scale):
+        # from 1e8 up the prior is flat over the likelihood: the marginals move
+        # only by the density's factor 1e8 / scale where that scale enters
+        d = TwoByTwoData(18, 493, 10, 488)
+        huge, wide = evidence(d, family(**{field: scale})), evidence(d, family(**{field: 1e8}))
+        shift = math.log(scale / 1e8)
+        assert huge.log_ml_h0 == pytest.approx(wide.log_ml_h0 - flat[0] * shift, abs=1e-9)
+        assert huge.log_ml_h1 == pytest.approx(wide.log_ml_h1 - flat[1] * shift, abs=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170])
+    @pytest.mark.parametrize("family, field, flat", _SCALE_FIELDS)
+    def test_tiny_scale_raises_numerical_error(self, family, field, flat, scale):
+        # the prior precision 1/scale^2 overflows, and Newton reports the infinite Hessian
+        with pytest.raises(NumericalError, match="gradient or Hessian is not finite"):
+            evidence(TwoByTwoData(18, 493, 10, 488), family(**{field: scale}))

@@ -1,6 +1,7 @@
 """Logit-transformation Bayes factor: integrand, mode finding, quadrature."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -65,6 +66,38 @@ class TestIntegrand:
             )
             got = log_integrand_h1_lt(d, b, p, 1.0, 1.0)
             assert got == pytest.approx(expected, abs=1e-10)
+
+
+def _kernel_cases(count: int = 3000, seed: int = 20261019):
+    """(y, n, x): n log-uniform in 1..1e8, y at 0, at n or uniform, |x| log-uniform in 1e-4..740."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(round(10.0 ** rng.uniform(0.0, 8.0)))
+        kind = rng.integers(3)
+        y = 0 if kind == 0 else n if kind == 1 else int(rng.integers(0, n + 1))
+        x = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4.0, math.log10(740.0)))
+        out.append((y, n, x))
+    return out
+
+
+class TestLikelihoodKernel:
+    def test_matches_40_digit_values(self):
+        import mpmath as mp
+
+        eps = float(np.finfo(float).eps)
+        with mp.workdps(40):
+            for y, n, x in _kernel_cases():
+                v = float(lt_mod._log_binom_lik(y, n, x))
+                xm = mp.mpf(x)
+                ref = -y * mp.log1p(mp.exp(-xm)) - (n - y) * mp.log1p(mp.exp(xm))
+                assert abs(v - ref) <= 2 * eps * (1 + abs(ref)), (y, n, x)
+
+    def test_floats_give_the_bits_of_arrays_and_of_the_event_swap(self):
+        for y, n, x in _kernel_cases():
+            v = float(lt_mod._log_binom_lik(y, n, x))
+            assert v.hex() == float(lt_mod._log_binom_lik(y, n, np.array([x]))[0]).hex(), (y, n, x)
+            assert v.hex() == float(lt_mod._log_binom_lik(n - y, n, -x)).hex(), (y, n, x)
 
 
 class TestModeFinding:
@@ -150,9 +183,8 @@ class TestFloatNewton:
         """log f = -x^4/4 + x^2/2 - (y - x/2)^2/2 on (x,) or (x, y), and its
         float gradient and Hessian; -H is not positive definite near x = 0."""
 
-        def logf(v):
-            x = v[..., 0]
-            y = v[..., 1] if k == 2 else 0.5 * x
+        def logf(x, *rest):
+            y = rest[0] if k == 2 else 0.5 * x
             return -(x**4) / 4 + x**2 / 2 - (y - 0.5 * x) ** 2 / 2
 
         def grad_hess(v):
@@ -192,16 +224,51 @@ class TestFloatNewton:
         def counting(*args):
             logf, grad_hess, x0 = problem(*args)
 
-            def wrapped(v):
-                if v.ndim == 1:  # one point: a Newton step check
-                    points.append(tuple(v))
-                return logf(v)
+            def wrapped(*coords):
+                if isinstance(coords[0], float):  # one point: a Newton step check
+                    points.append(coords)
+                return logf(*coords)
 
             return wrapped, grad_hess, x0
 
         monkeypatch.setattr(lt_mod, "_lt_problem", counting)
         lt_mod._fit(TwoByTwoData(*counts), hyp, LTPrior())
         assert len(set(points)) == len(points)
+
+
+class TestJoinedRungs:
+    """The first two rules of the schedule run in one log f evaluation."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_joined_estimates_equal_the_rules_one_by_one(self, k):
+        assert lt_mod.NODE_SCHEDULE[:2] == (21, 31)
+        hyp = Hypothesis.H0 if k == 1 else Hypothesis.H1
+        studies = [TwoByTwoData(*c) for c in _NEWTON_STUDIES] + random_small_datasets(10, n_max=500, seed=5)
+        for d, prior in itertools.product(studies, [LTPrior(), LTPrior(2.0, 0.5)]):
+            logf, grad_hess, x0 = lt_mod._lt_problem(d, hyp, prior)
+            mode, cov = lt_mod._newton(logf, grad_hess, x0, "test")
+            at = lt_mod._at_whitened(logf, mode, np.linalg.cholesky(cov).tolist())
+            joined = list(itertools.islice(lt_mod._gh_ladder(at, k), 2))
+            alone = [lt_mod._logsumexp(lw + at(*z)) for z, lw in (lt_mod._whitened_rule(n, k) for n in (21, 31))]
+            assert [v.hex() for v in joined] == [v.hex() for v in alone], (d, prior)
+
+    @pytest.mark.parametrize("hyp, points", [(Hypothesis.H0, 21 + 31), (Hypothesis.H1, 21**2 + 31**2)])
+    def test_a_fit_stopping_at_31_nodes_evaluates_its_rules_in_one_call(self, hyp, points, monkeypatch):
+        problem, calls = lt_mod._lt_problem, []
+
+        def counting(*args):
+            logf, grad_hess, x0 = problem(*args)
+
+            def wrapped(*coords):
+                if isinstance(coords[0], np.ndarray):  # a quadrature rule's points
+                    calls.append(coords[0].size)
+                return logf(*coords)
+
+            return wrapped, grad_hess, x0
+
+        monkeypatch.setattr(lt_mod, "_lt_problem", counting)
+        lt_mod._fit(TwoByTwoData(18, 493, 10, 488), hyp, LTPrior())
+        assert calls == [points]
 
 
 class TestNullMarginal:
@@ -447,7 +514,7 @@ def _tensor_gauss_hermite(logf, mode, cov, n):
     rule centred on ``mode`` and whitened by the Cholesky factor of ``cov``."""
     z, lw = _tensor_rule(n, mode.size)
     chol = np.linalg.cholesky(cov)
-    return float(logsumexp(lw + logf(mode + z @ chol.T))) + float(np.sum(np.log(np.diag(chol))))
+    return float(logsumexp(lw + logf(*(mode + z @ chol.T).T))) + float(np.sum(np.log(np.diag(chol))))
 
 
 #: Studies of this module with a count at 0 or n, and the extremes' mirrors.

@@ -79,6 +79,21 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 1"):
             ingest_csv(p)
 
+    def test_non_utf8_text_rejected_at_its_line(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"id,label,y1,n1,y2,n2\r\n1,a,1,10,2,10\r\n2,caf\xe9,1,10,2,10\r\n")
+        with pytest.raises(ParseError, match="line 3: not UTF-8 text"):
+            ingest_csv(p)
+
+    def test_line_endings_of_any_platform_parse_alike(self, tmp_path):
+        rows = ["id,label,y1,n1,y2,n2", "1,a,1,10,2,10", "2,b,3,10,4,10"]
+        parsed = []
+        for i, end in enumerate(("\n", "\r\n", "\r")):
+            p = tmp_path / f"ends{i}.csv"
+            p.write_bytes((end.join(rows) + end).encode())
+            parsed.append(ingest_csv(p))
+        assert parsed[0] == parsed[1] == parsed[2] and len(parsed[0]) == 2
+
     def test_non_integer_field_rejected(self, tmp_path):
         p = tmp_path / "types.csv"
         p.write_text("id,label,y1,n1,y2,n2\n1,a,1.5,10,2,10\n")

@@ -1,22 +1,38 @@
-"""Audit the dep-IB error estimates against 30-digit mpmath references.
+"""Audit the dep-IB and LT error estimates against 30-digit mpmath references.
 
-A seeded sample of 100 (study, prior) cells: n1 and n2 log-uniform in
-1..1e8, each count at 0, at n or uniform in between, sigma_eta in
-{0.05, 0.1, 0.2, 0.5, 1} and sigma_zeta in {0.1, 0.3, 0.5, 1}.  Per cell
+The dep-IB slice is a seeded sample of 100 (study, prior) cells: n1
+and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in
+between, sigma_eta in {0.05, 0.1, 0.2, 0.5, 1} and sigma_zeta in
+{0.1, 0.3, 0.5, 1}.  Per cell
 three numbers are checked, each with the error estimate bf2p reports
 for it: the H0 log integral, the log integral of the H1 core (both rates
 interior) and log BF01.  The output gives, per cell and number, the
 value, the reference, the error and the ratio error / estimate; the exit
-status is 1 when any ratio exceeds 1.
+status is 1 when any ratio of either slice exceeds 1.
 
 The references are computed in mpmath at 30 digits from the model's
 definition, sharing no code with bf2p: H0 and the clamped wedges by
 mpmath's tanh-sinh quadrature, split at the likelihood's peak and
 shoulders, and the core by tensor Gauss-Jacobi rules of 48 nodes and
 more per rate from mpmath's own builder, whose sizes grow until two
-agree.  Each reaches a relative error of 1e-20.  They take
-minutes, so they are pinned in ``error_audit_refs.json`` next to this
-file; ``--pin`` recomputes them.
+agree.  Each reaches a relative error of 1e-20.
+
+The LT slice is a seeded sample of 30 cells: n1 and n2 log-uniform in
+1..1e8 with counts drawn as above, sigma_beta in {0.5, 1, 2}, sigma_psi
+in {0.5, 1, 1.5, 2} and a Gaussian or logistic beta prior.  Its numbers
+are the H0 and H1 log integrals, without binomial coefficients, and log
+BF01.  Their references integrate in the groups' log odds (beta alone
+under H0), whitened at the mode by the Cholesky factor of the inverse
+negative Hessian that an mpmath Newton search finds there: the
+trapezoid rule over each whole line, nested under H1, whose step halves
+until two levels agree to 1e-20 at the integrand's peak of 1.  The
+integrands are analytic, so the rule converges geometrically, and
+log-concave, so along each line a sum stops once its terms have begun
+to fall and are below 1e-23.
+
+The references take minutes, so they are pinned next to this file, in
+``error_audit_refs.json`` (dep-IB) and ``error_audit_lt_refs.json``
+(LT); ``--pin`` recomputes both.
 
     PYTHONPATH=src python3 tools/error_audit.py --out error_audit.json
     PYTHONPATH=src python3 tools/error_audit.py --pin
@@ -28,6 +44,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -35,10 +52,11 @@ import mpmath as mp
 import numpy as np
 
 from bf2p.dep_ib import _log_core, _log_ml_h0, bf01_depib
-from bf2p.lt import _log_coeffs
-from bf2p.model import DepIBPrior, TwoByTwoData
+from bf2p.lt import _fit, _log_coeffs, bf01_lt
+from bf2p.model import BetaPriorKind, DepIBPrior, Hypothesis, LTPrior, TwoByTwoData, WidePriorWarning
 
 REFS = Path(__file__).resolve().with_name("error_audit_refs.json")
+LT_REFS = Path(__file__).resolve().with_name("error_audit_lt_refs.json")
 
 SEED = 20261019
 SIGMA_ETA = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -51,18 +69,39 @@ DIGITS, REF_TOL = 30, mp.mpf("1e-20")
 CORE_NODES = (48, 64, 96, 128)
 
 
+LT_SEED = 20261020
+SIGMA_BETA = (0.5, 1.0, 2.0)
+SIGMA_PSI = (0.5, 1.0, 1.5, 2.0)
+
+#: Absolute error target of each whitened LT integral, whose integrand peaks at 1.
+LT_ATOL = mp.mpf("1e-20")
+
+
+def _counts(rng) -> tuple[int, int, int, int]:
+    """n1 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in between."""
+    counts = []
+    for _group in range(2):
+        n = int(round(10.0 ** rng.uniform(0.0, 8.0)))
+        kind = rng.integers(3)
+        y = 0 if kind == 0 else n if kind == 1 else int(rng.integers(0, n + 1))
+        counts += [y, n]
+    return tuple(counts)
+
+
 def sample() -> list[tuple[tuple[int, int, int, int], float, float]]:
-    """The audit's 100 (counts, sigma_eta, sigma_zeta) cells."""
+    """The dep-IB slice's 100 (counts, sigma_eta, sigma_zeta) cells."""
     rng = np.random.default_rng(SEED)
+    return [(_counts(rng), float(rng.choice(SIGMA_ETA)), float(rng.choice(SIGMA_ZETA))) for _ in range(100)]
+
+
+def lt_sample() -> list[tuple[tuple[int, int, int, int], float, float, str]]:
+    """The LT slice's 30 (counts, sigma_beta, sigma_psi, beta prior) cells."""
+    rng = np.random.default_rng(LT_SEED)
     out = []
-    for _ in range(100):
-        counts = []
-        for _group in range(2):
-            n = int(round(10.0 ** rng.uniform(0.0, 8.0)))
-            kind = rng.integers(3)
-            y = 0 if kind == 0 else n if kind == 1 else int(rng.integers(0, n + 1))
-            counts += [y, n]
-        out.append((tuple(counts), float(rng.choice(SIGMA_ETA)), float(rng.choice(SIGMA_ZETA))))
+    for _ in range(30):
+        counts = _counts(rng)
+        sb, sp = float(rng.choice(SIGMA_BETA)), float(rng.choice(SIGMA_PSI))
+        out.append((counts, sb, sp, str(rng.choice(["gaussian", "logistic"]))))
     return out
 
 
@@ -185,6 +224,161 @@ class _Reference:
         return top + mp.log(mp.fsum(mp.exp(p - top) for p in parts))
 
 
+def _line(f, atol):
+    """Integral of f over the real line by the trapezoid rule, to ``atol``.
+
+    f is analytic and log-concave, so the rule converges geometrically as
+    its step halves from 1/2 (until two levels agree to ``atol``), and on
+    each side of 0 f falls for good once it falls: each sum stops there
+    once its terms are below atol / 1000.
+    """
+    total, prev = mp.mpf(0), None
+    for level in range(10):
+        h = mp.mpf(2) ** -(level + 1)
+        first, stride = (0, 1) if level == 0 else (1, 2)  # new nodes: all at level 0, odd multiples after
+        for sign in (1, -1):
+            last, k = None, first if sign == 1 else max(first, 1)
+            while True:
+                fz = f(sign * k * h)
+                total += fz
+                if last is not None and fz < last and fz * h < atol / 1000:
+                    break
+                if k * h > 10**4:
+                    raise ArithmeticError("reference integrand not negligible at |z| = 1e4")
+                last, k = fz, k + stride
+        cur = h * total
+        if prev is not None and abs(cur - prev) <= atol:
+            return cur
+        prev = cur
+    raise ArithmeticError("reference trapezoid levels did not agree")
+
+
+def _log_lik(y, n, x):
+    """y log sigma(x) + (n - y) log sigma(-x), as two terms of one sign."""
+    if x > 0:
+        return -(n - y) * x - n * mp.log1p(mp.exp(-x))
+    return y * x - n * mp.log1p(mp.exp(x))
+
+
+def _lik_derivatives(y, n, x):
+    s, c = 1 / (1 + mp.exp(-x)), 1 / (1 + mp.exp(x))
+    return y * c - (n - y) * s, -n * s * c
+
+
+class _LTReference:
+    """The LT marginals of one (study, prior) cell, without binomial coefficients, in mpmath.
+
+    H1 is integrated in the groups' log odds x = (beta - psi/2, beta + psi/2),
+    whose Jacobian is 1, H0 in beta; each whitened at its mode.
+    """
+
+    def __init__(self, counts, sigma_beta: float, sigma_psi: float, beta_prior: str):
+        self.y1, self.n1, self.y2, self.n2 = counts
+        self.sb, self.sp, self.logistic = mp.mpf(sigma_beta), mp.mpf(sigma_psi), beta_prior == "logistic"
+        self.log_cb = mp.log(self.sb) if self.logistic else mp.log(self.sb * mp.sqrt(2 * mp.pi))
+        self.log_cp = mp.log(self.sp * mp.sqrt(2 * mp.pi))
+
+    def _log_p_beta(self, b):
+        if self.logistic:
+            z = abs(b) / self.sb
+            return -z - 2 * mp.log1p(mp.exp(-z)) - self.log_cb
+        return -((b / self.sb) ** 2) / 2 - self.log_cb
+
+    def _p_beta_derivatives(self, b):
+        if self.logistic:
+            t = mp.tanh(b / (2 * self.sb))
+            return -t / self.sb, -(1 - t * t) / (2 * self.sb**2)
+        return -b / self.sb**2, -1 / self.sb**2
+
+    def _log_p_psi(self, p):
+        return -((p / self.sp) ** 2) / 2 - self.log_cp
+
+    @staticmethod
+    def _mode(g, derivatives, x):
+        """Damped Newton to the mode of the concave g; the mode and the Hessian there, as (a,) or (a, b, c)."""
+        gx = g(*x)
+        for _ in range(500):
+            grad, hess = derivatives(*x)
+            if len(x) == 1:
+                step = [-grad[0] / hess[0]]
+            else:
+                a, b, c = hess
+                det = a * c - b * b
+                step = [-(c * grad[0] - b * grad[1]) / det, -(a * grad[1] - b * grad[0]) / det]
+            t = mp.mpf(1)
+            while True:
+                trial = [xi + t * si for xi, si in zip(x, step)]
+                g_trial = g(*trial)
+                if g_trial >= gx or t < mp.mpf(10) ** -40:
+                    break
+                t /= 2
+            x, gx = trial, g_trial
+            if max(abs(t * si) for si in step) <= 100 * mp.eps * (1 + max(abs(xi) for xi in x)):
+                return x, derivatives(*x)[1]
+        raise ArithmeticError("reference mode search did not converge")
+
+    @staticmethod
+    def _start(y, n):
+        return mp.log((y + mp.mpf(1) / 2) / (n - y + mp.mpf(1) / 2))
+
+    def h0(self):
+        y, n = self.y1 + self.y2, self.n1 + self.n2
+
+        def g(b):
+            return _log_lik(y, n, b) + self._log_p_beta(b)
+
+        def derivatives(b):
+            (gl, hl), (gp, hp) = _lik_derivatives(y, n, b), self._p_beta_derivatives(b)
+            return [gl + gp], [hl + hp]
+
+        (m,), (h,) = self._mode(g, derivatives, [self._start(y, n)])
+        s, peak = 1 / mp.sqrt(-h), g(m)
+        return peak + mp.log(s * _line(lambda z: mp.exp(g(m + s * z) - peak), LT_ATOL))
+
+    def h1(self):
+        y1, n1, y2, n2 = self.y1, self.n1, self.y2, self.n2
+
+        def g(x1, x2):
+            return _log_lik(y1, n1, x1) + _log_lik(y2, n2, x2) + self._log_p_beta((x1 + x2) / 2) + self._log_p_psi(x2 - x1)
+
+        def derivatives(x1, x2):
+            (g1, h1), (g2, h2) = _lik_derivatives(y1, n1, x1), _lik_derivatives(y2, n2, x2)
+            pg, ph = self._p_beta_derivatives((x1 + x2) / 2)
+            qg, qh = -(x2 - x1) / self.sp**2, -1 / self.sp**2
+            grad = [g1 + pg / 2 - qg, g2 + pg / 2 + qg]
+            return grad, [h1 + ph / 4 + qh, ph / 4 - qh, h2 + ph / 4 + qh]
+
+        (m1, m2), (a, b, c) = self._mode(g, derivatives, [self._start(y1, n1), self._start(y2, n2)])
+        # x = mode + L z, with L L' the inverse of minus the Hessian
+        det = a * c - b * b
+        l11 = mp.sqrt(-c / det)
+        l21 = b / det / l11
+        l22 = mp.sqrt(-a / det - l21 * l21)
+        peak = g(m1, m2)
+
+        def outer(z1):
+            x1 = m1 + l11 * z1
+            base, x2_at_0 = _log_lik(y1, n1, x1) - peak, m2 + l21 * z1
+
+            def inner(z2):
+                x2 = x2_at_0 + l22 * z2
+                return mp.exp(base + _log_lik(y2, n2, x2) + self._log_p_beta((x1 + x2) / 2) + self._log_p_psi(x2 - x1))
+
+            # an inner error enters the outer sum times the step, over some
+            # 100 / step nodes: at 1 / 1000 of the outer target their sum stays below a tenth of it
+            return _line(inner, LT_ATOL / 1000)
+
+        return peak + mp.log(l11 * l22 * _line(outer, LT_ATOL))
+
+
+def lt_reference(counts, sigma_beta: float, sigma_psi: float, beta_prior: str) -> dict[str, str]:
+    """30-digit references of one LT cell, as decimal strings."""
+    with mp.workdps(DIGITS):
+        ref = _LTReference(counts, sigma_beta, sigma_psi, beta_prior)
+        h0, h1 = ref.h0(), ref.h1()
+        return {"h0": mp.nstr(h0, DIGITS), "h1": mp.nstr(h1, DIGITS), "log_bf01": mp.nstr(h0 - h1, DIGITS)}
+
+
 def reference(counts, sigma_eta: float, sigma_zeta: float) -> dict[str, str]:
     """30-digit references of one cell, as decimal strings."""
     with mp.workdps(DIGITS):
@@ -199,12 +393,23 @@ def reference(counts, sigma_eta: float, sigma_zeta: float) -> dict[str, str]:
 # --------------------------------------------------------------------------
 
 
-def cell_key(counts, sigma_eta, sigma_zeta) -> str:
-    return f"{','.join(map(str, counts))}|{sigma_eta!r}|{sigma_zeta!r}"
+def cell_key(counts, *prior) -> str:
+    """The refs key of a cell: its counts, then its prior's fields."""
+    return "|".join([",".join(map(str, counts)), *map(str, prior)])
+
+
+def _checked(got: dict, refs: dict[str, str]) -> dict:
+    """Per number: bf2p's value and error estimate against the reference, and error / estimate."""
+    out = {}
+    for name, (value, estimate) in got.items():
+        with mp.workdps(DIGITS):  # the reference keeps its digits
+            error = abs(float(mp.mpf(value) - mp.mpf(refs[name])))
+        out[name] = {"value": value, "reference": refs[name], "error": error, "estimate": estimate, "ratio": error / estimate}
+    return out
 
 
 def audit_cell(counts, sigma_eta: float, sigma_zeta: float, refs: dict[str, str]) -> dict:
-    """bf2p's three numbers for one cell against its references."""
+    """bf2p's three numbers for one dep-IB cell against its references."""
     d, cfg = TwoByTwoData(*counts), DepIBPrior(sigma_eta, sigma_zeta)
     ml0, err0 = _log_ml_h0(d, cfg)
     res = bf01_depib(d, cfg)
@@ -214,28 +419,38 @@ def audit_cell(counts, sigma_eta: float, sigma_zeta: float, refs: dict[str, str]
         "core": _log_core(d, cfg),
         "log_bf01": (res.log_bf01, res.abs_error_estimate),
     }
-    out = {"counts": list(counts), "sigma_eta": sigma_eta, "sigma_zeta": sigma_zeta}
-    for name, (value, estimate) in got.items():
-        error = abs(float(mp.mpf(value) - mp.mpf(refs[name])))
-        out[name] = {
-            "value": value,
-            "reference": refs[name],
-            "error": error,
-            "estimate": estimate,
-            "ratio": error / estimate,
-        }
-    return out
+    return {"counts": list(counts), "sigma_eta": sigma_eta, "sigma_zeta": sigma_zeta} | _checked(got, refs)
 
 
-def run_audit(cells, refs: dict[str, dict[str, str]]) -> dict:
-    """Every cell's audit and a summary: the worst ratio per number, and the cells above 1."""
-    rows = [audit_cell(c, se, sz, refs[cell_key(c, se, sz)]) for c, se, sz in cells]
-    names = ("h0", "core", "log_bf01")
+def audit_lt_cell(counts, sigma_beta: float, sigma_psi: float, beta_prior: str, refs: dict[str, str]) -> dict:
+    """bf2p's three numbers for one LT cell against its references."""
+    d, prior = TwoByTwoData(*counts), LTPrior(sigma_beta, sigma_psi, BetaPriorKind(beta_prior))
+    res = bf01_lt(d, sigma_beta, sigma_psi, prior.beta_prior)
+    got = {
+        "h0": tuple(_fit(d, Hypothesis.H0, prior)[2:]),
+        "h1": tuple(_fit(d, Hypothesis.H1, prior)[2:]),
+        "log_bf01": (res.log_bf01, res.abs_error_estimate),
+    }
+    head = {"counts": list(counts), "sigma_beta": sigma_beta, "sigma_psi": sigma_psi, "beta_prior": beta_prior}
+    return head | _checked(got, refs)
+
+
+#: Per slice: its sample, its cell audit, the numbers each cell checks and its pinned references.
+SLICES = {
+    "dep_ib": (sample, audit_cell, ("h0", "core", "log_bf01"), REFS, reference),
+    "lt": (lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
+}
+
+
+def run_audit(name: str, refs: dict[str, dict[str, str]]) -> dict:
+    """One slice's audit of every cell and a summary: the worst ratio per number, and the numbers above 1."""
+    cells, audit, names = SLICES[name][:3]
+    rows = [audit(*c, refs[cell_key(*c)]) for c in cells()]
     summary = {
         "cells": len(rows),
         "worst_ratio": {k: max(r[k]["ratio"] for r in rows) for k in names},
         "over_estimate": [
-            {"counts": r["counts"], "sigma_eta": r["sigma_eta"], "sigma_zeta": r["sigma_zeta"], "number": k}
+            {**{f: v for f, v in r.items() if f not in names}, "number": k}
             for r in rows
             for k in names
             if r[k]["ratio"] > 1.0
@@ -244,18 +459,19 @@ def run_audit(cells, refs: dict[str, dict[str, str]]) -> dict:
     return {"cells": rows, "summary": summary}
 
 
-def load_refs() -> dict[str, dict[str, str]]:
-    return json.loads(REFS.read_text())
+def load_refs(name: str = "dep_ib") -> dict[str, dict[str, str]]:
+    return json.loads(SLICES[name][3].read_text())
 
 
-def pin(cells) -> None:
-    """Compute every cell's references and write them to ``REFS``."""
+def pin(name: str) -> None:
+    """Compute every cell's references of one slice and write them to its file."""
+    cells, path, compute = SLICES[name][0], SLICES[name][3], SLICES[name][4]
     refs = {}
-    for i, (c, se, sz) in enumerate(cells):
+    for i, c in enumerate(cells()):
         t0 = time.perf_counter()
-        refs[cell_key(c, se, sz)] = reference(c, se, sz)
-        print(f"{i + 1}/{len(cells)} {c} {se} {sz}: {time.perf_counter() - t0:.1f} s", file=sys.stderr, flush=True)
-    REFS.write_text(json.dumps(refs, indent=1) + "\n")
+        refs[cell_key(*c)] = compute(*c)
+        print(f"{name} {i + 1}/{len(cells())} {c}: {time.perf_counter() - t0:.1f} s", file=sys.stderr, flush=True)
+    path.write_text(json.dumps(refs, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -263,16 +479,17 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the per-cell audit as JSON here")
     ap.add_argument("--pin", action="store_true", help="recompute the mpmath references and exit")
     args = ap.parse_args(argv)
-    cells = sample()
     if args.pin:
-        pin(cells)
+        for name in SLICES:
+            pin(name)
         return 0
-    out = run_audit(cells, load_refs())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WidePriorWarning)
+        out = {name: run_audit(name, load_refs(name)) for name in SLICES}
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
-    summary = out["summary"]
-    print(json.dumps(summary, indent=1))
-    return 1 if summary["over_estimate"] else 0
+    print(json.dumps({name: slice_["summary"] for name, slice_ in out.items()}, indent=1))
+    return 1 if any(slice_["summary"]["over_estimate"] for slice_ in out.values()) else 0
 
 
 if __name__ == "__main__":
