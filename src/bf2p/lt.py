@@ -98,7 +98,7 @@ _UNCHECKED_GAIN = 1e-6
 #: measured up to 0.97 eps that scale on the LT corpus and edge cases
 #: and up to 4.9 eps on 100 random dep-IB cores on a Gauss-Legendre pair
 #: in the rates; on dep-IB's Gauss-Jacobi pairs ``tools/error_audit.py``
-#: finds no error above 0.31 of its estimate.
+#: finds no error above 0.34 of its estimate.
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 #: Most z1 slices per inner rule of the 2-D fallback, which keeps its arrays to some 10 MB.

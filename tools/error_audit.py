@@ -47,6 +47,7 @@ import time
 import warnings
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -435,17 +436,28 @@ def audit_lt_cell(counts, sigma_beta: float, sigma_psi: float, beta_prior: str, 
     return head | _checked(got, refs)
 
 
-#: Per slice: its sample, its cell audit, the numbers each cell checks and its pinned references.
+class Slice(NamedTuple):
+    """One family's audit: its sample, the audit of a cell, the numbers each cell checks,
+    the file of its pinned references and the function that computes them."""
+
+    sample: Callable[[], list]
+    audit: Callable[..., dict]
+    names: tuple[str, ...]
+    refs: Path
+    reference: Callable[..., dict[str, str]]
+
+
 SLICES = {
-    "dep_ib": (sample, audit_cell, ("h0", "core", "log_bf01"), REFS, reference),
-    "lt": (lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
+    "dep_ib": Slice(sample, audit_cell, ("h0", "core", "log_bf01"), REFS, reference),
+    "lt": Slice(lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
 }
 
 
 def run_audit(name: str, refs: dict[str, dict[str, str]]) -> dict:
     """One slice's audit of every cell and a summary: the worst ratio per number, and the numbers above 1."""
-    cells, audit, names = SLICES[name][:3]
-    rows = [audit(*c, refs[cell_key(*c)]) for c in cells()]
+    slice_ = SLICES[name]
+    names = slice_.names
+    rows = [slice_.audit(*c, refs[cell_key(*c)]) for c in slice_.sample()]
     summary = {
         "cells": len(rows),
         "worst_ratio": {k: max(r[k]["ratio"] for r in rows) for k in names},
@@ -460,18 +472,18 @@ def run_audit(name: str, refs: dict[str, dict[str, str]]) -> dict:
 
 
 def load_refs(name: str = "dep_ib") -> dict[str, dict[str, str]]:
-    return json.loads(SLICES[name][3].read_text())
+    return json.loads(SLICES[name].refs.read_text())
 
 
 def pin(name: str) -> None:
     """Compute every cell's references of one slice and write them to its file."""
-    cells, path, compute = SLICES[name][0], SLICES[name][3], SLICES[name][4]
-    refs = {}
-    for i, c in enumerate(cells()):
+    slice_, refs = SLICES[name], {}
+    cells = slice_.sample()
+    for i, c in enumerate(cells):
         t0 = time.perf_counter()
-        refs[cell_key(*c)] = compute(*c)
-        print(f"{name} {i + 1}/{len(cells())} {c}: {time.perf_counter() - t0:.1f} s", file=sys.stderr, flush=True)
-    path.write_text(json.dumps(refs, indent=1) + "\n")
+        refs[cell_key(*c)] = slice_.reference(*c)
+        print(f"{name} {i + 1}/{len(cells)} {c}: {time.perf_counter() - t0:.1f} s", file=sys.stderr, flush=True)
+    slice_.refs.write_text(json.dumps(refs, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
