@@ -363,9 +363,10 @@ def _whitened_rule(n: int, k: int):
     """
     x, lam = _gauss_hermite(n)
     z, lw = math.sqrt(2.0) * x, lam + 0.5 * math.log(2.0)
-    cols = (np.repeat(z, n), np.tile(z, n)) if k == 2 else (z,)
     if k == 2:
-        lw = np.add.outer(lw, lw).ravel()
+        cols, lw = (np.repeat(z, n), np.tile(z, n)), np.add.outer(lw, lw).ravel()
+    else:
+        cols = (z,)
     for a in (*cols, lw):  # shared by every caller
         a.setflags(write=False)
     return cols, lw
