@@ -5,8 +5,7 @@ symmetric Beta priors placed directly on the rates (closed form), and
 Gaussian priors on the logit-scale grand mean and log odds ratio
 (deterministic quadrature).  A dependent truncated-Gaussian variant,
 model averaging across the setups, induced-prior analytics, posterior
-summaries, Monte Carlo validation oracles, and a batch reanalysis
-harness round out the package.
+summaries and a batch reanalysis harness round out the package.
 """
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ from .averaging import (
 )
 from .special import (
     DensityValue,
-    appell_f1,
     eta_density_ib,
     log_beta_fn,
     psi_density_ib_a1,
@@ -90,13 +88,6 @@ from .posterior import (
     posterior_draws_ib,
     posterior_grid_lt,
     summarize_posterior,
-)
-from .oracle import (
-    MCEstimate,
-    group2_log_predictive,
-    mc_log_marginal,
-    mc_log_marginal_depib,
-    sequential_log_marginal,
 )
 from .reanalysis import (
     ParseError,

@@ -276,18 +276,24 @@ def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
 
 
 def _log_ml(d: TwoByTwoData, hypothesis: Hypothesis, cfg: DepIBPrior) -> tuple[float, float]:
-    """(log marginal, error estimate) under one hypothesis."""
-    return (_log_ml_h0 if hypothesis is Hypothesis.H0 else _log_ml_h1)(d, cfg)
+    """(log marginal, error estimate) under one hypothesis.
+
+    A prior scale near the float minimum overflows a Gaussian kernel's
+    square, which is right (a density of 0), so numpy's warning is
+    silenced once per marginal here rather than per density call.
+    """
+    with np.errstate(over="ignore"):
+        return (_log_ml_h0 if hypothesis is Hypothesis.H0 else _log_ml_h1)(d, cfg)
 
 
 def log_ml_h0_depib(d: TwoByTwoData, cfg: DepIBPrior) -> float:
     """Log marginal with eta = 0: a single rate zeta under its truncated prior."""
-    return _log_ml_h0(d, cfg)[0]
+    return _log_ml(d, Hypothesis.H0, cfg)[0]
 
 
 def log_ml_h1_depib(d: TwoByTwoData, cfg: DepIBPrior) -> float:
     """Log marginal of the free-(eta, zeta) model: core plus clamped wedges."""
-    return _log_ml_h1(d, cfg)[0]
+    return _log_ml(d, Hypothesis.H1, cfg)[0]
 
 
 def bf01_depib(d: TwoByTwoData, cfg: DepIBPrior | None = None) -> EvidenceResult:

@@ -2,16 +2,15 @@
 
 Hosts the log beta function (``math.lgamma`` plus the Stirling-series
 remainder of SLATEC's D9LGMC, as in R's ``lbeta``); the package's one
-tanh-sinh rule, for log-space integrals over (0, 1), which Appell's F1
-(through its Euler integral), every integrated induced density (among
-them the density of the rate difference eta under independent Beta
-priors), the clamped dep-IB wedges and the fallback of the quadrature
-engine in ``bf2p.lt`` share; its one Gauss-Jacobi builder, whose rules
-carry the dep-IB marginals and, at a = b = 0, the Gauss-Legendre mean of
-a narrow Gaussian window; the closed-form density of
-the log odds ratio psi for the uniform (a = 1) case; and the elementary
-log-density helpers, among them the truncated Gaussian, whose normal
-CDFs come from ``scipy.special``.
+tanh-sinh rule, for log-space integrals over (0, 1), which every
+integrated induced density (among them the density of the rate
+difference eta under independent Beta priors), the clamped dep-IB
+wedges and the fallback of the quadrature engine in ``bf2p.lt`` share;
+its one Gauss-Jacobi builder, whose rules carry the dep-IB marginals
+and, at a = b = 0, the Gauss-Legendre mean of a narrow Gaussian window;
+the closed-form density of the log odds ratio psi for the uniform
+(a = 1) case; and the elementary log-density helpers, among them the
+truncated Gaussian, whose normal CDFs come from ``scipy.special``.
 scipy is imported by the functions that use it, so ``import bf2p`` does
 not load it.
 """
@@ -133,46 +132,6 @@ def _tanh_sinh(log_f, points: np.ndarray, what: str, log_scale: float = -math.in
     if bad.size:
         raise NumericalError(f"{what} did not converge to {_TS_REL_TOL} at {points[bad].tolist()}")
     return log_int
-
-
-def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float) -> float:
-    """Appell's F1 by the tanh-sinh rule on its Euler integral.
-
-    F1(a; b1, b2; c; x, y) =
-        Gamma(c)/(Gamma(a)Gamma(c-a)) *
-        integral_0^1 t^(a-1) (1-t)^(c-a-1) (1-x t)^(-b1) (1-y t)^(-b2) dt,
-
-    valid for c > a > 0 and x, y < 1.  Split at t = 1/2 into the rows
-    t = s/2 and t = 1 - s/2, each half's endpoint singularity, and the
-    boundary layer near t = 1 as x or y -> 1, sit at s -> 0, where
-    1 - x t = (1 - x) + x s/2 keeps the digits of 1 - x.  Relative
-    accuracy is about 1e-12, 1e-11 for a or c - a near 1e-6.  Raises
-    ``DomainError`` where F1 exceeds the float range and
-    ``NumericalError`` where the rule does not converge.
-    """
-    if not (0.0 < a < c):
-        raise DomainError(f"Euler representation needs c > a > 0, got a={a!r}, c={c!r}")
-    if not (x < 1.0 and y < 1.0):
-        raise DomainError(f"Euler representation needs x, y < 1, got x={x!r}, y={y!r}")
-    p = np.array([[a], [c - a]])  # per row, the power p - 1 of s/2, and the other row's of 1 - s/2
-    q = np.minimum(p, 1.0)  # the rule runs over s^q, in which a singular s^(p - 1) ds is bounded
-    # per row, 1 - x t and 1 - y t as base + slope s: at t = 1 - s/2 the base is 1 - x
-    base, slope = np.array([[1.0, 1.0], [1.0 - x, 1.0 - y]]), 0.5 * np.array([[-x, -y], [x, y]])
-
-    def log_f(rows, log_sigma, log_1m_sigma):
-        log_s = log_sigma / q[rows]
-        s, b, k = np.exp(log_s), base[rows], slope[rows]
-        log_lin = b1 * np.log(b[:, :1] + k[:, :1] * s) + b2 * np.log(b[:, 1:] + k[:, 1:] * s)
-        log_ends = (p[rows] - 1.0) * (log_s - math.log(2.0)) + (p[1 - rows] - 1.0) * np.log1p(-0.5 * s)
-        return log_ends - log_lin + log_s - log_sigma - np.log(q[rows])  # the last three: ds / d(s^q)
-
-    what = f"the Euler integral of F1({a!r}; {b1!r}, {b2!r}; {c!r}; {x!r}, {y!r})"
-    halves = _tanh_sinh(log_f, np.array(["t < 1/2", "t > 1/2"]), what)
-    log_f1 = float(np.logaddexp(*halves)) - math.log(2.0) - log_beta_fn(a, c - a)  # dt = ds/2
-    try:
-        return math.exp(log_f1)
-    except OverflowError:
-        raise DomainError(f"F1 = exp({log_f1:.6g}) overflows a float") from None
 
 
 def _log_eta_convolution(eta: np.ndarray, log_joint, what: str) -> np.ndarray:
@@ -383,10 +342,9 @@ def log_density_truncated_gaussian(
     if not lo < hi:
         raise DomainError(f"need lo < hi, got ({lo!r}, {hi!r})")
     x = np.asarray(x, dtype=float)
-    log_kernel = -0.5 * ((x - center) / sigma) ** 2 - math.log(sigma) - _LN_SQRT_2PI
     out = np.where(
         (x >= lo) & (x <= hi),
-        log_kernel - _log_truncation_mass(lo, hi, center, sigma),
+        log_density_gaussian(x - center, sigma) - _log_truncation_mass(lo, hi, center, sigma),
         -np.inf,
     )
     return out if out.ndim else float(out)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import Approach, ApproachParams, ModelId, M1_IB
-from .ib import log_binomial_coeff
-from .lt import _logsumexp
-from .priors import _draw_rates
-from .model import DepIBPrior, Hypothesis, TwoByTwoData
+from bf2p.averaging import Approach, ApproachParams, ModelId, M1_IB
+from bf2p.ib import log_binomial_coeff
+from bf2p.lt import _logsumexp
+from bf2p.priors import _draw_rates
+from bf2p.model import DepIBPrior, Hypothesis, TwoByTwoData
 
 __all__ = [
     "MCEstimate",

@@ -32,7 +32,7 @@ from bf2p.model import (
     LTPrior,
     TwoByTwoData,
 )
-from bf2p.oracle import (
+from mc_oracle import (
     group2_log_predictive,
     mc_log_marginal,
     sequential_log_marginal,

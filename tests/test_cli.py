@@ -281,7 +281,7 @@ class TestReanalyze:
 
 class TestExtremePriorScales:
     @pytest.mark.filterwarnings("ignore::bf2p.model.WidePriorWarning")
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", ["1e-300", "1e300"])
     @pytest.mark.parametrize(
         "command, flag",

@@ -19,7 +19,7 @@ from bf2p.dep_ib import (
 )
 from bf2p.ib import bf01_ib
 from bf2p.model import DepIBPrior, Hypothesis, Method, TwoByTwoData
-from bf2p.oracle import mc_log_marginal_depib
+from mc_oracle import mc_log_marginal_depib
 from bf2p.priors import sample_prior
 from conftest import check_newton_mode, random_small_datasets
 from oracles import depib_log_marginals_gauss_legendre

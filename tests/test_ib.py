@@ -14,7 +14,7 @@ from bf2p.ib import (
     log_ml_h1_ib,
 )
 from bf2p.model import Method, TwoByTwoData, ValidationError
-from bf2p.oracle import mc_log_marginal
+from mc_oracle import mc_log_marginal
 from bf2p.averaging import M0_IB, M1_IB, ApproachParams
 from conftest import random_small_datasets
 from oracles import ib_bf01_exact

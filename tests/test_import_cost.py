@@ -3,8 +3,8 @@
 Importing ``scipy.special`` and ``scipy.integrate`` costs about twice as
 much as numpy itself, and a one-off ``bf2p bf`` call is almost all
 import.  Each check runs in a fresh interpreter and lists the scipy
-modules loaded at its end; only dep-IB's normal CDFs and the oracle may
-load ``scipy.special``, on first use.  No module imports
+modules loaded at its end; only dep-IB's normal CDFs may load
+``scipy.special``, on first use.  No module imports
 ``scipy.integrate``: every integral runs on numpy.  Nor does ``import
 bf2p`` load ``multiprocessing``, about 25 ms of imports that only a
 sweep with worker processes needs.

@@ -28,7 +28,7 @@ from bf2p.model import (
     TwoByTwoData,
     logit_to_proportions,
 )
-from bf2p.oracle import mc_log_marginal
+from mc_oracle import mc_log_marginal
 from bf2p.averaging import M0_LT, M1_LT
 from bf2p.reanalysis import default_grids, load_bundled_corpus
 from conftest import check_newton_mode, random_small_datasets

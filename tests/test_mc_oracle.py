@@ -8,7 +8,7 @@ from bf2p.averaging import ALL_MODELS, M0_IB, M0_LT, M1_IB, M1_LT
 from bf2p.ib import log_ml_h0_ib
 from bf2p.lt import log_ml_h1_lt
 from bf2p.model import TwoByTwoData
-from bf2p.oracle import (
+from mc_oracle import (
     group2_log_predictive,
     mc_log_marginal,
     sequential_log_marginal,

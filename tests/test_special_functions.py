@@ -16,7 +16,6 @@ from bf2p.special import (
     _jacobi_rule,
     _log_gaussian_mass,
     _ppf_truncated_gaussian,
-    appell_f1,
     eta_density_ib,
     log_beta_fn,
     log_density_beta,
@@ -24,7 +23,7 @@ from bf2p.special import (
     log_density_truncated_gaussian,
     psi_density_ib_a1,
 )
-from oracles import appell_f1_series, eta_density_convolution, ib_eta_density_mpmath, quad_normalization
+from oracles import appell_f1, appell_f1_series, eta_density_convolution, ib_eta_density_mpmath, quad_normalization
 
 
 class TestLogBeta:

@@ -1,4 +1,5 @@
-"""``tools/traffic_coverage.py``: one seed's line record covers every module of ``bf2p``."""
+"""``tools/traffic_coverage.py``: one seed's line record covers every module of ``bf2p``,
+and that seed's benchmark traffic enters the function bodies of each."""
 
 import json
 import os
@@ -27,3 +28,7 @@ def test_seed_one_lists_every_module(tmp_path):
         assert hit <= executable, name
         assert set(m["never_hit"]) == executable - hit, name
         assert hit, f"{name}: no line recorded, so tracing began after its import"
+        body = set(m["body"])
+        assert body <= executable, name
+        # a shipped module whose functions the benchmark never enters is test-only code
+        assert not body or body & hit, f"{name}: the traffic runs none of its {len(body)} function-body lines"

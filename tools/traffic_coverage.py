@@ -9,7 +9,8 @@ lines of ``src/bf2p/*.py`` are recorded with ``sys.settrace``, which is
 set before ``bf2p`` is imported, so import-time lines count too.  The
 executable lines of a module are the line numbers of its compiled code
 objects.  The output gives, per module, the executable lines, the lines
-hit and the lines never hit.
+hit and the lines never hit, and its function-body lines (those that do
+not run at import time).
 
     PYTHONPATH=src python3 tools/traffic_coverage.py --seeds 1 2 3 --out traffic.json
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import sys
@@ -30,14 +32,21 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SWEEPS = {"sweep_lt": ("ib", "lt", "avg"), "sweep_depib": ("dep_ib",)}
 
 
-def executable_lines(path: Path) -> set[int]:
-    """Line numbers that carry bytecode in the module at ``path``."""
-    lines, todo = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+def executable_lines(path: Path) -> tuple[set[int], set[int]]:
+    """(all lines, function-body lines) that carry bytecode in the module at ``path``.
+
+    Function-body lines belong to code objects with ``CO_OPTIMIZED`` set
+    (functions, not module or class bodies), less the lines a module or
+    class body also owns: ``def`` lines, defaults and decorators, which
+    run at import time.
+    """
+    owned = {True: set(), False: set()}  # by whether the code object is a function
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
     while todo:
         code = todo.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        owned[bool(code.co_flags & inspect.CO_OPTIMIZED)].update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
-    return lines
+    return owned[True] | owned[False], owned[True] - owned[False]
 
 
 def run_traffic(seeds) -> None:
@@ -81,11 +90,12 @@ def trace(seeds) -> dict:
         sys.settrace(None)
     modules = {}
     for path, name in files.items():
-        lines = executable_lines(Path(path))
+        lines, body = executable_lines(Path(path))
         modules[name] = {
             "executable": sorted(lines),
             "hit": sorted(hit[path]),
             "never_hit": sorted(lines - hit[path]),
+            "body": sorted(body),
         }
     return {"seeds": list(seeds), "modules": modules}
 
@@ -100,7 +110,12 @@ def main(argv=None) -> int:
         json.dump(result, fh, indent=1)
         fh.write("\n")
     for name, m in result["modules"].items():
-        print(f"{name}: {len(m['hit'])} of {len(m['executable'])} lines hit", file=sys.stderr)
+        body_hit = set(m["body"]) & set(m["hit"])
+        print(
+            f"{name}: {len(m['hit'])} of {len(m['executable'])} lines hit,"
+            f" {len(body_hit)} of {len(m['body'])} function-body lines",
+            file=sys.stderr,
+        )
     return 0
 
 
