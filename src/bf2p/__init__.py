@@ -14,7 +14,6 @@ from .model import (
     BetaPriorKind,
     ConfigError,
     DepIBPrior,
-    DiffCoords,
     DomainError,
     EvidenceResult,
     Hypothesis,
@@ -23,16 +22,11 @@ from .model import (
     LTPrior,
     Method,
     NumericalError,
-    ProportionPair,
     TwoByTwoData,
     UnsupportedFeatureError,
     ValidationError,
     WidePriorWarning,
-    diff_to_proportions,
     evidence_label,
-    logit_to_proportions,
-    proportions_to_diff,
-    proportions_to_logit,
     validate_data,
 )
 from .ib import IBPosterior, bf01_ib, ib_posterior, log_ml_h0_ib, log_ml_h1_ib
@@ -47,7 +41,6 @@ from .lt import (
 )
 from .dep_ib import (
     bf01_depib,
-    clamped_rates,
     log_ml_h0_depib,
     log_ml_h1_depib,
     prior_correlation_depib,

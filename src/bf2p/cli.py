@@ -155,7 +155,7 @@ def _cmd_priors(args) -> int:
     if args.quantity in ("eta", "psi", "theta"):
         lo, hi = {"eta": (-1, 1), "psi": (-8, 8), "theta": (0.001, 0.999)}[args.quantity]
         grid = np.linspace(lo, hi, args.grid_points)
-        _write_density(args.quantity, marginal_density(cfg, args.quantity, grid, seed=args.seed), args.out)
+        _write_density(args.quantity, marginal_density(cfg, args.quantity, grid), args.out)
         return 0
     if args.quantity == "conditional":
         grid = np.linspace(0.001, 0.999, args.grid_points)
@@ -210,7 +210,7 @@ def _cmd_reanalyze(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    rows = sensitivity_curve(args.n, methods=args.method)
+    rows = sensitivity_curve(args.n, methods=args.method or ["ib", "lt"])
     lines = ["y,method,log_bf01,bf01"] + [
         f"{y},{m},{v:.17g},{math.exp(v):.17g}" for (y, m, v) in rows
     ]
@@ -322,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "method", None) is None and args.command == "sensitivity":
-        args.method = ["ib", "lt"]
     try:
         if "seed" in args and args.seed is None:
             args.seed = _seed_default()

@@ -62,7 +62,6 @@ from .model import (
     EvidenceResult,
     Hypothesis,
     Method,
-    ProportionPair,
     TwoByTwoData,
     expit,
     expit_pair,
@@ -79,7 +78,6 @@ from .special import (
 )
 
 __all__ = [
-    "clamped_rates",
     "log_ml_h0_depib",
     "log_ml_h1_depib",
     "bf01_depib",
@@ -89,14 +87,6 @@ __all__ = [
 #: Gauss-Jacobi nodes per rate of the coarse and fine rules over H0 and the
 #: H1 core; the fine rule's value stands when the two agree.
 RATE_NODES = (20, 40)
-
-
-def clamped_rates(eta: float, zeta: float) -> ProportionPair:
-    """Map (eta, zeta) to rates, clamping each into [0, 1]."""
-    return ProportionPair(
-        min(max(zeta - 0.5 * eta, 0.0), 1.0),
-        min(max(zeta + 0.5 * eta, 0.0), 1.0),
-    )
 
 
 def _log_prior_zeta(z, cfg: DepIBPrior):

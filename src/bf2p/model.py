@@ -1,9 +1,10 @@
 """Core data types for two-group binomial experiments.
 
 Everything downstream works with the types defined here: observed counts,
-the three parameter coordinate systems (raw rates, rate difference/grand
-mean, log-odds grand mean/log odds ratio), prior configurations, and the
-``EvidenceResult`` record that every Bayes factor routine returns.
+the log-odds coordinates (grand mean, log odds ratio) of the quadrature
+engine's mode, the logistic sigmoid that maps log odds to rates, prior
+configurations, and the ``EvidenceResult`` record that every Bayes
+factor routine returns.
 
 All types are immutable value objects and safe to share across threads.
 Marginal likelihoods and Bayes factors are carried in natural-log space
@@ -123,20 +124,6 @@ def validate_data(d: TwoByTwoData) -> TwoByTwoData:
 
 
 @dataclass(frozen=True)
-class ProportionPair:
-    """Event rates (theta1, theta2), both in [0, 1]."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v!r}")
-
-
-@dataclass(frozen=True)
 class LogitCoords:
     """Log-odds coordinates: grand mean ``beta`` and log odds ratio ``psi``.
 
@@ -150,20 +137,6 @@ class LogitCoords:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and math.isfinite(self.psi)):
             raise ValidationError("beta and psi must be finite")
-
-
-@dataclass(frozen=True)
-class DiffCoords:
-    """Rate difference ``eta`` = theta2 - theta1 and grand mean ``zeta``."""
-
-    eta: float
-    zeta: float
-
-    def __post_init__(self):
-        if not abs(self.eta) <= 1.0:
-            raise ValidationError(f"|eta| must be <= 1, got {self.eta!r}")
-        if not 0.0 <= self.zeta <= 1.0:
-            raise ValidationError(f"zeta must lie in [0, 1], got {self.zeta!r}")
 
 
 def expit(x):
@@ -185,33 +158,6 @@ def expit_pair(x: float) -> tuple[float, float]:
     e = math.exp(-abs(x))
     hi, lo = 1.0 / (1.0 + e), e / (1.0 + e)
     return (hi, lo) if x >= 0 else (lo, hi)
-
-
-def logit_to_proportions(c: LogitCoords) -> ProportionPair:
-    """Map (beta, psi) to (theta1, theta2). Total on finite inputs."""
-    return ProportionPair(
-        float(expit(c.beta - 0.5 * c.psi)),
-        float(expit(c.beta + 0.5 * c.psi)),
-    )
-
-
-def proportions_to_logit(p: ProportionPair) -> LogitCoords:
-    """Inverse of :func:`logit_to_proportions`; rates must be interior."""
-    for name, t in (("theta1", p.theta1), ("theta2", p.theta2)):
-        if not 0.0 < t < 1.0:
-            raise DomainError(f"{name}={t!r} has infinite log odds")
-    l1 = math.log(p.theta1) - math.log1p(-p.theta1)
-    l2 = math.log(p.theta2) - math.log1p(-p.theta2)
-    return LogitCoords(beta=0.5 * (l1 + l2), psi=l2 - l1)
-
-
-def proportions_to_diff(p: ProportionPair) -> DiffCoords:
-    return DiffCoords(eta=p.theta2 - p.theta1, zeta=0.5 * (p.theta1 + p.theta2))
-
-
-def diff_to_proportions(c: DiffCoords) -> ProportionPair:
-    """Inverse of :func:`proportions_to_diff` where it lands inside the square."""
-    return ProportionPair(c.zeta - 0.5 * c.eta, c.zeta + 0.5 * c.eta)
 
 
 # --------------------------------------------------------------------------

@@ -5,9 +5,9 @@ log odds for LT, difference/mean for the dependent variant), but all of
 them induce distributions on every other quantity of interest.  This
 module evaluates those induced densities on grids (figure data) and
 draws seeded samples from them (Monte Carlo checks).  Sampling and the
-marginal densities run on numpy alone, the integrated ones on the
-tanh-sinh rule of ``bf2p.special``; only dep-IB draws (scipy's normal
-CDF) import scipy, on first use.
+marginal densities run on numpy alone; every density is deterministic,
+a closed form or the tanh-sinh rule of ``bf2p.special``.  Only dep-IB
+draws (scipy's normal CDF) import scipy, on first use.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .model import (
 from .special import (
     _log_eta_convolution,
     _log_eta_density_ib,
+    _log_psi_density_ib,
     _ppf_truncated_gaussian,
     _tanh_sinh,
     log_density_beta,
@@ -93,24 +94,22 @@ class DensityGrid:
     """Density values tabulated on a 1D axis or a 2D product grid.
 
     ``normalization`` records the trapezoid-rule integral of the stored
-    values over the grid.  ``mc_estimate`` flags values estimated by
-    Monte Carlo rather than evaluated from a formula or quadrature.
+    values over the grid.
     """
 
     x_axis: np.ndarray
     values: np.ndarray
     y_axis: np.ndarray | None = None
     normalization: float = field(default=float("nan"))
-    mc_estimate: bool = False
 
     @classmethod
-    def build(cls, x_axis, values, y_axis=None, **flags) -> "DensityGrid":
+    def build(cls, x_axis, values, y_axis=None) -> "DensityGrid":
         x_axis = np.asarray(x_axis, dtype=float)
         values = np.asarray(values, dtype=float)
         if y_axis is not None:
             y_axis = np.asarray(y_axis, dtype=float)
         norm = np.trapezoid(values if y_axis is None else np.trapezoid(values, y_axis, axis=1), x_axis)
-        return cls(x_axis=x_axis, values=values, y_axis=y_axis, normalization=float(norm), **flags)
+        return cls(x_axis=x_axis, values=values, y_axis=y_axis, normalization=float(norm))
 
 
 # --------------------------------------------------------------------------
@@ -157,9 +156,11 @@ def sample_prior(
 
 
 def prior_correlation(cfg: PriorConfig, n_draws: int = 1_000_000, seed: int = 0) -> float:
-    """Monte Carlo Pearson correlation of (theta1, theta2) under H1."""
+    """Pearson correlation of (theta1, theta2) under H1: 0 for IB's independent rates, else by Monte Carlo."""
     if n_draws < 10**6:
         raise ValidationError(f"n_draws must be at least 1e6, got {n_draws}")
+    if isinstance(cfg, IBPrior):
+        return 0.0
     rng = np.random.Generator(np.random.Philox(seed))
     return float(np.corrcoef(*_draw_rates(cfg, Hypothesis.H1, n_draws, rng))[0, 1])
 
@@ -190,11 +191,6 @@ def _log_joint_lt(log_t1, log_1m_t1, log_t2, log_1m_t2, cfg: LTPrior):
     )
 
 
-def _require_interior(theta1: float):
-    if not 0.0 < theta1 < 1.0:
-        raise DomainError(f"theta1 must be interior to (0, 1), got {theta1!r}")
-
-
 # --------------------------------------------------------------------------
 # Density grids
 # --------------------------------------------------------------------------
@@ -214,7 +210,8 @@ def conditional_theta2_density(
         vals = np.exp(log_density_beta(grid, cfg.a))
         return DensityGrid.build(grid, vals)
     if isinstance(cfg, LTPrior):
-        _require_interior(theta1)
+        if not 0.0 < theta1 < 1.0:
+            raise DomainError(f"theta1 must be interior to (0, 1), got {theta1!r}")
         interior = (grid > 0) & (grid < 1)
         vals = np.zeros_like(grid)
         with np.errstate(divide="ignore"):
@@ -275,25 +272,19 @@ def _lt_eta_marginal(eta: np.ndarray, cfg: LTPrior) -> np.ndarray:
     return vals
 
 
-def marginal_density(
-    cfg: PriorConfig,
-    quantity: str,
-    grid: np.ndarray,
-    n_draws: int = 1_000_000,
-    seed: int = 0,
-) -> DensityGrid:
+def marginal_density(cfg: PriorConfig, quantity: str, grid: np.ndarray) -> DensityGrid:
     """Marginal prior density of ``quantity`` in {"eta", "psi", "theta"}.
 
     Closed forms are used where they exist (the IB psi density at
     a = 1; the LT psi prior, which is simply Gaussian; the LT rate
     density under a Gaussian beta prior, logit-normal).  The IB and LT
-    eta marginals and the other LT rate marginals are pushforwards,
-    integrated over the complementary coordinate by one tanh-sinh rule
-    for the whole grid, on numpy alone; the two eta marginals share one
-    convolution along theta2 = theta1 + eta.  The IB psi marginal for a != 1
-    has no closed form and is served by a seeded Monte Carlo histogram,
-    flagged as such.  ``theta2`` and ``theta1`` are accepted as aliases
-    of ``theta`` for symmetry checks.
+    eta marginals, the IB psi marginal at a != 1 and the other LT rate
+    marginals are pushforwards, integrated over the complementary
+    coordinate by one tanh-sinh rule for the whole grid, on numpy alone:
+    the two eta marginals share one convolution along
+    theta2 = theta1 + eta, and the psi marginal convolves the two rates'
+    log-odds densities.  ``theta2`` and ``theta1`` are accepted as
+    aliases of ``theta`` for symmetry checks.
     """
     grid = np.asarray(grid, dtype=float)
     if isinstance(cfg, IBPrior):
@@ -303,13 +294,7 @@ def marginal_density(
             if cfg.a == 1.0:
                 vals = np.array([psi_density_ib_a1(float(p)).value for p in grid])
                 return DensityGrid.build(grid, vals)
-            s = sample_prior(cfg, Hypothesis.H1, n_draws, seed)
-            lo, hi = grid.min() - 1.0, grid.max() + 1.0
-            counts, edges = np.histogram(s.psi, bins=10_000, range=(lo, hi))
-            dens = counts / (s.psi.size * (edges[1] - edges[0]))
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            vals = np.interp(grid, centers, dens)
-            return DensityGrid.build(grid, vals, mc_estimate=True)
+            return DensityGrid.build(grid, np.exp(_log_psi_density_ib(grid, cfg.a)))
         if quantity in ("theta", "theta1", "theta2"):
             vals = np.exp(log_density_beta(grid, cfg.a))
             return DensityGrid.build(grid, vals)

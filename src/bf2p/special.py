@@ -3,14 +3,14 @@
 Hosts the log beta function (``math.lgamma`` plus the Stirling-series
 remainder of SLATEC's D9LGMC, as in R's ``lbeta``); the package's one
 tanh-sinh rule, for log-space integrals over (0, 1), which every
-integrated induced density (among them the density of the rate
-difference eta under independent Beta priors), the clamped dep-IB
-wedges and the fallback of the quadrature engine in ``bf2p.lt`` share;
-its one Gauss-Jacobi builder, whose rules carry the dep-IB marginals
-and, at a = b = 0, the Gauss-Legendre mean of a narrow Gaussian window;
-the closed-form density of the log odds ratio psi for the uniform
-(a = 1) case; and the elementary log-density helpers, among them the
-truncated Gaussian, whose normal CDFs come from ``scipy.special``.
+integrated induced density (among them the densities of the rate
+difference eta and the log odds ratio psi under independent Beta
+priors), the clamped dep-IB wedges and the fallback of the quadrature
+engine in ``bf2p.lt`` share; its one Gauss-Jacobi builder, whose rules
+carry the dep-IB marginals and, at a = b = 0, the Gauss-Legendre mean
+of a narrow Gaussian window; the closed-form psi density at a = 1; and
+the elementary log-density helpers, among them the truncated Gaussian,
+whose normal CDFs come from ``scipy.special``.
 scipy is imported by the functions that use it, so ``import bf2p`` does
 not load it.
 """
@@ -164,6 +164,13 @@ def _log_eta_convolution(eta: np.ndarray, log_joint, what: str) -> np.ndarray:
     return out
 
 
+def _log_beta_norm(a: float) -> float:
+    """2 ln(4^(a-1) B(a, a)), the log normalizer of two Beta(a, a) kernels in 4 theta (1 - theta)."""
+    if a >= 10.0:  # by Stirling's series, in which the two O(a) terms cancel in closed form
+        return 4.0 * _lgamma_remainder(a) - 2.0 * _lgamma_remainder(2.0 * a) - math.log(4 * a / math.pi)
+    return 2.0 * ((a - 1.0) * math.log(4.0) + log_beta_fn(a, a))
+
+
 def _log_eta_density_ib(eta: np.ndarray, a: float) -> np.ndarray:
     """ln ``eta_density_ib`` at every eta of an array."""
     if a < 1.0:
@@ -172,9 +179,7 @@ def _log_eta_density_ib(eta: np.ndarray, a: float) -> np.ndarray:
         raise DomainError(f"eta must lie in [-1, 1], got {eta[~(np.abs(eta) <= 1.0)].tolist()}")
     # each rate's Beta kernel is (a - 1) ln(1 - d^2) - ln(4^(a-1) B(a, a)), d = 1 - 2 theta: near
     # theta = 1/2 its two logs would cancel, and a - 1 times their rounding stalls the rule at large a
-    log_norm = 2.0 * ((a - 1.0) * math.log(4.0) + log_beta_fn(a, a))  # 2 ln(4^(a-1) B(a, a))
-    if a >= 10.0:  # by Stirling's series, in which the two O(a) terms above cancel in closed form
-        log_norm = 4.0 * _lgamma_remainder(a) - 2.0 * _lgamma_remainder(2.0 * a) - math.log(4 * a / math.pi)
+    log_norm = _log_beta_norm(a)
 
     def log_4var(d, log_t, log_1m_t):  # ln 4 theta (1 - theta)
         return np.where(np.abs(d) < 0.5, np.log1p(-d * d), math.log(4.0) + log_t + log_1m_t)
@@ -195,12 +200,31 @@ def eta_density_ib(eta: float, a: float) -> DensityValue:
     return DensityValue.from_log(float(_log_eta_density_ib(np.array([eta], dtype=float), a)[0]))
 
 
-# Even Taylor expansion of the psi density around 0; the closed form is a
-# 0/0 there, with its numerator cancelling to ~psi^3/6, so it keeps only
-# ~|log10(psi^3)| of the 16 available digits near the origin.
-_PSI_TAYLOR = (1.0 / 6.0, -1.0 / 60.0, 1.0 / 1008.0, -1.0 / 21600.0, 1.0 / 532224.0)
+def _log_psi_density_ib(psi: np.ndarray, a: float) -> np.ndarray:
+    """ln of the density of the log odds ratio psi under independent Beta(a, a) rates, at every psi.
 
-_PSI_TAYLOR_CUTOFF = 0.02  # both branches good to ~1e-12 relative here
+    A rate's log odds x has the density g(x) = (4 expit(x) expit(-x))^a / (4^a B(a, a)), so
+    f(psi) is the integral over t in (0, 1) of Beta(t; a, a) g(logit t + |psi|), one tanh-sinh
+    rule for all points.  Both kernels are powers of 4 expit(x) expit(-x) = cosh(x/2)^-2, whose
+    log is taken by ``log1p`` near x = 0, where the terms of the other form would cancel.
+    """
+    e = np.abs(psi).reshape(-1, 1)
+    log_norm = _log_beta_norm(a) + math.log(4.0)
+
+    def log_sech2(x):  # ln 4 expit(x) expit(-x)
+        ax = np.abs(x)
+        return np.where(ax < 1.0, np.log1p(-np.tanh(0.5 * x) ** 2), math.log(4.0) - ax - 2.0 * np.log1p(np.exp(-ax)))
+
+    def log_f(rows, log_s, log_1m_s):
+        x = log_s - log_1m_s
+        return (a - 1.0) * log_sech2(x) + a * log_sech2(x + e[rows]) - log_norm
+
+    return _tanh_sinh(log_f, psi.ravel(), "the IB psi density").reshape(psi.shape)
+
+
+#: Coefficients of S(z), the sum over k >= 1 of 2k z^(k-1) / (2k+1)!: (h cosh h - sinh h) / h^3
+#: at z = h^2.  Its terms are all positive, and ten of them reach double precision at h = 1.
+_PSI_SERIES = tuple(2 * k / math.factorial(2 * k + 1) for k in range(1, 11))
 
 
 def psi_density_ib_a1(psi: float) -> DensityValue:
@@ -211,14 +235,18 @@ def psi_density_ib_a1(psi: float) -> DensityValue:
 
         f(psi) = e^psi (e^psi (psi - 2) + psi + 2) / (e^psi - 1)^3.
 
-    Evaluated in an overflow-free rearrangement for large |psi| and by a
-    Taylor branch near 0; symmetric in psi.
+    With h = psi/2 that is (h cosh h - sinh h) / (2 sinh^3 h), whose numerator,
+    h^3 S(h^2), cancels as written: below |psi| = 2, f = S(h^2) / (2 (sinh h / h)^3) keeps
+    its digits (1e-15 relative) down to psi = 0; above, a closed form in e^-|psi|
+    cannot overflow.  Symmetric in psi.
     """
     p = abs(float(psi))
-    if p < _PSI_TAYLOR_CUTOFF:
-        p2 = p * p
-        c0, c2, c4, c6, c8 = _PSI_TAYLOR
-        val = c0 + p2 * (c2 + p2 * (c4 + p2 * (c6 + p2 * c8)))
+    if p < 2.0:
+        h = 0.5 * p
+        series = 0.0
+        for c in reversed(_PSI_SERIES):
+            series = series * h * h + c
+        val = series / (2.0 * (math.sinh(h) / h if h else 1.0) ** 3)
         return DensityValue(value=val, log_value=math.log(val))
     # divide through by e^(3 psi):  [(p-2)e^-p + (p+2)e^-2p] / (1 - e^-p)^3
     em = math.exp(-p)

@@ -174,6 +174,32 @@ def ib_eta_density_mpmath(eta, a, dps=30, rel_tol=1e-13):
         return float(_mp_quad_halving(f, pts, rel_tol))
 
 
+def ib_log_psi_density_mpmath(psi, a, dps=30, rel_tol=1e-13):
+    """Log density of the log odds ratio under independent Beta(a, a) rates, by mpmath quadrature.
+
+    Each rate's log odds x has the density g(x) = e^(ax) (1 + e^x)^(-2a) / B(a, a),
+    and g(x1) g(x1 + |psi|) is integrated over x1 in the reals, divided by
+    its peak at x1 = -|psi|/2: unscaled, the peak of a large a sits far
+    from 1 and quad misreads it.  At large |psi| the product is a plateau
+    between its knees at x1 = -|psi| and 0, so the breakpoints run every 4
+    widths 1/sqrt(a) from 16 widths beyond one knee to 16 beyond the other.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        e, a = abs(mp.mpf(psi)), mp.mpf(a)
+        log_beta = 2 * mp.loggamma(a) - mp.loggamma(2 * a)
+
+        def log_g(x):
+            return a * x - 2 * a * mp.log1p(mp.exp(x)) - log_beta
+
+        mid, width = -e / 2, 1 / mp.sqrt(a)
+        log_peak = 2 * log_g(mid)
+        pts = [-mp.inf] + [-e - 16 * width + 4 * k * width for k in range(int((e / width + 32) / 4) + 2)] + [mp.inf]
+        val = _mp_quad_halving(lambda x: mp.exp(log_g(x) + log_g(x + e) - log_peak), pts, rel_tol)
+        return float(mp.log(val) + log_peak)
+
+
 def lt_eta_density_mpmath(eta, sigma_beta, sigma_psi, logistic=False, dps=30, rel_tol=1e-13):
     """Density of theta2 - theta1 under the LT prior, by mpmath quadrature in theta1.
 

@@ -1,29 +1,21 @@
-"""Core types, coordinate conversions, and validation."""
+"""Core types, the logistic sigmoid, and validation."""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import expit as scipy_expit
 
 from bf2p.model import (
-    DiffCoords,
     DomainError,
     EvidenceResult,
-    LogitCoords,
     Method,
-    ProportionPair,
     TwoByTwoData,
     ValidationError,
-    diff_to_proportions,
     evidence_label,
     expit,
     expit_pair,
-    logit_to_proportions,
-    proportions_to_diff,
-    proportions_to_logit,
     validate_data,
 )
 
@@ -48,89 +40,6 @@ class TestValidation:
     def test_non_integer_rejected(self):
         with pytest.raises(ValidationError):
             TwoByTwoData(1.5, 10, 0, 10)
-
-
-class TestLogitToProportions:
-    def test_origin_maps_to_center(self):
-        p = logit_to_proportions(LogitCoords(0.0, 0.0))
-        assert p == ProportionPair(0.5, 0.5)
-
-    def test_quartile_pair(self):
-        # psi = 2*logit(0.75) since logit(0.25) = -logit(0.75)
-        psi = 2 * math.log(3.0)
-        p = logit_to_proportions(LogitCoords(0.0, psi))
-        assert p.theta1 == pytest.approx(0.25, abs=1e-12)
-        assert p.theta2 == pytest.approx(0.75, abs=1e-12)
-
-    def test_deep_tail_stability(self):
-        p = logit_to_proportions(LogitCoords(-6.05, 0.0))
-        expected = 1.0 / (1.0 + math.exp(6.05))  # ~0.00235
-        assert p.theta1 == pytest.approx(expected, rel=1e-12)
-        assert p.theta1 == pytest.approx(0.00235, abs=5e-6)
-        assert p.theta2 == p.theta1
-
-    def test_extreme_arguments_do_not_overflow(self):
-        p = logit_to_proportions(LogitCoords(0.0, 1400.0))  # log odds +/- 700
-        assert 0.0 <= p.theta1 < 1e-300
-        assert p.theta2 == 1.0
-        assert math.isfinite(p.theta1)
-
-    def test_monotone_in_beta_and_psi(self):
-        betas = [-3, -1, 0, 1, 3]
-        t1 = [logit_to_proportions(LogitCoords(b, 0.7)).theta1 for b in betas]
-        assert t1 == sorted(t1)
-        psis = [-2, -1, 0, 1, 2]
-        t2 = [logit_to_proportions(LogitCoords(0.3, p)).theta2 for p in psis]
-        assert t2 == sorted(t2)
-
-
-class TestProportionsToLogit:
-    @pytest.mark.parametrize(
-        "pair, psi_2dp",
-        [((0.05, 0.10), 0.75), ((0.50, 0.55), 0.20)],
-    )
-    def test_log_odds_ratio_examples(self, pair, psi_2dp):
-        c = proportions_to_logit(ProportionPair(*pair))
-        assert round(c.psi, 2) == psi_2dp
-
-    def test_center_maps_to_origin(self):
-        c = proportions_to_logit(ProportionPair(0.5, 0.5))
-        assert c.beta == 0.0 and c.psi == 0.0
-
-    def test_boundary_raises(self):
-        with pytest.raises(DomainError):
-            proportions_to_logit(ProportionPair(0.0, 0.5))
-        with pytest.raises(DomainError):
-            proportions_to_logit(ProportionPair(0.5, 1.0))
-
-    @given(
-        beta=st.floats(-20, 20),
-        psi=st.floats(-20, 20),
-    )
-    def test_round_trip(self, beta, psi):
-        p = logit_to_proportions(LogitCoords(beta, psi))
-        back = logit_to_proportions(proportions_to_logit(p))
-        assert back.theta1 == pytest.approx(p.theta1, abs=1e-12)
-        assert back.theta2 == pytest.approx(p.theta2, abs=1e-12)
-
-
-class TestDiffCoords:
-    def test_center(self):
-        assert proportions_to_diff(ProportionPair(0.5, 0.5)) == DiffCoords(0.0, 0.5)
-
-    def test_small_rates(self):
-        c = proportions_to_diff(ProportionPair(0.05, 0.10))
-        assert c.eta == pytest.approx(0.05)
-        assert c.zeta == pytest.approx(0.075)
-
-    def test_boundary(self):
-        assert proportions_to_diff(ProportionPair(0.0, 1.0)) == DiffCoords(1.0, 0.5)
-
-    @given(t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))
-    def test_round_trip_inside_square(self, t1, t2):
-        back = diff_to_proportions(proportions_to_diff(ProportionPair(t1, t2)))
-        assert back.theta1 == pytest.approx(t1, abs=1e-12)
-        assert back.theta2 == pytest.approx(t2, abs=1e-12)
 
 
 class TestEvidenceResult:

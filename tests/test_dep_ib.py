@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import truncnorm
 
@@ -12,7 +11,6 @@ import bf2p.dep_ib as dep_ib_mod
 import bf2p.lt as lt_mod
 from bf2p.dep_ib import (
     bf01_depib,
-    clamped_rates,
     log_ml_h0_depib,
     log_ml_h1_depib,
     prior_correlation_depib,
@@ -23,22 +21,6 @@ from mc_oracle import mc_log_marginal_depib
 from bf2p.priors import sample_prior
 from conftest import check_newton_mode, random_small_datasets
 from oracles import depib_log_marginals_gauss_legendre
-
-
-class TestClampedRates:
-    def test_interior_passthrough(self):
-        p = clamped_rates(0.0, 0.3)
-        assert (p.theta1, p.theta2) == (0.3, 0.3)
-
-    def test_lower_clamp(self):
-        p = clamped_rates(0.9, 0.1)
-        assert p.theta1 == 0.0
-        assert p.theta2 == pytest.approx(0.55)
-
-    def test_upper_clamp(self):
-        p = clamped_rates(-0.5, 0.9)
-        assert p.theta1 == 1.0  # 1.15 clamped
-        assert p.theta2 == pytest.approx(0.65)
 
 
 class TestMarginals:
@@ -333,6 +315,20 @@ class TestPriorDraws:
         se = math.sqrt(expected * (1 - expected) / n)
         assert abs(frac - expected) < 3 * se
 
+    def test_draws_clamp_each_rate_into_the_unit_interval(self):
+        # a wide eta prior pushes zeta -/+ eta/2 past both bounds: each side of each rate takes point
+        # mass exactly on the bound, and no draw clamps both rates, since that would need |eta| >= 1
+        s = sample_prior(DepIBPrior(sigma_eta=1.0), Hypothesis.H1, 200_000, seed=10)
+        for t in (s.theta1, s.theta2):
+            assert np.all((t >= 0.0) & (t <= 1.0))
+            assert np.any(t == 0.0) and np.any(t == 1.0)
+        clamped = lambda t: (t == 0.0) | (t == 1.0)
+        assert not np.any(clamped(s.theta1) & clamped(s.theta2))
+        # under H0 eta = 0, so the clamp passes the interior zeta through to both rates
+        s0 = sample_prior(DepIBPrior(sigma_eta=1.0), Hypothesis.H0, 10_000, seed=10)
+        np.testing.assert_array_equal(s0.theta1, s0.theta2)
+        assert np.all((s0.theta1 > 0.0) & (s0.theta1 < 1.0))
+
     def test_reproducible_given_seed(self):
         a1 = sample_prior(DepIBPrior(), Hypothesis.H1, 1000, seed=4)
         a2 = sample_prior(DepIBPrior(), Hypothesis.H1, 1000, seed=4)
@@ -369,22 +365,3 @@ class TestLargeStudyWedges:
         ml0, ml1, gap = depib_log_marginals_gauss_legendre(d, 0.2)
         assert gap <= 1e-11
         assert abs(res.log_bf01 - (ml0 - ml1)) <= res.abs_error_estimate + 1e-10
-
-
-class TestClampedRatesProperties:
-    @given(eta=st.floats(-1, 1), zeta=st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
-    def test_rates_always_land_in_unit_interval(self, eta, zeta):
-        p = clamped_rates(eta, zeta)
-        assert 0.0 <= p.theta1 <= 1.0
-        assert 0.0 <= p.theta2 <= 1.0
-
-    @given(eta=st.floats(-1, 1), zeta=st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
-    def test_unclamped_points_reconstruct_coordinates(self, eta, zeta):
-        p = clamped_rates(eta, zeta)
-        interior = 0.0 < p.theta1 < 1.0 and 0.0 < p.theta2 < 1.0
-        untouched = (0.0 <= zeta - eta / 2 <= 1.0) and (0.0 <= zeta + eta / 2 <= 1.0)
-        if interior and untouched:
-            assert p.theta2 - p.theta1 == pytest.approx(eta, abs=1e-12)
-            assert 0.5 * (p.theta1 + p.theta2) == pytest.approx(zeta, abs=1e-12)

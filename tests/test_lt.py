@@ -26,7 +26,7 @@ from bf2p.model import (
     Method,
     NumericalError,
     TwoByTwoData,
-    logit_to_proportions,
+    expit,
 )
 from mc_oracle import mc_log_marginal
 from bf2p.averaging import M0_LT, M1_LT
@@ -57,10 +57,10 @@ class TestIntegrand:
         for _ in range(100):
             b = float(rng.uniform(-5, 5))
             p = float(rng.uniform(-5, 5))
-            rates = logit_to_proportions(LogitCoords(b, p))
+            theta1, theta2 = expit(b - 0.5 * p), expit(b + 0.5 * p)
             expected = (
-                stats.binom.logpmf(d.y1, d.n1, rates.theta1)
-                + stats.binom.logpmf(d.y2, d.n2, rates.theta2)
+                stats.binom.logpmf(d.y1, d.n1, theta1)
+                + stats.binom.logpmf(d.y2, d.n2, theta2)
                 + stats.norm.logpdf(b)
                 + stats.norm.logpdf(p)
             )

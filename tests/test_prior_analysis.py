@@ -27,7 +27,7 @@ from bf2p.priors import (
     sample_prior,
 )
 from bf2p.special import log_density_beta, log_density_gaussian
-from oracles import lt_eta_density_mpmath, lt_theta_density_mpmath
+from oracles import ib_log_psi_density_mpmath, lt_eta_density_mpmath, lt_theta_density_mpmath
 
 
 def wide_lt(sigma_psi):
@@ -73,8 +73,9 @@ class TestSamplePrior:
 
 class TestPriorCorrelation:
     def test_independent_beta_is_uncorrelated(self):
-        for a in (1.0, 2.0):
-            assert prior_correlation(IBPrior(a), seed=2) == pytest.approx(0.0, abs=0.01)
+        # independent by construction, so exactly 0, with no draws
+        for a in (1.0, 2.0, 2.5):
+            assert prior_correlation(IBPrior(a), seed=2) == 0.0
 
     def test_default_logit_prior_is_positively_correlated(self):
         assert prior_correlation(LTPrior(1.0, 1.0), seed=2) > 0.2
@@ -162,11 +163,18 @@ class TestMarginalDensity:
         )
         assert tail(ib) > 5 * tail(lt)
 
-    def test_ib_psi_noninteger_concentration_served_by_monte_carlo(self):
+    @pytest.mark.parametrize("a", [1.5, 2.0, 5.0, 20.0, 200.0])
+    def test_ib_psi_noninteger_concentration_by_quadrature(self, a):
         grid = np.linspace(-6, 6, 101)
-        dg = marginal_density(IBPrior(1.5), "psi", grid, n_draws=1_000_000, seed=3)
-        assert dg.mc_estimate
+        dg = marginal_density(IBPrior(a), "psi", grid)
         assert dg.normalization == pytest.approx(1.0, abs=0.02)
+        # against a peak-scaled 30-digit mpmath reference, within 1e-13 of 1 + |log f|
+        psi = np.array([-8.0, -0.7, 0.0, 0.01, 2.5, 8.0])
+        got = marginal_density(IBPrior(a), "psi", psi).values
+        ref = np.array([ib_log_psi_density_mpmath(p, a) for p in psi])
+        shown = ref > -700.0  # at a = 200 the density at |psi| = 8 is e^-1058, which underflows to 0
+        assert np.all(np.abs(np.log(got[shown]) - ref[shown]) <= 1e-13 * (1.0 + np.abs(ref[shown])))
+        assert np.all(got[~shown] == 0.0)
 
     def test_normalizations(self):
         eta_grid = np.linspace(-0.9995, 0.9995, 1201)
@@ -174,9 +182,8 @@ class TestMarginalDensity:
             dg = marginal_density(cfg, "eta", eta_grid)
             assert dg.normalization == pytest.approx(1.0, abs=0.02)
         psi_grid = np.linspace(-30, 30, 1501)
-        assert marginal_density(IBPrior(1.0), "psi", psi_grid).normalization == pytest.approx(
-            1.0, abs=1e-6
-        )
+        for a in (1.0, 1.5):
+            assert marginal_density(IBPrior(a), "psi", psi_grid).normalization == pytest.approx(1.0, abs=1e-6)
         assert marginal_density(LTPrior(1.0, 1.0), "psi", psi_grid).normalization == pytest.approx(
             1.0, abs=1e-6
         )
@@ -234,6 +241,24 @@ class TestMarginalDensity:
         ref = marginal_density(cfg, quantity, centers).values
         # bin-averaging bias is O(width^2 f''); allow it alongside 3 SE
         assert np.all(np.abs(dens - ref) < 3 * se + 0.02 * np.max(ref))
+
+
+class TestIBPsiDensity:
+    """The IB psi density at a != 1, one tanh-sinh rule over the first rate."""
+
+    def test_bit_equal_on_repeat_and_symmetric(self):
+        grid = np.linspace(-8, 8, 201)
+        first = marginal_density(IBPrior(2.5), "psi", grid).values
+        np.testing.assert_array_equal(first, marginal_density(IBPrior(2.5), "psi", grid).values)
+        np.testing.assert_array_equal(first, marginal_density(IBPrior(2.5), "psi", -grid).values)
+
+    def test_unconverged_rule_is_a_numerical_error(self, monkeypatch):
+        # far out, the rule's two finest levels still differ by more than 1e-12 (5e-12 at psi = 190)
+        with pytest.raises(NumericalError, match=r"\[250\.0\]"):
+            marginal_density(IBPrior(2.0), "psi", np.array([0.5, 250.0]))
+        monkeypatch.setattr(special, "_TS_LEVELS", range(2, 3))
+        with pytest.raises(NumericalError, match="IB psi density"):
+            marginal_density(IBPrior(2.0), "psi", np.array([0.5]))
 
 
 class TestLTMarginalsAgainstOracle:

@@ -210,8 +210,8 @@ class TestPsiDensity:
         )
 
     def test_branches_agree_with_high_precision_reference(self):
-        # both sides of the Taylor/closed-form switch, checked against a
-        # 50-digit evaluation of the exact expression
+        # both branches (the series below |psi| = 2, the closed form above),
+        # checked against a 50-digit evaluation of the exact expression
         import mpmath as mp
 
         mp.mp.dps = 50
@@ -219,6 +219,16 @@ class TestPsiDensity:
             pm = mp.mpf(p)
             ref = float(mp.e**pm * (mp.e**pm * (pm - 2) + pm + 2) / (mp.e**pm - 1) ** 3)
             assert psi_density_ib_a1(p).value == pytest.approx(ref, rel=1e-9)
+
+    def test_scan_within_1e13_of_40_digit_reference(self):
+        # the closed form's numerator cancels to ~psi^3/6 near 0: the reference carries 40 digits
+        # beyond the 18 that cancel at psi = 1e-6
+        scan = np.concatenate([np.linspace(0.0, 2.0, 401), [1e-6, 1e-3, 0.0199, 0.0201, 0.025, 1.999]])
+        with mp.workdps(58):
+            for p in scan:
+                pm = mp.mpf(float(p))
+                ref = mp.mpf(1) / 6 if p == 0 else mp.exp(pm) * (mp.exp(pm) * (pm - 2) + pm + 2) / mp.expm1(pm) ** 3
+                assert abs(psi_density_ib_a1(p).value - ref) <= 1e-13 * ref, p
 
     def test_normalizes(self):
         total = quad_normalization(
