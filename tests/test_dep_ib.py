@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.stats import truncnorm
 
@@ -328,6 +329,48 @@ class TestPriorDraws:
         s0 = sample_prior(DepIBPrior(sigma_eta=1.0), Hypothesis.H0, 10_000, seed=10)
         np.testing.assert_array_equal(s0.theta1, s0.theta2)
         assert np.all((s0.theta1 > 0.0) & (s0.theta1 < 1.0))
+
+    @staticmethod
+    def h0_and_h1_draws(cfg, n=100_000, seed=11):
+        # both hypotheses take the eta uniforms before the zeta uniforms, so one seed gives one
+        # zeta: the H0 rate is the zeta behind the H1 pair of the same index
+        s0 = sample_prior(cfg, Hypothesis.H0, n, seed=seed)
+        return s0.theta1, sample_prior(cfg, Hypothesis.H1, n, seed=seed)
+
+    def test_unclamped_draws_reconstruct_eta_and_zeta(self):
+        zeta, s = self.h0_and_h1_draws(DepIBPrior(sigma_eta=0.5))
+        interior = (s.theta1 > 0.0) & (s.theta1 < 1.0) & (s.theta2 > 0.0) & (s.theta2 < 1.0)
+        assert np.mean(interior) > 0.5
+        np.testing.assert_allclose(s.zeta[interior], zeta[interior], rtol=0, atol=1e-15)
+        assert np.all(np.abs(s.eta) < 1.0)
+
+    def test_lower_clamp(self):
+        # theta1 = 0 means zeta - eta/2 < 0, so theta2 = zeta + eta/2 > 2 zeta, and eta < 1 caps it
+        zeta, s = self.h0_and_h1_draws(DepIBPrior(sigma_eta=1.0))
+        low = s.theta1 == 0.0
+        assert np.sum(low) > 100
+        assert np.all(s.theta2[low] > 2 * zeta[low])
+        assert np.all(s.theta2[low] < zeta[low] + 0.5)
+
+    def test_upper_clamp(self):
+        # theta2 = 1 means zeta + eta/2 > 1, so theta1 = zeta - eta/2 < 2 zeta - 1, and eta < 1 floors it
+        zeta, s = self.h0_and_h1_draws(DepIBPrior(sigma_eta=1.0))
+        high = s.theta2 == 1.0
+        assert np.sum(high) > 100
+        assert np.all(s.theta1[high] < 2 * zeta[high] - 1.0)
+        assert np.all(s.theta1[high] > zeta[high] - 0.5)
+
+    @given(
+        sigma_eta=st.floats(1e-3, 1e3),
+        sigma_zeta=st.floats(1e-3, 1e3),
+        zeta_center=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rates_always_land_in_unit_interval(self, sigma_eta, sigma_zeta, zeta_center, seed):
+        s = sample_prior(DepIBPrior(sigma_eta, sigma_zeta, zeta_center), Hypothesis.H1, 200, seed=seed)
+        for t in (s.theta1, s.theta2):
+            assert np.all((t >= 0.0) & (t <= 1.0))
 
     def test_reproducible_given_seed(self):
         a1 = sample_prior(DepIBPrior(), Hypothesis.H1, 1000, seed=4)

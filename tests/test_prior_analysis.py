@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from bf2p import special
@@ -18,8 +19,10 @@ from bf2p.model import (
     NumericalError,
     UnsupportedFeatureError,
     WidePriorWarning,
+    expit,
 )
 from bf2p.priors import (
+    ParamSamples,
     conditional_theta2_density,
     joint_density_grid,
     marginal_density,
@@ -69,6 +72,55 @@ class TestSamplePrior:
         a = sample_prior(LTPrior(1.0, 1.0), Hypothesis.H1, 1000, seed=5)
         b = sample_prior(LTPrior(1.0, 1.0), Hypothesis.H1, 1000, seed=5)
         np.testing.assert_array_equal(a.theta1, b.theta1)
+
+    def test_lt_h0_and_h1_draws_share_beta(self):
+        # both hypotheses draw beta first, so one seed gives one grand mean: the H1 rates'
+        # mean log odds is the H0 rate's log odds
+        s0 = sample_prior(LTPrior(1.0, 1.0), Hypothesis.H0, 10_000, seed=6)
+        s1 = sample_prior(LTPrior(1.0, 1.0), Hypothesis.H1, 10_000, seed=6)
+        np.testing.assert_allclose(s1.beta, s0.beta, atol=1e-9)
+        assert np.std(s1.psi) > 0.5
+
+
+def rates(t1, t2):
+    return ParamSamples.from_rates(np.atleast_1d(float(t1)), np.atleast_1d(float(t2)))
+
+
+class TestRateCoordinates:
+    """``ParamSamples.from_rates``: rates to (eta, zeta) and to log odds (beta, psi)."""
+
+    @pytest.mark.parametrize("pair, psi_2dp", [((0.05, 0.10), 0.75), ((0.50, 0.55), 0.20)])
+    def test_log_odds_ratio_examples(self, pair, psi_2dp):
+        assert round(float(rates(*pair).psi[0]), 2) == psi_2dp
+
+    def test_center_maps_to_origin(self):
+        s = rates(0.5, 0.5)
+        assert (s.beta[0], s.psi[0], s.eta[0], s.zeta[0]) == (0.0, 0.0, 0.0, 0.5)
+
+    def test_small_rates_difference_coordinates(self):
+        s = rates(0.05, 0.10)
+        assert s.eta[0] == pytest.approx(0.05)
+        assert s.zeta[0] == pytest.approx(0.075)
+
+    def test_boundary_rates_have_no_log_odds(self):
+        # the log odds are infinite on the boundary; the rate difference and mean are not
+        s = rates(0.0, 1.0)
+        assert np.isnan(s.beta[0]) and np.isnan(s.psi[0])
+        assert (s.eta[0], s.zeta[0]) == (1.0, 0.5)
+        assert np.isnan(rates(0.5, 1.0).psi[0]) and np.isnan(rates(0.0, 0.5).beta[0])
+
+    @given(beta=st.floats(-20, 20), psi=st.floats(-20, 20))
+    def test_round_trip_through_log_odds(self, beta, psi):
+        t1, t2 = expit(beta - psi / 2), expit(beta + psi / 2)
+        s = rates(t1, t2)
+        assert expit(s.beta[0] - s.psi[0] / 2) == pytest.approx(t1, abs=1e-12)
+        assert expit(s.beta[0] + s.psi[0] / 2) == pytest.approx(t2, abs=1e-12)
+
+    @given(t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))
+    def test_round_trip_inside_square(self, t1, t2):
+        s = rates(t1, t2)
+        assert s.zeta[0] - s.eta[0] / 2 == pytest.approx(t1, abs=1e-12)
+        assert s.zeta[0] + s.eta[0] / 2 == pytest.approx(t2, abs=1e-12)
 
 
 class TestPriorCorrelation:
