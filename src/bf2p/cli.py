@@ -149,7 +149,7 @@ def _cmd_avg(args) -> int:
 def _cmd_priors(args) -> int:
     cfg = _prior(args, args.config)
     if args.quantity == "correlation":
-        r = prior_correlation(cfg, args.n_draws, args.seed)
+        r = prior_correlation(cfg)
         print(f"prior correlation(theta1, theta2) = {r:.4f}")
         return 0
     if args.quantity in ("eta", "psi", "theta"):
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     _add_prior_flags(p)
-    p.add_argument("--n-draws", type=int, default=1_000_000)
     p.add_argument("--grid-points", type=int, default=201)
     p.add_argument(
         "--theta1", type=float, default=0.10,
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="theta1-theta2", help="axes for --quantity joint",
     )
     p.add_argument("--resolution", type=int, default=128, help="joint grid axis size")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="accepted for compatibility; no priors quantity uses it")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=_cmd_priors)
 

@@ -38,7 +38,8 @@ estimate sums the estimates for H0 and the core and the rule's 1e-12
 for each wedge, each weighted by its share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
-samples every family; ``prior_correlation_depib`` delegates to it.
+samples every family and computes every family's correlation by
+quadrature; ``prior_correlation_depib`` delegates to it.
 """
 
 from __future__ import annotations
@@ -293,5 +294,9 @@ def bf01_depib(d: TwoByTwoData, cfg: DepIBPrior | None = None) -> EvidenceResult
 
 
 def prior_correlation_depib(cfg: DepIBPrior, n_draws: int = 1_000_000, seed: int = 0) -> float:
-    """Pearson correlation of the two rates under the clamped prior (Monte Carlo)."""
-    return prior_correlation(cfg, n_draws, seed)
+    """Pearson correlation of the two rates under the clamped prior, by quadrature.
+
+    ``n_draws`` and ``seed`` are ignored: the value is deterministic
+    (``bf2p.priors.prior_correlation``).
+    """
+    return prior_correlation(cfg)

@@ -3,17 +3,20 @@
 Each prior family is specified on its own coordinates (rates for IB,
 log odds for LT, difference/mean for the dependent variant), but all of
 them induce distributions on every other quantity of interest.  This
-module evaluates those induced densities on grids (figure data) and
-draws seeded samples from them (Monte Carlo checks).  Sampling and the
-marginal densities run on numpy alone; every density is deterministic,
-a closed form or the tanh-sinh rule of ``bf2p.special``.  Only dep-IB
-draws (scipy's normal CDF) import scipy, on first use.
+module evaluates those induced densities on grids (figure data),
+computes the prior correlation of the two rates, and draws seeded
+samples (Monte Carlo checks).  Every density and correlation is
+deterministic: a closed form, the tanh-sinh rule of ``bf2p.special``,
+or a ladder of cached trapezoid (LT) or Gauss-Legendre (dep-IB) rules
+for the correlation.  All of it runs on numpy and ``math``; only
+dep-IB draws (scipy's normal CDF) import scipy, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +27,14 @@ from .model import (
     Hypothesis,
     IBPrior,
     LTPrior,
+    NumericalError,
     PriorConfig,
     UnsupportedFeatureError,
     ValidationError,
     expit,
 )
 from .special import (
+    _jacobi_rule,
     _log_eta_convolution,
     _log_eta_density_ib,
     _log_psi_density_ib,
@@ -39,7 +44,7 @@ from .special import (
     log_density_gaussian,
     psi_density_ib_a1,
 )
-from .lt import _log_prior_beta
+from .lt import _first_agreement, _log_prior_beta
 
 __all__ = [
     "ParamSamples",
@@ -155,14 +160,202 @@ def sample_prior(
     return ParamSamples.from_rates(*_draw_rates(cfg, hypothesis, n_draws, rng))
 
 
-def prior_correlation(cfg: PriorConfig, n_draws: int = 1_000_000, seed: int = 0) -> float:
-    """Pearson correlation of (theta1, theta2) under H1: 0 for IB's independent rates, else by Monte Carlo."""
-    if n_draws < 10**6:
-        raise ValidationError(f"n_draws must be at least 1e6, got {n_draws}")
+# --------------------------------------------------------------------------
+# Prior correlation
+# --------------------------------------------------------------------------
+
+#: Half widths, in units of the scale, of the windows the correlation rules
+#: take of a Gaussian and a logistic density: each leaves out under 1e-18 of the mass.
+_GAUSSIAN_HALF_WIDTH = 9.0
+_AXIS_HALF_WIDTH = {BetaPriorKind.GAUSSIAN: _GAUSSIAN_HALF_WIDTH, BetaPriorKind.LOGISTIC: 44.0}
+
+#: Rungs of each correlation ladder: the LT trapezoid's step halves from one
+#: rung to the next, the dep-IB Gauss-Legendre rules double.
+_LT_RUNGS = 4
+_DEPIB_NODES = (20, 40, 80, 160)
+
+#: The most points an LT rung may have; a ladder that reaches a larger rung
+#: without agreeing raises instead.
+_LT_MAX_POINTS = 2**24
+
+#: Tensor points per block of the LT sums, which bounds their memory.
+_LT_BLOCK = 2**16
+
+
+def _axis_size(kind: BetaPriorKind, level: int) -> int:
+    return 2 * round(_AXIS_HALF_WIDTH[kind] * 2.0**level) + 1
+
+
+@lru_cache(maxsize=32)
+def _trapezoid_axis(kind: BetaPriorKind, level: int):
+    """Read-only nodes z and weights, summing to 1, of the trapezoid rule of step
+    2^-level for the standard Gaussian or logistic density."""
+    half = _axis_size(kind, level) // 2
+    z = 2.0**-level * np.arange(-half, half + 1)
+    if kind is BetaPriorKind.GAUSSIAN:
+        w = np.exp(-0.5 * z * z)
+    else:
+        e = np.exp(-np.abs(z))
+        w = e / (1.0 + e) ** 2
+    w /= w.sum()
+    for v in (z, w):  # shared by every caller
+        v.setflags(write=False)
+    return z, w
+
+
+def _lt_correlation_rungs(cfg: LTPrior):
+    """The LT prior correlation on ever finer tensor trapezoid rules in (beta, psi).
+
+    With x = beta -/+ psi/2, each rate is 1/2 + tanh(x/2)/2.  Both rates
+    have mean 1/2 (the prior is unchanged by beta, psi -> -beta, -psi) and
+    one variance (by psi -> -psi), so the correlation is
+    E[tanh(x1/2) tanh(x2/2)] / E[tanh(x1/2)^2].  The integrand is analytic
+    within pi of the real beta axis and 2 pi of the real psi axis, so a
+    trapezoid rule converges geometrically in its step however far out a
+    wide prior puts the knee of the logistic; a Gauss-Hermite rule crowds
+    its nodes at the centre and does not.  The first rung's step is at most
+    one prior scale and one unit of beta (two of psi), and each rung halves
+    it; a rung of more than ``_LT_MAX_POINTS`` points ends the ladder.
+    Under scales below 1 the tanh values are divided by the larger scale,
+    so that their squares cannot underflow; when both scales are below
+    1e-150 the ladder is empty, since x at the nodes would not keep its
+    digits.
+    """
+    lb = max(0, math.ceil(math.log2(cfg.sigma_beta)))
+    lp = max(0, math.ceil(math.log2(cfg.sigma_psi) - 1.0))
+    unit = min(1.0, max(cfg.sigma_beta, cfg.sigma_psi))
+    if unit < 1e-150:
+        return
+    for rung in range(_LT_RUNGS):
+        kb, kp = (cfg.beta_prior, lb + rung), (BetaPriorKind.GAUSSIAN, lp + rung)
+        if _axis_size(*kb) * _axis_size(*kp) > _LT_MAX_POINTS:
+            return
+        (zb, wb), (zp, wp) = _trapezoid_axis(*kb), _trapezoid_axis(*kp)
+        beta, half_psi = cfg.sigma_beta * zb, 0.5 * cfg.sigma_psi * zp
+        cross = square = 0.0
+        rows = max(1, _LT_BLOCK // beta.size)
+        for i in range(0, half_psi.size, rows):
+            p = half_psi[i : i + rows, None]
+            t1, t2 = np.tanh(0.5 * (beta - p)) / unit, np.tanh(0.5 * (beta + p)) / unit
+            cross += float(wp[i : i + rows] @ ((t1 * t2) @ wb))
+            square += float(wp[i : i + rows] @ ((t1 * t1) @ wb))
+        yield cross / square
+
+
+#: Coefficients of the series in x^2 of G(x) / x^3 (``_gaussian_second_moment``):
+#: (-1/2)^n / (n! (2n + 3)); eighteen of them reach double precision at x = 1.
+_G_SERIES = tuple((-0.5) ** n / (math.factorial(n) * (2 * n + 3)) for n in range(18))
+
+
+def _gaussian_second_moment(x: np.ndarray, erf_x) -> np.ndarray:
+    """G(x), the integral of t^2 exp(-t^2/2) over (0, x), at every x >= 0, given erf(x / sqrt 2).
+
+    Its closed form, sqrt(pi/2) erf(x / sqrt 2) - x exp(-x^2/2), cancels
+    to about x^3/3 for small x, so below x = 1 the series serves.
+    """
+    z = x * x
+    series = np.zeros_like(x)
+    for c in reversed(_G_SERIES):
+        series = series * z + c
+    return np.where(x < 1.0, x * z * series, math.sqrt(0.5 * math.pi) * erf_x - x * np.exp(-0.5 * z))
+
+
+def _depib_half_moments(zeta: np.ndarray, mu, sigma_eta: float):
+    """E[theta1], E[(theta1 - mu)^2] and E[(theta1 - mu)(theta2 - mu)] given zeta <= 1/2.
+
+    Given zeta, the eta prior splits at +/-b, b = 2 zeta: on (-b, b) both
+    rates are zeta -/+ eta/2; on (-1, -b) theta2 is clamped to 0, on
+    (b, 1) theta1.  Each piece is polynomial in eta, so each moment is a
+    sum of the eta prior's partial moments: M0 (mass), M1 and M2 over
+    (b, 1), which (-1, -b) mirrors, and the mass and second moment over
+    (-b, b).  Each is written so that no digits cancel however wide the
+    prior is.  ``mu`` is a float or one value per zeta.
+    """
+    r = math.sqrt(0.5)
+    # x^2 overflows only where its terms vanish or go unused; x itself only under a
+    # subnormal sigma_eta, whose NaN no two rungs agree on
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, top = 2.0 * zeta / sigma_eta, 1.0 / sigma_eta  # b and 1 in units of sigma_eta
+        erf_x = np.array([math.erf(v) for v in (r * x).tolist()])
+        erfc_x = np.array([math.erfc(v) for v in (r * x).tolist()])
+        erf_top, erfc_top = math.erf(r * top), math.erfc(r * top)  # the eta prior's mass on (-1, 1)
+        k = math.sqrt(2.0 * math.pi) * erf_top
+        m0c = erf_x / erf_top
+        m0o = 0.5 * np.where(x < 1.0, erf_top - erf_x, erfc_x - erfc_top) / erf_top  # from the tail that keeps its digits
+        m1o = sigma_eta * np.exp(-0.5 * x * x) * -np.expm1(-0.5 * (top - x) * (top + x)) / k
+        g_x = _gaussian_second_moment(x, erf_x)
+        g_top = float(_gaussian_second_moment(np.array(top), erf_top))
+        m2c = sigma_eta * sigma_eta * 2.0 * g_x / k
+        m2o = sigma_eta * sigma_eta * (g_top - g_x) / k
+    d = zeta - mu
+    mean = zeta * (m0c + m0o) + 0.5 * m1o
+    square = d * d * (m0c + m0o) + 0.25 * (m2c + m2o) + d * m1o + mu * mu * m0o
+    cross = d * d * m0c - 0.25 * m2c - mu * (2.0 * d * m0o + m1o)
+    return mean, square, cross
+
+
+def _depib_correlation_rungs(cfg: DepIBPrior):
+    """The dep-IB prior correlation on ever larger Gauss-Legendre rules in zeta.
+
+    The eta integral is closed form (``_depib_half_moments``), so what is
+    left is one integral over zeta, piecewise smooth with its one kink at
+    zeta = 1/2.  It runs over the zeta prior's window, its centre
+    +/- ``_GAUSSIAN_HALF_WIDTH`` scales within (0, 1), split at the kink,
+    with one rule per part: a rule over the whole interval would miss a
+    narrow prior between its nodes.  The part above 1/2 is the mirror image
+    of one below: theta -> 1 - theta, zeta -> 1 - zeta swaps the rates.
+    The mean comes first, and the second moments are taken about it; the
+    zeta prior's mass comes from the same sums, so no normal CDF
+    normalizes it.
+    """
+    c, s = cfg.zeta_center, cfg.sigma_zeta
+    lo, hi = max(0.0, c - _GAUSSIAN_HALF_WIDTH * s), min(1.0, c + _GAUSSIAN_HALF_WIDTH * s)
+    # (start, end, mirrored) of each part, within (0, 1/2]
+    parts = [p for p in ((lo, min(hi, 0.5), False), (1.0 - hi, min(1.0 - lo, 0.5), True)) if p[0] < p[1]]
+    if not parts:  # a window narrower than the floats around its centre
+        return
+    for m in _DEPIB_NODES:
+        t, _, lw = _jacobi_rule(0.0, 0.0, m)
+        zeta = np.concatenate([a + (b - a) * t for a, b, _ in parts])
+        log_w = np.concatenate([lw + math.log(b - a) for a, b, _ in parts])
+        mirrored = np.repeat([f for _, _, f in parts], m)
+        w = np.exp(log_w - 0.5 * ((np.where(mirrored, 1.0 - zeta, zeta) - c) / s) ** 2)
+        w /= w.sum()
+        mean = _depib_half_moments(zeta, 0.0, cfg.sigma_eta)[0]
+        mu = float(w @ np.where(mirrored, 1.0 - mean, mean))
+        _, square, cross = _depib_half_moments(zeta, np.where(mirrored, 1.0 - mu, mu), cfg.sigma_eta)
+        yield float((w @ cross) / (w @ square))
+
+
+def _prior_correlation(cfg: PriorConfig) -> tuple[float, float]:
+    """The H1 prior correlation of (theta1, theta2) and an estimate of its error.
+
+    IB's rates are independent, so its value is exactly 0.  LT and dep-IB
+    take the first rung of their ladder that agrees with the one before
+    (``bf2p.lt._first_agreement``); the gap is the error estimate.  A ladder
+    that does not agree raises ``NumericalError``.
+    """
     if isinstance(cfg, IBPrior):
-        return 0.0
-    rng = np.random.Generator(np.random.Philox(seed))
-    return float(np.corrcoef(*_draw_rates(cfg, Hypothesis.H1, n_draws, rng))[0, 1])
+        return 0.0, 0.0
+    if isinstance(cfg, LTPrior):
+        rungs = _lt_correlation_rungs(cfg)
+    elif isinstance(cfg, DepIBPrior):
+        rungs = _depib_correlation_rungs(cfg)
+    else:
+        raise UnsupportedFeatureError(f"unknown prior config {cfg!r}")
+    found = _first_agreement(rungs)
+    if found is None:
+        raise NumericalError(f"the prior correlation of {cfg!r} did not converge")
+    return found
+
+
+def prior_correlation(cfg: PriorConfig) -> float:
+    """Pearson correlation of (theta1, theta2) under H1, by deterministic quadrature.
+
+    Exactly 0 for IB; for LT and dep-IB, accurate to well within 1e-10
+    (``_prior_correlation``).
+    """
+    return _prior_correlation(cfg)[0]
 
 
 # --------------------------------------------------------------------------

@@ -119,11 +119,11 @@ class TestPriors:
     def test_lt_correlation_vanishes_at_doubled_scale(self, capsys):
         code, out, _ = run(
             capsys, "priors", "--config", "lt", "--sigma-psi", "2", "--quantity",
-            "correlation", "--n-draws", "1000000", "--seed", "11",
+            "correlation", "--seed", "11",
         )
         assert code == 0
         val = float(out.split("=")[1])
-        assert val == pytest.approx(0.0, abs=0.01)
+        assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_marginal_density_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "eta.csv"
@@ -138,8 +138,7 @@ class TestPriors:
 
     def test_seeded_runs_reproduce(self, capsys):
         args = (
-            "priors", "--config", "lt", "--quantity", "correlation",
-            "--n-draws", "1000000", "--seed", "5",
+            "priors", "--config", "lt", "--quantity", "correlation", "--seed", "5",
         )
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
@@ -152,16 +151,14 @@ class TestPriors:
 
         importlib.reload(cli_mod)
         code = cli_mod.main(
-            ["priors", "--config", "lt", "--quantity", "correlation",
-             "--n-draws", "1000000"]
+            ["priors", "--config", "lt", "--quantity", "correlation"]
         )
         env_out = capsys.readouterr().out
         assert code == 0
         monkeypatch.delenv("BF2P_SEED")
         importlib.reload(cli_mod)
         code = cli_mod.main(
-            ["priors", "--config", "lt", "--quantity", "correlation",
-             "--n-draws", "1000000", "--seed", "5"]
+            ["priors", "--config", "lt", "--quantity", "correlation", "--seed", "5"]
         )
         explicit_out = capsys.readouterr().out
         assert env_out == explicit_out
@@ -169,7 +166,7 @@ class TestPriors:
     def test_malformed_env_seed_fails_only_seeded_commands(self, capsys, monkeypatch):
         monkeypatch.setenv("BF2P_SEED", "abc")
         code, _, err = run(
-            capsys, "priors", "--config", "lt", "--quantity", "correlation", "--n-draws", "100000",
+            capsys, "priors", "--config", "lt", "--quantity", "correlation",
         )
         assert code == 1
         assert err.splitlines() == ["error: BF2P_SEED must be an integer, got 'abc'"]
@@ -379,7 +376,6 @@ class TestPriorsTypedErrors:
             ("--config", "dep-ib", "--quantity", "eta"),
             ("--config", "dep-ib", "--quantity", "joint"),
             ("--config", "lt", "--quantity", "conditional", "--theta1", "0"),
-            ("--config", "lt", "--quantity", "correlation", "--n-draws", "10"),
             ("--config", "lt", "--quantity", "joint", "--resolution", "32"),
             ("--config", "ib", "--quantity", "eta", "--a", "0.5", "--grid-points", "5"),
             ("--config", "lt", "--quantity", "eta", "--sigma-beta", "40", "--grid-points", "5"),

@@ -291,10 +291,6 @@ class TestPriorDraws:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_requires_enough_draws(self):
-        with pytest.raises(ValueError):
-            prior_correlation_depib(DepIBPrior(), n_draws=10_000)
-
     def test_clamp_fraction_matches_analytic_tail_mass(self):
         cfg = DepIBPrior()
         n = 2_000_000

@@ -1,4 +1,4 @@
-"""``tools/error_audit.py``: dep-IB and LT error estimates against pinned 30-digit references."""
+"""``tools/error_audit.py``: dep-IB, LT and prior-correlation error estimates against pinned 30-digit references."""
 
 import importlib.util
 from pathlib import Path
@@ -67,3 +67,40 @@ def test_lt_error_estimates_cover_the_error(tool, cell):
     row = tool.audit_lt_cell(*cell, tool.load_refs("lt")[tool.cell_key(*cell)])
     for name in ("h0", "h1", "log_bf01"):
         assert row[name]["ratio"] <= 1.0, name
+
+
+#: Correlation cells with an mpmath reference: LT with a Gaussian beta prior at
+#: (sigma_beta, sigma_psi) = (1, 1), (1, 3), (5, 1) and (1, 10), with a logistic
+#: one at (1, 1), and dep-IB at its defaults, at sigma_eta = 0.4 and 1 and with
+#: the zeta prior centred at 0.
+CORR_CELLS = [
+    ("lt", 1.0, 1.0, "gaussian"),
+    ("lt", 1.0, 3.0, "gaussian"),
+    ("lt", 5.0, 1.0, "gaussian"),
+    ("lt", 1.0, 10.0, "gaussian"),
+    ("lt", 1.0, 1.0, "logistic"),
+    ("dep_ib", 0.2, 0.5, 0.5),
+    ("dep_ib", 0.4, 0.5, 0.5),
+    ("dep_ib", 1.0, 0.5, 0.5),
+    ("dep_ib", 0.2, 0.5, 0.0),
+]
+
+
+def test_correlation_references_are_pinned_for_the_whole_sample(tool):
+    sample = tool.correlation_sample()
+    assert len(sample) == 28
+    assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("correlation"))
+    assert set(CORR_CELLS) <= set(sample)
+
+
+@pytest.mark.parametrize("cell", CORR_CELLS)
+def test_correlations_match_their_references(tool, cell):
+    row = tool.audit_correlation_cell(*cell, tool.load_refs("correlation")[tool.cell_key(*cell)])
+    assert row["corr"]["ratio"] <= 1.0
+    assert row["corr"]["error"] <= 1e-10
+
+
+def test_dep_ib_correlation_reference_is_reproducible(tool):
+    # the dep-IB reference is one integral over zeta, so it is quick to recompute
+    cell = ("dep_ib", 0.2, 0.5, 0.0)
+    assert tool.correlation_reference(*cell) == tool.load_refs("correlation")[tool.cell_key(*cell)]

@@ -1,10 +1,11 @@
-"""``import bf2p`` and the CLI's IB, LT, averaging and prior-density paths stay on numpy alone.
+"""``import bf2p`` and the CLI's IB, LT, averaging, prior-density and prior-correlation paths stay on numpy alone.
 
 Importing ``scipy.special`` and ``scipy.integrate`` costs about twice as
 much as numpy itself, and a one-off ``bf2p bf`` call is almost all
 import.  Each check runs in a fresh interpreter and lists the scipy
-modules loaded at its end; only dep-IB's normal CDFs may load
-``scipy.special``, on first use.  No module imports
+modules loaded at its end; only the normal CDFs of dep-IB's marginal
+likelihoods and prior draws may load ``scipy.special``, on first use
+(its prior correlation takes ``math.erf``).  No module imports
 ``scipy.integrate``: every integral runs on numpy.  Nor does ``import
 bf2p`` load ``multiprocessing``, about 25 ms of imports that only a
 sweep with worker processes needs.
@@ -76,6 +77,7 @@ def test_import_does_not_load_multiprocessing():
         pytest.param(["avg", *BOUNDARY], id="avg-boundary"),
         pytest.param(["posterior", "--method", "lt", *RARE], id="posterior-lt"),
         pytest.param(["priors", "--config", "lt", "--quantity", "correlation"], id="priors-lt-correlation"),
+        pytest.param(["priors", "--config", "dep-ib", "--quantity", "correlation"], id="priors-dep-ib-correlation"),
         pytest.param(["priors", "--config", "lt", "--quantity", "eta"], id="priors-lt-eta"),
         pytest.param(["priors", "--config", "lt", "--quantity", "theta"], id="priors-lt-theta"),
         pytest.param(["priors", "--config", "ib", "--quantity", "eta"], id="priors-ib-eta"),

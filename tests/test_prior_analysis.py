@@ -1,6 +1,7 @@
 """Induced prior sampling, marginal/conditional/joint density grids."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from bf2p import special
+from bf2p import priors as priors_mod, special
 from bf2p.model import (
     BetaPriorKind,
     DepIBPrior,
@@ -44,6 +45,12 @@ def lt(sigma_beta, sigma_psi, beta_prior=BetaPriorKind.GAUSSIAN):
 
 
 LOGISTIC = BetaPriorKind.LOGISTIC
+
+
+def _pearson(sums, n):
+    """Pearson's r from the sums of u1, u2, u1^2, u2^2 and u1 u2 over n draws."""
+    m1, m2, s11, s22, s12 = sums / n
+    return (s12 - m1 * m2) / math.sqrt((s11 - m1 * m1) * (s22 - m2 * m2))
 
 
 class TestSamplePrior:
@@ -127,16 +134,94 @@ class TestPriorCorrelation:
     def test_independent_beta_is_uncorrelated(self):
         # independent by construction, so exactly 0, with no draws
         for a in (1.0, 2.0, 2.5):
-            assert prior_correlation(IBPrior(a), seed=2) == 0.0
+            assert prior_correlation(IBPrior(a)) == 0.0
 
     def test_default_logit_prior_is_positively_correlated(self):
-        assert prior_correlation(LTPrior(1.0, 1.0), seed=2) > 0.2
+        assert prior_correlation(LTPrior(1.0, 1.0)) > 0.2
 
     def test_doubled_psi_scale_removes_dependence(self):
-        assert prior_correlation(wide_lt(2.0), seed=2) == pytest.approx(0.0, abs=0.01)
+        # x1 = beta - psi/2 and x2 = beta + psi/2 are independent Gaussians there
+        assert prior_correlation(wide_lt(2.0)) == pytest.approx(0.0, abs=1e-12)
+        assert prior_correlation(lt(0.3, 0.6)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.05, 0.5, 5.0, 500.0])
+    def test_doubled_eta_scale_removes_dependence(self, s):
+        # with zeta centred at 1/2, u = zeta - 1/2 and v = eta/2 are i.i.d. there; swapping them
+        # maps theta1 to 1 - theta1 and keeps theta2, so the covariance is its own negative
+        assert prior_correlation(DepIBPrior(2.0 * s, s)) == pytest.approx(0.0, abs=1e-13)
 
     def test_wider_psi_scale_anticorrelates(self):
-        assert prior_correlation(wide_lt(3.0), seed=2) < -0.05
+        assert prior_correlation(wide_lt(3.0)) < -0.05
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            (DepIBPrior(0.01, 0.001, 0.3), (1.0 - 25.0) / (1.0 + 25.0)),
+            (DepIBPrior(0.004, 0.001, 0.7), (1.0 - 4.0) / (1.0 + 4.0)),
+            (LTPrior(1e-6, 1e-6), (1.0 - 0.25) / (1.0 + 0.25)),
+            (LTPrior(1e-6, 3e-6), (1.0 - 2.25) / (1.0 + 2.25)),
+            (LTPrior(1e-6, 1e-6, LOGISTIC), (math.pi**2 / 3 - 0.25) / (math.pi**2 / 3 + 0.25)),
+        ],
+        ids=["dep-ib", "dep-ib-upper", "lt", "lt-wide-psi", "lt-logistic"],
+    )
+    def test_linear_limit(self, cfg, expected):
+        # priors so narrow that no rate is clamped and expit is linear: the rates are
+        # zeta -/+ eta/2, or 1/2 + (beta -/+ psi/2)/4, whose correlation is closed form
+        assert prior_correlation(cfg) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("sigmas", [(0.2, 0.5), (0.05, 0.3), (1.0, 0.1), (0.5, 1.0)])
+    @pytest.mark.parametrize("center", [0.0, 0.2, 0.35])
+    def test_depib_event_swap_invariance(self, sigmas, center):
+        # theta -> 1 - theta maps the zeta prior centred at c onto the one centred at 1 - c
+        (r, err), (r_swap, err_swap) = (
+            priors_mod._prior_correlation(DepIBPrior(*sigmas, c)) for c in (center, 1.0 - center)
+        )
+        assert abs(r - r_swap) <= err + err_swap
+
+    @pytest.mark.parametrize(
+        "cfg", [IBPrior(), LTPrior(), LTPrior(beta_prior=LOGISTIC), DepIBPrior()], ids=["ib", "lt", "lt-logistic", "dep-ib"]
+    )
+    def test_draws_nothing(self, cfg, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("prior_correlation drew from the prior")
+
+        monkeypatch.setattr(priors_mod, "_draw_rates", refuse)
+        assert -1.0 <= prior_correlation(cfg) <= 1.0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [IBPrior(2.5), LTPrior(1.0, 1.0), LTPrior(1.0, 1.0, LOGISTIC), DepIBPrior(), DepIBPrior(0.2, 0.5, 0.0)],
+        ids=["ib", "lt", "lt-logistic", "dep-ib", "dep-ib-zeta0"],
+    )
+    def test_agrees_with_ten_million_draws(self, cfg):
+        # 20 seeded blocks of 5e5 draws, pooled; the standard error comes from the blocks' spread
+        sums, per_block = np.zeros(5), []
+        for block in range(20):
+            s = sample_prior(cfg, Hypothesis.H1, 500_000, seed=700 + block)
+            u1, u2 = s.theta1 - 0.5, s.theta2 - 0.5
+            part = np.array([u1.sum(), u2.sum(), (u1 * u1).sum(), (u2 * u2).sum(), (u1 * u2).sum()])
+            sums += part
+            per_block.append(_pearson(part, len(s)))
+        pooled = _pearson(sums, 20 * 500_000)
+        se = float(np.std(per_block, ddof=1)) / math.sqrt(20)
+        assert abs(prior_correlation(cfg) - pooled) <= 4.0 * se
+
+    @pytest.mark.parametrize("cfg", [LTPrior(), DepIBPrior()], ids=["lt", "dep-ib"])
+    def test_peak_memory_is_small(self, cfg):
+        priors_mod._trapezoid_axis.cache_clear()
+        special._jacobi_rule.cache_clear()
+        tracemalloc.start()
+        try:
+            prior_correlation(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_ladder_that_never_agrees_raises(self, monkeypatch):
+        monkeypatch.setattr(priors_mod, "_LT_MAX_POINTS", 0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            prior_correlation(LTPrior())
 
     def test_wide_psi_scale_warns(self):
         with pytest.warns(WidePriorWarning):

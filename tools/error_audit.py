@@ -1,4 +1,4 @@
-"""Audit the dep-IB and LT error estimates against 30-digit mpmath references.
+"""Audit the dep-IB, LT and prior-correlation error estimates against 30-digit mpmath references.
 
 The dep-IB slice is a seeded sample of 100 (study, prior) cells: n1
 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in
@@ -8,7 +8,7 @@ three numbers are checked, each with the error estimate bf2p reports
 for it: the H0 log integral, the log integral of the H1 core (both rates
 interior) and log BF01.  The output gives, per cell and number, the
 value, the reference, the error and the ratio error / estimate; the exit
-status is 1 when any ratio of either slice exceeds 1.
+status is 1 when any ratio of any slice exceeds 1.
 
 The references are computed in mpmath at 30 digits from the model's
 definition, sharing no code with bf2p: H0 and the clamped wedges by
@@ -30,12 +30,27 @@ integrands are analytic, so the rule converges geometrically, and
 log-concave, so along each line a sum stops once its terms have begun
 to fall and are below 1e-23.
 
+The correlation slice checks the H1 prior correlation of the two rates
+and its error estimate (``bf2p.priors._prior_correlation``) on the
+extreme grid's priors: LT at sigma_beta, sigma_psi in {0.01, 1, 50}
+with either beta prior, and dep-IB at sigma_eta = sigma_zeta in
+{0.01, 0.5, 1}, plus the cells the unit tests check.  A cell may raise
+``NumericalError``; one that returns counts against the exit status as
+above.  The references take the correlation from E[theta1],
+E[theta1^2] and E[theta1 theta2] by mpmath's tanh-sinh quadrature of
+integrands scaled to peak at about 1.  LT integrates over beta and
+psi, nested, in units of their scales, split where the logistic's knee
+sits; dep-IB integrates over zeta, split at 1/2, and given zeta takes
+the eta integral piece by piece between the clamps' breaks, where both
+rates are linear in eta, from the normal CDF and density.
+
 The references take minutes, so they are pinned next to this file, in
-``error_audit_refs.json`` (dep-IB) and ``error_audit_lt_refs.json``
-(LT); ``--pin`` recomputes both.
+``error_audit_refs.json`` (dep-IB), ``error_audit_lt_refs.json`` (LT)
+and ``error_audit_correlation_refs.json`` (correlations); ``--pin``
+recomputes them, every slice's or, with ``--slice``, one slice's.
 
     PYTHONPATH=src python3 tools/error_audit.py --out error_audit.json
-    PYTHONPATH=src python3 tools/error_audit.py --pin
+    PYTHONPATH=src python3 tools/error_audit.py --pin --slice correlation
 """
 
 from __future__ import annotations
@@ -54,10 +69,12 @@ import numpy as np
 
 from bf2p.dep_ib import _log_core, _log_ml_h0, bf01_depib
 from bf2p.lt import _fit, _log_coeffs, bf01_lt
-from bf2p.model import BetaPriorKind, DepIBPrior, Hypothesis, LTPrior, TwoByTwoData, WidePriorWarning
+from bf2p.model import BetaPriorKind, DepIBPrior, Hypothesis, LTPrior, NumericalError, TwoByTwoData, WidePriorWarning
+from bf2p.priors import _prior_correlation
 
 REFS = Path(__file__).resolve().with_name("error_audit_refs.json")
 LT_REFS = Path(__file__).resolve().with_name("error_audit_lt_refs.json")
+CORR_REFS = Path(__file__).resolve().with_name("error_audit_correlation_refs.json")
 
 SEED = 20261019
 SIGMA_ETA = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -77,6 +94,21 @@ SIGMA_PSI = (0.5, 1.0, 1.5, 2.0)
 #: Absolute error target of each whitened LT integral, whose integrand peaks at 1.
 LT_ATOL = mp.mpf("1e-20")
 
+#: The extreme grid's prior scales: LT's sigma_beta and sigma_psi, and dep-IB's sigma_eta = sigma_zeta.
+CORR_LT_SCALES = (0.01, 1.0, 50.0)
+CORR_DEPIB_SCALES = (0.01, 0.5, 1.0)
+
+#: Cells the unit tests check beyond the grid: LT, then dep-IB's (sigma_eta, sigma_zeta, zeta_center).
+CORR_TEST_CELLS = [
+    ("lt", 1.0, 3.0, "gaussian"),
+    ("lt", 5.0, 1.0, "gaussian"),
+    ("lt", 1.0, 10.0, "gaussian"),
+    ("dep_ib", 0.2, 0.5, 0.5),
+    ("dep_ib", 0.4, 0.5, 0.5),
+    ("dep_ib", 1.0, 0.5, 0.5),
+    ("dep_ib", 0.2, 0.5, 0.0),
+]
+
 
 def _counts(rng) -> tuple[int, int, int, int]:
     """n1 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in between."""
@@ -93,6 +125,12 @@ def sample() -> list[tuple[tuple[int, int, int, int], float, float]]:
     """The dep-IB slice's 100 (counts, sigma_eta, sigma_zeta) cells."""
     rng = np.random.default_rng(SEED)
     return [(_counts(rng), float(rng.choice(SIGMA_ETA)), float(rng.choice(SIGMA_ZETA))) for _ in range(100)]
+
+
+def correlation_sample() -> list[tuple[str, float, float, str | float]]:
+    """The correlation slice's (family, scale, scale, beta prior or zeta centre) cells."""
+    cells = [("lt", sb, sp, kind) for kind in ("gaussian", "logistic") for sb in CORR_LT_SCALES for sp in CORR_LT_SCALES]
+    return cells + [("dep_ib", s, s, 0.5) for s in CORR_DEPIB_SCALES] + CORR_TEST_CELLS
 
 
 def lt_sample() -> list[tuple[tuple[int, int, int, int], float, float, str]]:
@@ -389,14 +427,108 @@ def reference(counts, sigma_eta: float, sigma_zeta: float) -> dict[str, str]:
         return {"h0": mp.nstr(h0, DIGITS), "core": mp.nstr(core, DIGITS), "log_bf01": mp.nstr(h0 - h1, DIGITS)}
 
 
+def _ts(f, points):
+    """Tanh-sinh over the sorted, distinct ``points``, to ``REF_TOL`` absolute: f peaks at about 1."""
+    val, err = mp.quad(f, sorted(set(points)), error=True, maxdegree=8)
+    if not err <= REF_TOL:
+        raise ArithmeticError(f"reference quadrature reached only {mp.nstr(err, 3)}")
+    return val
+
+
+def _lt_correlation(sigma_beta, sigma_psi, beta_prior: str):
+    """The LT prior correlation, from the moments of tanh(x/2) = 2 theta - 1 at x = beta -/+ psi/2.
+
+    Both rates have mean 1/2, and one variance; beta = sigma_beta y and
+    psi = sigma_psi z in units of their scales.  The cross moment
+    E[tanh(x1/2) tanh(x2/2)] is even in y and in z; given z, its knees in
+    y sit at +/- (psi/2) / sigma_beta, and over z it changes on the scale
+    2 max(1, sigma_beta) / sigma_psi.  The Gaussian-beta variance is a 1-D
+    integral over x, whose scale is hypot(sigma_beta, sigma_psi/2).
+    """
+    sb, sp, logistic = mp.mpf(sigma_beta), mp.mpf(sigma_psi), beta_prior == "logistic"
+    top = 100 if logistic else 12  # in units of the scale; what lies beyond is below 1e-40
+
+    def k_beta(y):  # beta's density in units of its scale, up to a constant factor
+        if logistic:
+            e = mp.exp(-abs(y))
+            return 4 * e / (1 + e) ** 2
+        return mp.exp(-y * y / 2)
+
+    # the logistic's tail is long against its scale, so its lines split at powers of 2 as well
+    splits = [s * 2**k for k in range(7) for s in (1, -1)] if logistic else []
+
+    def over_beta(g, half_psi, lo):
+        knees = [k for k in (half_psi / sb, -half_psi / sb, *splits) if lo < k < top]
+        return _ts(lambda y: k_beta(y) * g(sb * y, half_psi), [lo, top] + knees)
+
+    scale = 2 * max(1, sb) / sp
+    z_points = [0, 12] + [k * scale for k in (0.5, 1, 2, 4, 8) if k * scale < 12]
+
+    def over_psi(g, lo):
+        return _ts(lambda z: mp.exp(-z * z / 2) * over_beta(g, sp * z / 2, lo), z_points)
+
+    cross = over_psi(lambda b, p: mp.tanh((b - p) / 2) * mp.tanh((b + p) / 2), 0)
+    if logistic:  # over y the cross moment takes half the line and the variance the whole
+        square = over_psi(lambda b, p: mp.tanh((b - p) / 2) ** 2, -top) / 2
+        return cross / square
+    s = mp.sqrt(sb**2 + sp**2 / 4)
+    square = _ts(lambda z: mp.exp(-z * z / 2) * mp.tanh(s * z / 2) ** 2, [0, 12] + [k / s for k in (1, 4) if k / s < 12])
+    # the cross moment is a 2-D integral over the quarter plane and the variance a 1-D one over the half line
+    return cross / (square * mp.sqrt(2 * mp.pi) / 2)
+
+
+def _depib_correlation(sigma_eta, sigma_zeta, zeta_center):
+    """The dep-IB prior correlation from E[theta1], E[theta1^2] and E[theta1 theta2]."""
+    se, sz, zc = mp.mpf(sigma_eta), mp.mpf(sigma_zeta), mp.mpf(zeta_center)
+
+    @lru_cache(maxsize=None)
+    def given_zeta(zeta):
+        """The four moments 1, theta1, theta1^2, theta1 theta2 over eta in (-1, 1), unnormalized."""
+        breaks = sorted({mp.mpf(-1), mp.mpf(1)} | {x for x in (2 * zeta, 2 * zeta - 2, 2 - 2 * zeta, -2 * zeta) if -1 < x < 1})
+        out = [mp.mpf(0)] * 4
+        for lo, hi in zip(breaks, breaks[1:]):
+            mid = (lo + hi) / 2
+
+            def rate(sign):  # value at mid and slope in eta of zeta + sign eta/2, clamped to [0, 1]
+                v = zeta + sign * mid / 2
+                return (v, sign * mp.mpf(1) / 2) if 0 < v < 1 else (min(max(v, 0), 1), 0)
+
+            (a1, g1), (a2, g2) = rate(-1), rate(1)
+            # moments of (eta - mid)^k over the piece under N(0, sigma_eta)
+            u, v = lo / se, hi / se
+            m0 = mp.ncdf(v) - mp.ncdf(u)
+            m1 = se * (mp.npdf(u) - mp.npdf(v))
+            m2 = se**2 * (m0 + u * mp.npdf(u) - v * mp.npdf(v))
+            p0, p1, p2 = m0, m1 - mid * m0, m2 - 2 * mid * m1 + mid * mid * m0
+            out[0] += p0
+            out[1] += a1 * p0 + g1 * p1
+            out[2] += a1 * a1 * p0 + 2 * a1 * g1 * p1 + g1 * g1 * p2
+            out[3] += a1 * a2 * p0 + (a1 * g2 + a2 * g1) * p1 + g1 * g2 * p2
+        return out
+
+    points = [0, mp.mpf(1) / 2, 1] + [x for x in (zc - 3 * sz, zc + 3 * sz, se / 2, 1 - se / 2) if 0 < x < 1]
+    mass, m1, m11, m12 = (
+        _ts(lambda z: mp.exp(-(((z - zc) / sz) ** 2) / 2) * given_zeta(z)[k], points) for k in range(4)
+    )
+    m1, m11, m12 = m1 / mass, m11 / mass, m12 / mass
+    return (m12 - m1 * m1) / (m11 - m1 * m1)
+
+
+def correlation_reference(family: str, a: float, b: float, c) -> dict[str, str]:
+    """The 30-digit reference of one correlation cell, as a decimal string."""
+    with mp.workdps(DIGITS):
+        corr = _lt_correlation(a, b, c) if family == "lt" else _depib_correlation(a, b, c)
+        return {"corr": mp.nstr(corr, DIGITS)}
+
+
 # --------------------------------------------------------------------------
 # The audit
 # --------------------------------------------------------------------------
 
 
 def cell_key(counts, *prior) -> str:
-    """The refs key of a cell: its counts, then its prior's fields."""
-    return "|".join([",".join(map(str, counts)), *map(str, prior)])
+    """The refs key of a cell: its counts (a correlation cell's family), then its prior's fields."""
+    return "|".join([counts if isinstance(counts, str) else ",".join(map(str, counts)), *map(str, prior)])
 
 
 def _checked(got: dict, refs: dict[str, str]) -> dict:
@@ -436,6 +568,18 @@ def audit_lt_cell(counts, sigma_beta: float, sigma_psi: float, beta_prior: str, 
     return head | _checked(got, refs)
 
 
+def audit_correlation_cell(family: str, a: float, b: float, c, refs: dict[str, str]) -> dict:
+    """bf2p's prior correlation of one cell against its reference, or the ``NumericalError`` it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WidePriorWarning)
+        cfg = LTPrior(a, b, BetaPriorKind(c)) if family == "lt" else DepIBPrior(a, b, c)
+    head = {"family": family, "prior": [a, b, c]}
+    try:
+        return head | _checked({"corr": _prior_correlation(cfg)}, refs)
+    except NumericalError as exc:
+        return head | {"raised": str(exc)}
+
+
 class Slice(NamedTuple):
     """One family's audit: its sample, the audit of a cell, the numbers each cell checks,
     the file of its pinned references and the function that computes them."""
@@ -450,23 +594,26 @@ class Slice(NamedTuple):
 SLICES = {
     "dep_ib": Slice(sample, audit_cell, ("h0", "core", "log_bf01"), REFS, reference),
     "lt": Slice(lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
+    "correlation": Slice(correlation_sample, audit_correlation_cell, ("corr",), CORR_REFS, correlation_reference),
 }
 
 
 def run_audit(name: str, refs: dict[str, dict[str, str]]) -> dict:
-    """One slice's audit of every cell and a summary: the worst ratio per number, and the numbers above 1."""
+    """One slice's audit of every cell and a summary: the worst ratio per number, the numbers above 1,
+    and the cells that raised (which have no numbers)."""
     slice_ = SLICES[name]
     names = slice_.names
     rows = [slice_.audit(*c, refs[cell_key(*c)]) for c in slice_.sample()]
     summary = {
         "cells": len(rows),
-        "worst_ratio": {k: max(r[k]["ratio"] for r in rows) for k in names},
+        "worst_ratio": {k: max((r[k]["ratio"] for r in rows if k in r), default=None) for k in names},
         "over_estimate": [
             {**{f: v for f, v in r.items() if f not in names}, "number": k}
             for r in rows
             for k in names
-            if r[k]["ratio"] > 1.0
+            if k in r and r[k]["ratio"] > 1.0
         ],
+        "raised": [r for r in rows if "raised" in r],
     }
     return {"cells": rows, "summary": summary}
 
@@ -490,14 +637,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the per-cell audit as JSON here")
     ap.add_argument("--pin", action="store_true", help="recompute the mpmath references and exit")
+    ap.add_argument("--slice", choices=list(SLICES), action="append", help="audit or pin this slice only (repeatable)")
     args = ap.parse_args(argv)
+    names = args.slice or list(SLICES)
     if args.pin:
-        for name in SLICES:
+        for name in names:
             pin(name)
         return 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WidePriorWarning)
-        out = {name: run_audit(name, load_refs(name)) for name in SLICES}
+        out = {name: run_audit(name, load_refs(name)) for name in names}
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps({name: slice_["summary"] for name, slice_ in out.items()}, indent=1))
