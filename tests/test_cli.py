@@ -136,13 +136,19 @@ class TestPriors:
         assert lines[0] == "eta,density"
         assert len(lines) == 42
 
+
+class TestPosterior:
+    #: The one command whose output depends on the seed: posterior draws under the IB prior.
+    SEEDED = ("posterior", "--method", "ib", "--quantity", "eta", "--n-draws", "100000",
+              "--y1", "15", "--n1", "493", "--y2", "13", "--n2", "163")
+
     def test_seeded_runs_reproduce(self, capsys):
-        args = (
-            "priors", "--config", "lt", "--quantity", "correlation", "--seed", "5",
-        )
-        _, out1, _ = run(capsys, *args)
-        _, out2, _ = run(capsys, *args)
+        code, out1, _ = run(capsys, *self.SEEDED, "--seed", "5")
+        _, out2, _ = run(capsys, *self.SEEDED, "--seed", "5")
+        _, out3, _ = run(capsys, *self.SEEDED, "--seed", "6")
+        assert code == 0 and out1.startswith("eta: mean = ")
         assert out1 == out2
+        assert out3 != out1
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("BF2P_SEED", "5")
@@ -150,31 +156,26 @@ class TestPriors:
         import bf2p.cli as cli_mod
 
         importlib.reload(cli_mod)
-        code = cli_mod.main(
-            ["priors", "--config", "lt", "--quantity", "correlation"]
-        )
+        code = cli_mod.main(list(self.SEEDED))
         env_out = capsys.readouterr().out
         assert code == 0
         monkeypatch.delenv("BF2P_SEED")
         importlib.reload(cli_mod)
-        code = cli_mod.main(
-            ["priors", "--config", "lt", "--quantity", "correlation", "--seed", "5"]
-        )
+        code = cli_mod.main([*self.SEEDED, "--seed", "5"])
         explicit_out = capsys.readouterr().out
+        code = cli_mod.main(list(self.SEEDED))
+        default_out = capsys.readouterr().out
         assert env_out == explicit_out
+        assert default_out != env_out
 
     def test_malformed_env_seed_fails_only_seeded_commands(self, capsys, monkeypatch):
         monkeypatch.setenv("BF2P_SEED", "abc")
-        code, _, err = run(
-            capsys, "priors", "--config", "lt", "--quantity", "correlation",
-        )
+        code, _, err = run(capsys, *self.SEEDED)
         assert code == 1
         assert err.splitlines() == ["error: BF2P_SEED must be an integer, got 'abc'"]
         code, out, err = run(capsys, "bf", "--y1", "1", "--n1", "10", "--y2", "2", "--n2", "10")
         assert code == 0 and "BF01 = " in out and not err
 
-
-class TestPosterior:
     def test_lt_summary(self, capsys):
         code, out, _ = run(
             capsys, "posterior", "--y1", "15", "--n1", "493", "--y2", "13",

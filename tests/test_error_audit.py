@@ -72,7 +72,7 @@ def test_lt_error_estimates_cover_the_error(tool, cell):
 #: Correlation cells with an mpmath reference: LT with a Gaussian beta prior at
 #: (sigma_beta, sigma_psi) = (1, 1), (1, 3), (5, 1) and (1, 10), with a logistic
 #: one at (1, 1), and dep-IB at its defaults, at sigma_eta = 0.4 and 1 and with
-#: the zeta prior centred at 0.
+#: the zeta prior centred at 0; then LT priors far wider than the extreme grid's.
 CORR_CELLS = [
     ("lt", 1.0, 1.0, "gaussian"),
     ("lt", 1.0, 3.0, "gaussian"),
@@ -83,12 +83,16 @@ CORR_CELLS = [
     ("dep_ib", 0.4, 0.5, 0.5),
     ("dep_ib", 1.0, 0.5, 0.5),
     ("dep_ib", 0.2, 0.5, 0.0),
+    ("lt", 150.0, 150.0, "gaussian"),
+    ("lt", 1e4, 1.0, "gaussian"),
+    ("lt", 1.0, 1e5, "gaussian"),
+    ("lt", 100.0, 100.0, "logistic"),
 ]
 
 
 def test_correlation_references_are_pinned_for_the_whole_sample(tool):
     sample = tool.correlation_sample()
-    assert len(sample) == 28
+    assert len(sample) == 32
     assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("correlation"))
     assert set(CORR_CELLS) <= set(sample)
 

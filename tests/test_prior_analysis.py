@@ -208,7 +208,6 @@ class TestPriorCorrelation:
 
     @pytest.mark.parametrize("cfg", [LTPrior(), DepIBPrior()], ids=["lt", "dep-ib"])
     def test_peak_memory_is_small(self, cfg):
-        priors_mod._trapezoid_axis.cache_clear()
         special._jacobi_rule.cache_clear()
         tracemalloc.start()
         try:
@@ -217,6 +216,18 @@ class TestPriorCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    @pytest.mark.parametrize("beta_prior", [BetaPriorKind.GAUSSIAN, LOGISTIC], ids=["gaussian", "logistic"])
+    def test_wide_priors_reach_the_sign_limit(self, beta_prior):
+        # at scales of 1e6 each rate is 0 or 1 but for a share of about 1e-6 of the prior, so
+        # the correlation is that of the signs of x1, x2 = beta -/+ psi/2: given psi they differ
+        # where |beta| < |psi|/2, and for a Gaussian beta (x1, x2) is Gaussian with correlation 0.6
+        if beta_prior is LOGISTIC:
+            tail, _ = integrate.quad(lambda z: math.tanh(z / 4.0) * math.exp(-0.5 * z * z), 0.0, np.inf)
+            expected = 1.0 - 2.0 * tail / math.sqrt(0.5 * math.pi)
+        else:
+            expected = 2.0 / math.pi * math.asin(0.6)
+        assert prior_correlation(lt(1e6, 1e6, beta_prior)) == pytest.approx(expected, abs=2e-6)
 
     def test_ladder_that_never_agrees_raises(self, monkeypatch):
         monkeypatch.setattr(priors_mod, "_LT_MAX_POINTS", 0)

@@ -34,7 +34,8 @@ The correlation slice checks the H1 prior correlation of the two rates
 and its error estimate (``bf2p.priors._prior_correlation``) on the
 extreme grid's priors: LT at sigma_beta, sigma_psi in {0.01, 1, 50}
 with either beta prior, and dep-IB at sigma_eta = sigma_zeta in
-{0.01, 0.5, 1}, plus the cells the unit tests check.  A cell may raise
+{0.01, 0.5, 1}, plus the cells the unit tests check, among them LT
+priors with scales up to 1e5.  A cell may raise
 ``NumericalError``; one that returns counts against the exit status as
 above.  The references take the correlation from E[theta1],
 E[theta1^2] and E[theta1 theta2] by mpmath's tanh-sinh quadrature of
@@ -47,10 +48,11 @@ rates are linear in eta, from the normal CDF and density.
 The references take minutes, so they are pinned next to this file, in
 ``error_audit_refs.json`` (dep-IB), ``error_audit_lt_refs.json`` (LT)
 and ``error_audit_correlation_refs.json`` (correlations); ``--pin``
-recomputes them, every slice's or, with ``--slice``, one slice's.
+recomputes them all, and ``pin(name)`` one slice's, from Python.
 
     PYTHONPATH=src python3 tools/error_audit.py --out error_audit.json
-    PYTHONPATH=src python3 tools/error_audit.py --pin --slice correlation
+    PYTHONPATH=src python3 tools/error_audit.py --pin
+    PYTHONPATH=src:tools python3 -c "import error_audit; error_audit.pin('correlation')"
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ LT_ATOL = mp.mpf("1e-20")
 CORR_LT_SCALES = (0.01, 1.0, 50.0)
 CORR_DEPIB_SCALES = (0.01, 0.5, 1.0)
 
-#: Cells the unit tests check beyond the grid: LT, then dep-IB's (sigma_eta, sigma_zeta, zeta_center).
+#: Cells the unit tests check beyond the grid: LT, dep-IB's (sigma_eta, sigma_zeta, zeta_center),
+#: and LT priors far wider than the grid's.
 CORR_TEST_CELLS = [
     ("lt", 1.0, 3.0, "gaussian"),
     ("lt", 5.0, 1.0, "gaussian"),
@@ -107,6 +110,10 @@ CORR_TEST_CELLS = [
     ("dep_ib", 0.4, 0.5, 0.5),
     ("dep_ib", 1.0, 0.5, 0.5),
     ("dep_ib", 0.2, 0.5, 0.0),
+    ("lt", 150.0, 150.0, "gaussian"),
+    ("lt", 1e4, 1.0, "gaussian"),
+    ("lt", 1.0, 1e5, "gaussian"),
+    ("lt", 100.0, 100.0, "logistic"),
 ]
 
 
@@ -637,16 +644,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="write the per-cell audit as JSON here")
     ap.add_argument("--pin", action="store_true", help="recompute the mpmath references and exit")
-    ap.add_argument("--slice", choices=list(SLICES), action="append", help="audit or pin this slice only (repeatable)")
     args = ap.parse_args(argv)
-    names = args.slice or list(SLICES)
     if args.pin:
-        for name in names:
+        for name in SLICES:
             pin(name)
         return 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WidePriorWarning)
-        out = {name: run_audit(name, load_refs(name)) for name in names}
+        out = {name: run_audit(name, load_refs(name)) for name in SLICES}
     if args.out:
         Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     print(json.dumps({name: slice_["summary"] for name, slice_ in out.items()}, indent=1))
