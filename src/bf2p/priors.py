@@ -220,7 +220,7 @@ def _lt_correlation_rungs(cfg: LTPrior):
     x1 = 0; in psi it changes on a scale of about 1 near 0.  So beta's rule
     is graded towards 0 and towards the knee of its psi node, and psi's
     towards 0, each from a first part of one unit or one prior scale,
-    whichever is smaller, out to +/- 9 (Gaussian) or 44 (logistic) scales
+    whichever is smaller, out to 9 (Gaussian) or 44 (logistic) scales
     (``_graded_rule``).  Its cost grows with the log of the scales, and the
     rule converges geometrically in its nodes per part.  A rung of more
     than ``_LT_MAX_POINTS`` points ends the ladder.  Under scales below 1
@@ -232,19 +232,19 @@ def _lt_correlation_rungs(cfg: LTPrior):
     unit = min(1.0, max(sb, sp))
     if unit < 1e-150:
         return
-    width = _HALF_WIDTH[cfg.beta_prior] * sb
-    psi_levels, beta_levels = _grading(min(1.0, sp), _GAUSSIAN_HALF_WIDTH * sp), _grading(min(1.0, sb), width)
+    psi_width, beta_width = _GAUSSIAN_HALF_WIDTH * sp, _HALF_WIDTH[cfg.beta_prior] * sb
+    psi_levels, beta_levels = _grading(min(1.0, sp), psi_width), _grading(min(1.0, sb), beta_width)
     for m in _LT_NODES:
-        psi, w_psi = (v[0] for v in _graded_rule(psi_levels, _GAUSSIAN_HALF_WIDTH * sp, np.empty((1, 0)), m))
+        psi, w_psi = (v[0] for v in _graded_rule(psi_levels, psi_width, np.empty((1, 0)), m))
         w_psi = w_psi * np.exp(-0.5 * (psi / sp) ** 2)
-        n_beta = (3 * beta_levels.size + 1) * m  # the parts of one knee's rule
+        n_beta = (3 * beta_levels.size + 1) * m  # beta nodes per psi node: one knee's parts
         if psi.size * n_beta > _LT_MAX_POINTS:
             return
         cross = square = 0.0
         rows = max(1, _LT_BLOCK // n_beta)
         for i in range(0, psi.size, rows):
             half_psi = 0.5 * psi[i : i + rows, None]
-            beta, w = _graded_rule(beta_levels, width, half_psi, m)
+            beta, w = _graded_rule(beta_levels, beta_width, half_psi, m)
             if cfg.beta_prior is BetaPriorKind.GAUSSIAN:
                 w *= np.exp(-0.5 * (beta / sb) ** 2)
             else:
@@ -252,6 +252,7 @@ def _lt_correlation_rungs(cfg: LTPrior):
                 w *= e / (1.0 + e) ** 2
             t1, t2 = np.tanh(0.5 * (beta - half_psi)) / unit, np.tanh(0.5 * (beta + half_psi)) / unit
             cross += float(w_psi[i : i + rows] @ (t1 * t2 * w).sum(axis=1))
+            # over beta >= 0, tanh(x2/2)^2 stands for tanh(x1/2)^2 at -beta
             square += float(w_psi[i : i + rows] @ ((t1 * t1 + t2 * t2) * w).sum(axis=1))
         yield 2.0 * cross / square
 
