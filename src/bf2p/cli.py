@@ -8,8 +8,8 @@ a classic source of reading errors.
 
 Exit codes: 0 success, 1 invalid input, an unreadable or unwritable file,
 or an unsupported request, 2 numerical failure (in any cell, under
-``--strict``).  Seeded commands read their
-default seed from the ``BF2P_SEED`` environment variable.
+``--strict``).  ``posterior --method ib``, the one command that draws,
+reads its default seed from the ``BF2P_SEED`` environment variable.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def _cmd_priors(args) -> int:
         r = prior_correlation(cfg)
         print(f"prior correlation(theta1, theta2) = {r:.4f}")
         return 0
+    if args.quantity in ("eta", "psi", "theta", "conditional") and args.grid_points < 2:
+        raise ValidationError(f"--grid-points must be >= 2, got {args.grid_points}")
     if args.quantity in ("eta", "psi", "theta"):
         lo, hi = {"eta": (-1, 1), "psi": (-8, 8), "theta": (0.001, 0.999)}[args.quantity]
         grid = np.linspace(lo, hi, args.grid_points)
@@ -179,7 +181,8 @@ def _cmd_priors(args) -> int:
 def _cmd_posterior(args) -> int:
     d = TwoByTwoData(args.y1, args.n1, args.y2, args.n2)
     if args.method == "ib":
-        src = posterior_draws_ib(d, args.a, args.n_draws, args.seed)
+        seed = _seed_default() if args.seed is None else args.seed
+        src = posterior_draws_ib(d, args.a, args.n_draws, seed)
     else:
         src = posterior_grid_lt(d, args.sigma_beta, args.sigma_psi)
     s = summarize_posterior(src, args.quantity)
@@ -322,8 +325,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if "seed" in args and args.seed is None:
-            args.seed = _seed_default()
         return args.func(args)
     except (ValidationError, ConfigError, DomainError, UnsupportedFeatureError, ParseError, OSError) as exc:
         # OSError: an input file that cannot be read or an output file that cannot be written

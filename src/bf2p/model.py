@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -66,16 +67,6 @@ class Method(enum.Enum):
     QUADRATURE = "quadrature"
 
 
-def _is_integer_scalar(v) -> bool:
-    """True for numpy integer scalars and other exact-int duck types."""
-    if isinstance(v, bool) or isinstance(v, float):
-        return False
-    try:
-        return int(v) == v
-    except (TypeError, ValueError):
-        return False
-
-
 @dataclass(frozen=True)
 class TwoByTwoData:
     """Counts (y1, n1, y2, n2) of a two-group binomial experiment."""
@@ -86,12 +77,6 @@ class TwoByTwoData:
     n2: int
 
     def __post_init__(self):
-        # normalize numpy integer scalars so downstream arithmetic stays
-        # in plain Python ints
-        for name in ("y1", "n1", "y2", "n2"):
-            v = getattr(self, name)
-            if not isinstance(v, int) and _is_integer_scalar(v):
-                object.__setattr__(self, name, int(v))
         validate_data(self)
 
     @property
@@ -104,14 +89,21 @@ class TwoByTwoData:
 
 
 def validate_data(d: TwoByTwoData) -> TwoByTwoData:
-    """Check count invariants, returning ``d`` unchanged if they hold.
+    """Check count invariants, returning ``d`` if they hold.
 
-    Raises ``ValidationError`` naming the offending field otherwise.
+    A count is an integer: a Python or numpy integer (``operator.index``),
+    stored as a plain ``int`` so downstream arithmetic stays exact; floats,
+    bools and other numbers are rejected, integral or not.  Raises
+    ``ValidationError`` naming the offending field otherwise.
     """
     for name in ("y1", "n1", "y2", "n2"):
         v = getattr(d, name)
-        if not isinstance(v, (int,)) or isinstance(v, bool):
-            raise ValidationError(f"{name} must be an integer, got {v!r}")
+        try:
+            if isinstance(v, bool):
+                raise TypeError
+            object.__setattr__(d, name, operator.index(v))
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer, got {v!r}") from None
     if d.n1 < 1:
         raise ValidationError(f"n1 must be >= 1, got n1={d.n1}")
     if d.n2 < 1:

@@ -169,10 +169,8 @@ def sample_prior(
 _GAUSSIAN_HALF_WIDTH = 9.0
 _HALF_WIDTH = {BetaPriorKind.GAUSSIAN: _GAUSSIAN_HALF_WIDTH, BetaPriorKind.LOGISTIC: 44.0}
 
-#: Gauss-Legendre nodes per part on the rungs of each correlation ladder: the
-#: LT rules' parts are graded (``_graded_rule``), dep-IB's lie either side of zeta = 1/2.
-_LT_NODES = (8, 16, 32, 64)
-_DEPIB_NODES = (20, 40, 80, 160)
+#: Gauss-Legendre nodes per part on the rungs of both correlation ladders.
+_NODES = (8, 16, 32, 64)
 
 #: The most points an LT rung may have; a ladder that reaches a larger rung
 #: without agreeing raises instead.
@@ -202,9 +200,15 @@ def _graded_rule(levels: np.ndarray, width: float, knees: np.ndarray, m: int):
     rows = knees.shape[0]
     around = (knees[:, :, None] + np.concatenate((-levels, [0.0], levels))).reshape(rows, -1)
     breaks = np.concatenate((np.zeros((rows, 1)), np.broadcast_to(levels, (rows, levels.size)), around), axis=1)
-    breaks = np.sort(np.clip(breaks, 0.0, width), axis=1)
+    return _parts_rule(np.sort(np.clip(breaks, 0.0, width), axis=1), m)
+
+
+def _parts_rule(breaks: np.ndarray, m: int):
+    """Nodes and weights, one row per row of ascending ``breaks``, of m-point
+    Gauss-Legendre rules on the parts between consecutive breaks."""
     t, _, lw = _jacobi_rule(0.0, 0.0, m)
     start, length = breaks[:, :-1, None], np.diff(breaks, axis=1)[:, :, None]
+    rows = breaks.shape[0]
     return (start + length * t).reshape(rows, -1), (length * np.exp(lw)).reshape(rows, -1)
 
 
@@ -234,7 +238,7 @@ def _lt_correlation_rungs(cfg: LTPrior):
         return
     psi_width, beta_width = _GAUSSIAN_HALF_WIDTH * sp, _HALF_WIDTH[cfg.beta_prior] * sb
     psi_levels, beta_levels = _grading(min(1.0, sp), psi_width), _grading(min(1.0, sb), beta_width)
-    for m in _LT_NODES:
+    for m in _NODES:
         psi, w_psi = (v[0] for v in _graded_rule(psi_levels, psi_width, np.empty((1, 0)), m))
         w_psi = w_psi * np.exp(-0.5 * (psi / sp) ** 2)
         n_beta = (3 * beta_levels.size + 1) * m  # beta nodes per psi node: one knee's parts
@@ -257,89 +261,51 @@ def _lt_correlation_rungs(cfg: LTPrior):
         yield 2.0 * cross / square
 
 
-#: Coefficients of the series in x^2 of G(x) / x^3 (``_gaussian_second_moment``):
-#: (-1/2)^n / (n! (2n + 3)); eighteen of them reach double precision at x = 1.
-_G_SERIES = tuple((-0.5) ** n / (math.factorial(n) * (2 * n + 3)) for n in range(18))
-
-
-def _gaussian_second_moment(x: np.ndarray, erf_x) -> np.ndarray:
-    """G(x), the integral of t^2 exp(-t^2/2) over (0, x), at every x >= 0, given erf(x / sqrt 2).
-
-    Its closed form, sqrt(pi/2) erf(x / sqrt 2) - x exp(-x^2/2), cancels
-    to about x^3/3 for small x, so below x = 1 the series serves.
-    """
-    z = x * x
-    series = np.zeros_like(x)
-    for c in reversed(_G_SERIES):
-        series = series * z + c
-    return np.where(x < 1.0, x * z * series, math.sqrt(0.5 * math.pi) * erf_x - x * np.exp(-0.5 * z))
-
-
-def _depib_half_moments(zeta: np.ndarray, mu, sigma_eta: float):
-    """E[theta1], E[(theta1 - mu)^2] and E[(theta1 - mu)(theta2 - mu)] given zeta <= 1/2.
-
-    Given zeta, the eta prior splits at +/-b, b = 2 zeta: on (-b, b) both
-    rates are zeta -/+ eta/2; on (-1, -b) theta2 is clamped to 0, on
-    (b, 1) theta1.  Each piece is polynomial in eta, so each moment is a
-    sum of the eta prior's partial moments: M0 (mass), M1 and M2 over
-    (b, 1), which (-1, -b) mirrors, and the mass and second moment over
-    (-b, b).  Each is written so that no digits cancel however wide the
-    prior is.  ``mu`` is a float or one value per zeta.
-    """
-    r = math.sqrt(0.5)
-    # x^2 overflows only where its terms vanish or go unused; x itself only under a
-    # subnormal sigma_eta, whose NaN no two rungs agree on
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, top = 2.0 * zeta / sigma_eta, 1.0 / sigma_eta  # b and 1 in units of sigma_eta
-        erf_x = np.array([math.erf(v) for v in (r * x).tolist()])
-        erfc_x = np.array([math.erfc(v) for v in (r * x).tolist()])
-        erf_top, erfc_top = math.erf(r * top), math.erfc(r * top)  # the eta prior's mass on (-1, 1)
-        k = math.sqrt(2.0 * math.pi) * erf_top
-        m0c = erf_x / erf_top
-        m0o = 0.5 * np.where(x < 1.0, erf_top - erf_x, erfc_x - erfc_top) / erf_top  # from the tail that keeps its digits
-        m1o = sigma_eta * np.exp(-0.5 * x * x) * -np.expm1(-0.5 * (top - x) * (top + x)) / k
-        g_x = _gaussian_second_moment(x, erf_x)
-        g_top = float(_gaussian_second_moment(np.array(top), erf_top))
-        m2c = sigma_eta * sigma_eta * 2.0 * g_x / k
-        m2o = sigma_eta * sigma_eta * (g_top - g_x) / k
-    d = zeta - mu
-    mean = zeta * (m0c + m0o) + 0.5 * m1o
-    square = d * d * (m0c + m0o) + 0.25 * (m2c + m2o) + d * m1o + mu * mu * m0o
-    cross = d * d * m0c - 0.25 * m2c - mu * (2.0 * d * m0o + m1o)
-    return mean, square, cross
-
-
 def _depib_correlation_rungs(cfg: DepIBPrior):
-    """The dep-IB prior correlation on ever larger Gauss-Legendre rules in zeta.
+    """The dep-IB prior correlation on ever larger tensor Gauss-Legendre rules in (zeta, eta).
 
-    The eta integral is closed form (``_depib_half_moments``), so what is
-    left is one integral over zeta, piecewise smooth with its one kink at
-    zeta = 1/2.  It runs over the zeta prior's window, its centre
-    +/- ``_GAUSSIAN_HALF_WIDTH`` scales within (0, 1), split at the kink,
-    with one rule per part: a rule over the whole interval would miss a
-    narrow prior between its nodes.  The part above 1/2 is the mirror image
-    of one below: theta -> 1 - theta, zeta -> 1 - zeta swaps the rates.
-    The mean comes first, and the second moments are taken about it; the
-    zeta prior's mass comes from the same sums, so no normal CDF
-    normalizes it.
+    Both theta -> 1 - theta with zeta -> 1 - zeta and eta -> -eta swap
+    the rates, so the rule runs over zeta <= 1/2 and eta >= 0, where
+    theta2 = zeta + eta/2 and theta1 = max(zeta - eta/2, 0) has one knee,
+    at eta = 2 zeta.  The zeta prior's window, its centre
+    +/- ``_GAUSSIAN_HALF_WIDTH`` scales within (0, 1), is split at the
+    kink 1/2, and the part above it is the mirror image of one below.
+    Each part is split again where the knee leaves eta's window
+    [0, min(1, 9 sigma_eta)]: below that point the clamp reaches the rates
+    and changes them on the scale sigma_eta.  Given zeta, eta's rule has
+    two parts, split at the knee (``_parts_rule``).  The rates come from
+    the clamp itself; the mean comes first, and the second moments are
+    taken about it.  Under scales below 1 the deviations from the mean
+    are divided by the larger scale, so that their squares cannot
+    underflow.
     """
-    c, s = cfg.zeta_center, cfg.sigma_zeta
-    lo, hi = max(0.0, c - _GAUSSIAN_HALF_WIDTH * s), min(1.0, c + _GAUSSIAN_HALF_WIDTH * s)
-    # (start, end, mirrored) of each part, within (0, 1/2]
-    parts = [p for p in ((lo, min(hi, 0.5), False), (1.0 - hi, min(1.0 - lo, 0.5), True)) if p[0] < p[1]]
-    if not parts:  # a window narrower than the floats around its centre
+    c, sz, se = cfg.zeta_center, cfg.sigma_zeta, cfg.sigma_eta
+    lo, hi = max(0.0, c - _GAUSSIAN_HALF_WIDTH * sz), min(1.0, c + _GAUSSIAN_HALF_WIDTH * sz)
+    top, unit = min(1.0, _GAUSSIAN_HALF_WIDTH * se), min(1.0, max(se, sz))
+    # (start, end, mirrored) of each piece of the window, within (0, 1/2]
+    pieces = [
+        (max(a, x), min(b, y), f)
+        for a, b, f in ((lo, hi, False), (1.0 - hi, 1.0 - lo, True))
+        for x, y in ((0.0, 0.5 * top), (0.5 * top, 0.5))
+        if max(a, x) < min(b, y)
+    ]
+    if not pieces:  # a window narrower than the floats around its centre
         return
-    for m in _DEPIB_NODES:
-        t, _, lw = _jacobi_rule(0.0, 0.0, m)
-        zeta = np.concatenate([a + (b - a) * t for a, b, _ in parts])
-        log_w = np.concatenate([lw + math.log(b - a) for a, b, _ in parts])
-        mirrored = np.repeat([f for _, _, f in parts], m)
-        w = np.exp(log_w - 0.5 * ((np.where(mirrored, 1.0 - zeta, zeta) - c) / s) ** 2)
+    ends = np.array([p[:2] for p in pieces])
+    for m in _NODES:
+        zeta, w_zeta = (v.reshape(-1, 1) for v in _parts_rule(ends, m))
+        flip = np.repeat([p[2] for p in pieces], m)[:, None]
+        # eta's rule in units of sigma_eta, so that its weights cannot underflow
+        knee = np.minimum(2.0 * zeta, top) / se
+        u, w = _parts_rule(np.hstack((np.zeros_like(knee), knee, np.full_like(knee, top / se))), m)
+        w *= w_zeta * np.exp(-0.5 * u * u - 0.5 * ((np.where(flip, 1.0 - zeta, zeta) - c) / sz) ** 2)
         w /= w.sum()
-        mean = _depib_half_moments(zeta, 0.0, cfg.sigma_eta)[0]
-        mu = float(w @ np.where(mirrored, 1.0 - mean, mean))
-        _, square, cross = _depib_half_moments(zeta, np.where(mirrored, 1.0 - mu, mu), cfg.sigma_eta)
-        yield float((w @ cross) / (w @ square))
+        t1, t2 = np.maximum(zeta - 0.5 * se * u, 0.0), zeta + 0.5 * se * u
+        mean = (w * (t1 + t2)).sum(axis=1) / 2.0
+        mu = float(np.where(flip[:, 0], w.sum(axis=1) - mean, mean).sum())
+        centre = np.where(flip, 1.0 - mu, mu)
+        d1, d2 = (t1 - centre) / unit, (t2 - centre) / unit
+        yield 2.0 * float((w * d1 * d2).sum()) / float((w * (d1 * d1 + d2 * d2)).sum())
 
 
 def _prior_correlation(cfg: PriorConfig) -> tuple[float, float]:
@@ -370,7 +336,7 @@ def prior_correlation(cfg: PriorConfig) -> float:
     Exactly 0 for IB.  For LT and dep-IB the stop test bounds the error
     estimate ``_prior_correlation`` reports by 1e-8; against 30-digit
     references (``tools/error_audit.py``) the errors measured stayed within
-    those estimates and below 1e-15.
+    those estimates and below 2e-15.
     """
     return _prior_correlation(cfg)[0]
 

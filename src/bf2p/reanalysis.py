@@ -225,6 +225,8 @@ def run_sweep(
     (study_id, method, parameters) and is independent of ``jobs``;
     workers only ever compute whole studies.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     all_grids = default_grids()
     if grids:
         all_grids.update({k: [dict(p) for p in v] for k, v in grids.items()})

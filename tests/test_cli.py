@@ -175,6 +175,11 @@ class TestPosterior:
         assert err.splitlines() == ["error: BF2P_SEED must be an integer, got 'abc'"]
         code, out, err = run(capsys, "bf", "--y1", "1", "--n1", "10", "--y2", "2", "--n2", "10")
         assert code == 0 and "BF01 = " in out and not err
+        # commands that take --seed but read none: the correlation, and the LT posterior grid
+        code, out, err = run(capsys, "priors", "--config", "lt", "--quantity", "correlation")
+        assert code == 0 and "prior correlation" in out and not err
+        code, out, err = run(capsys, *self.SEEDED[:2], "lt", *self.SEEDED[3:])
+        assert code == 0 and "eta: mean =" in out and not err
 
     def test_lt_summary(self, capsys):
         code, out, _ = run(
@@ -244,6 +249,12 @@ class TestReanalyze:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_fewer_than_one_job_rejected(self, capsys, jobs):
+        code, out, err = run(capsys, "reanalyze", "--methods", "ib", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: jobs must be >= 1, got {jobs}"]
 
     def test_strict_mode_exit_code_on_cell_failure(self, capsys, tmp_path, monkeypatch):
         import bf2p.reanalysis as re_mod
@@ -387,6 +398,13 @@ class TestPriorsTypedErrors:
         assert code == 1
         assert err.startswith("error: ")
         assert out == ""
+
+    @pytest.mark.parametrize("points", ["-5", "0", "1"])
+    @pytest.mark.parametrize("quantity", ["eta", "theta", "conditional"])
+    def test_grid_of_fewer_than_two_points_rejected(self, capsys, quantity, points):
+        code, out, err = run(capsys, "priors", "--config", "lt", "--quantity", quantity, "--grid-points", points)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: --grid-points must be >= 2, got {points}"]
 
     def test_ib_eta_density_at_large_a(self, capsys):
         # the Euler kernel's powers overflow a float here unless kept in logs

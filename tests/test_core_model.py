@@ -1,6 +1,8 @@
 """Core types, the logistic sigmoid, and validation."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -40,6 +42,21 @@ class TestValidation:
     def test_non_integer_rejected(self):
         with pytest.raises(ValidationError):
             TwoByTwoData(1.5, 10, 0, 10)
+
+    @pytest.mark.parametrize(
+        "count",
+        [3.0, np.float64(3.0), np.float32(3.0), np.float16(3.0), Fraction(3), Decimal(3), True, np.bool_(True), "3"],
+        ids=["float", "float64", "float32", "float16", "fraction", "decimal", "bool", "bool_", "str"],
+    )
+    def test_integral_non_integers_rejected(self, count):
+        # one rule for every type: a count is an integer, whether or not its value is integral
+        with pytest.raises(ValidationError, match="y1 must be an integer"):
+            TwoByTwoData(count, 10, 0, 10)
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3), np.uint8(3)], ids=["int", "int64", "int32", "uint8"])
+    def test_integers_are_stored_as_plain_ints(self, count):
+        d = TwoByTwoData(count, 10, 0, 10)
+        assert type(d.y1) is int and d.y1 == 3
 
 
 class TestEvidenceResult:

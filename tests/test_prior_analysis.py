@@ -178,6 +178,13 @@ class TestPriorCorrelation:
         )
         assert abs(r - r_swap) <= err + err_swap
 
+    @pytest.mark.parametrize("s", [1e-9, 1e-200, 1e-300])
+    def test_depib_scale_free_at_zero(self, s):
+        # centred at 0 with scales far below 1/2, only the clamp at 0 reaches the rates, which
+        # then scale with s: the correlation does not depend on s, however small
+        expected = prior_correlation(DepIBPrior(0.01, 0.01, 0.0))
+        assert prior_correlation(DepIBPrior(s, s, 0.0)) == pytest.approx(expected, abs=1e-13)
+
     @pytest.mark.parametrize(
         "cfg", [IBPrior(), LTPrior(), LTPrior(beta_prior=LOGISTIC), DepIBPrior()], ids=["ib", "lt", "lt-logistic", "dep-ib"]
     )

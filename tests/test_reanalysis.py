@@ -211,6 +211,11 @@ class TestSweep:
         with pytest.raises(ValidationError):
             run_sweep(corpus[:1], methods=("ib",), grids={"ib": []})
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_fewer_than_one_job_rejected(self, corpus, jobs):
+        with pytest.raises(ValidationError, match="jobs must be >= 1"):
+            run_sweep(corpus[:1], methods=("ib",), jobs=jobs)
+
     def test_parallel_and_serial_outputs_byte_identical(self, corpus, tmp_path):
         grids = {"ib": [{"a": 1.0}, {"a": 2.0}], "lt": [{"sigma_beta": 1.0, "sigma_psi": 1.0}]}
         serial = run_sweep(corpus[:8], methods=("ib", "lt"), grids=grids, jobs=1)

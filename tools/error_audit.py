@@ -35,7 +35,8 @@ and its error estimate (``bf2p.priors._prior_correlation``) on the
 extreme grid's priors: LT at sigma_beta, sigma_psi in {0.01, 1, 50}
 with either beta prior, and dep-IB at sigma_eta = sigma_zeta in
 {0.01, 0.5, 1}, plus the cells the unit tests check, among them LT
-priors with scales up to 1e5.  A cell may raise
+priors with scales up to 1e5 and dep-IB priors with sigma_eta from
+1e-5 to 1e5.  A cell may raise
 ``NumericalError``; one that returns counts against the exit status as
 above.  The references take the correlation from E[theta1],
 E[theta1^2] and E[theta1 theta2] by mpmath's tanh-sinh quadrature of
@@ -101,7 +102,8 @@ CORR_LT_SCALES = (0.01, 1.0, 50.0)
 CORR_DEPIB_SCALES = (0.01, 0.5, 1.0)
 
 #: Cells the unit tests check beyond the grid: LT, dep-IB's (sigma_eta, sigma_zeta, zeta_center),
-#: and LT priors far wider than the grid's.
+#: LT priors far wider than the grid's, and dep-IB priors whose clamp's knee leaves eta's
+#: window inside zeta's (sigma_eta well below sigma_zeta) or whose eta prior is all but flat.
 CORR_TEST_CELLS = [
     ("lt", 1.0, 3.0, "gaussian"),
     ("lt", 5.0, 1.0, "gaussian"),
@@ -114,6 +116,12 @@ CORR_TEST_CELLS = [
     ("lt", 1e4, 1.0, "gaussian"),
     ("lt", 1.0, 1e5, "gaussian"),
     ("lt", 100.0, 100.0, "logistic"),
+    ("dep_ib", 0.001, 0.5, 0.5),
+    ("dep_ib", 1e-5, 0.3, 0.5),
+    ("dep_ib", 0.05, 0.3, 0.5),
+    ("dep_ib", 0.01, 0.001, 0.3),
+    ("dep_ib", 10.0, 0.5, 0.5),
+    ("dep_ib", 1e5, 0.5, 0.5),
 ]
 
 
