@@ -1,4 +1,5 @@
-"""``tools/error_audit.py``: dep-IB, LT and prior-correlation error estimates against pinned 30-digit references."""
+"""``tools/error_audit.py``: dep-IB, LT, clamped-wedge and prior-correlation error estimates against pinned
+30-digit references."""
 
 import importlib.util
 from pathlib import Path
@@ -67,6 +68,38 @@ def test_lt_error_estimates_cover_the_error(tool, cell):
     row = tool.audit_lt_cell(*cell, tool.load_refs("lt")[tool.cell_key(*cell)])
     for name in ("h0", "h1", "log_bf01"):
         assert row[name]["ratio"] <= 1.0, name
+
+
+#: Seven cells of the wedge slice: likelihood peaks at u = 1/2 with no events and
+#: half of them, a peak past 1/2, a benchmark panel's wedge, a narrow prior at
+#: small n, no events at n = 1e6, and a drawn peak near u = 0.87 at n ~ 3e5.
+WEDGE_CELLS = [
+    ((0, 14), 0.5, 0.2, 0.5),
+    ((7, 14), 0.5, 0.2, 0.5),
+    ((12, 16), 0.5, 0.2, 0.5),
+    ((3, 16), 0.5, 1.0, 0.5),
+    ((1, 3), 0.5, 0.1, 0.3),
+    ((0, 10**6), 0.5, 0.2, 0.5),
+    ((244158, 281872), 0.3, 0.5, 0.5),
+]
+
+
+def test_wedge_references_are_pinned_for_the_whole_sample(tool):
+    sample = tool.wedge_sample()
+    assert len(sample) == 62
+    assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("wedge"))
+    assert set(WEDGE_CELLS) <= set(sample)
+
+
+@pytest.mark.parametrize("cell", WEDGE_CELLS)
+def test_wedge_error_estimates_cover_the_error(tool, cell):
+    row = tool.audit_wedge_cell(*cell, tool.load_refs("wedge")[tool.cell_key(*cell)])
+    assert row["wedge"]["ratio"] <= 1.0
+
+
+def test_wedge_reference_is_reproducible(tool):
+    cell = ((7, 14), 0.5, 0.2, 0.5)
+    assert tool.wedge_reference(*cell) == tool.load_refs("wedge")[tool.cell_key(*cell)]
 
 
 #: Correlation cells with an mpmath reference: LT with a Gaussian beta prior at

@@ -1,4 +1,4 @@
-"""Audit the dep-IB, LT and prior-correlation error estimates against 30-digit mpmath references.
+"""Audit the dep-IB, LT, clamped-wedge and prior-correlation error estimates against 30-digit mpmath references.
 
 The dep-IB slice is a seeded sample of 100 (study, prior) cells: n1
 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in
@@ -30,6 +30,17 @@ integrands are analytic, so the rule converges geometrically, and
 log-concave, so along each line a sum stops once its terms have begun
 to fall and are below 1e-23.
 
+The wedge slice checks one clamped dep-IB wedge at a time
+(``bf2p.dep_ib._log_wedge``, with nothing to stop it early), its log
+integral and error estimate: a seeded sample of 50 cells, the free
+rate's counts (y, n) with n log-uniform in 1..1e6 and y at 0, at n or
+uniform in between, the zeta prior's centre, measured from the partner's
+bound, in {0.3, 0.5, 0.7}, and sigma_eta and sigma_zeta drawn as above;
+then fixed cells: likelihood peaks at u = 1/2, where the e window's
+upper end min(2u, 1) has its kink, the benchmark panel's wedges, a
+narrow prior at small n, and n = 1e6.  Its references are the H1
+references' wedges.
+
 The correlation slice checks the H1 prior correlation of the two rates
 and its error estimate (``bf2p.priors._prior_correlation``) on the
 extreme grid's priors: LT at sigma_beta, sigma_psi in {0.01, 1, 50}
@@ -47,8 +58,9 @@ the eta integral piece by piece between the clamps' breaks, where both
 rates are linear in eta, from the normal CDF and density.
 
 The references take minutes, so they are pinned next to this file, in
-``error_audit_refs.json`` (dep-IB), ``error_audit_lt_refs.json`` (LT)
-and ``error_audit_correlation_refs.json`` (correlations); ``--pin``
+``error_audit_refs.json`` (dep-IB), ``error_audit_lt_refs.json`` (LT),
+``error_audit_wedge_refs.json`` (wedges) and
+``error_audit_correlation_refs.json`` (correlations); ``--pin``
 recomputes them all, and ``pin(name)`` one slice's, from Python.
 
     PYTHONPATH=src python3 tools/error_audit.py --out error_audit.json
@@ -60,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -70,7 +83,7 @@ from typing import Callable, NamedTuple
 import mpmath as mp
 import numpy as np
 
-from bf2p.dep_ib import _log_core, _log_ml_h0, bf01_depib
+from bf2p.dep_ib import _log_core, _log_ml_h0, _log_wedge, bf01_depib
 from bf2p.lt import _fit, _log_coeffs, bf01_lt
 from bf2p.model import BetaPriorKind, DepIBPrior, Hypothesis, LTPrior, NumericalError, TwoByTwoData, WidePriorWarning
 from bf2p.priors import _prior_correlation
@@ -78,6 +91,7 @@ from bf2p.priors import _prior_correlation
 REFS = Path(__file__).resolve().with_name("error_audit_refs.json")
 LT_REFS = Path(__file__).resolve().with_name("error_audit_lt_refs.json")
 CORR_REFS = Path(__file__).resolve().with_name("error_audit_correlation_refs.json")
+WEDGE_REFS = Path(__file__).resolve().with_name("error_audit_wedge_refs.json")
 
 SEED = 20261019
 SIGMA_ETA = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -96,6 +110,23 @@ SIGMA_PSI = (0.5, 1.0, 1.5, 2.0)
 
 #: Absolute error target of each whitened LT integral, whose integrand peaks at 1.
 LT_ATOL = mp.mpf("1e-20")
+
+WEDGE_SEED = 20261021
+WEDGE_CENTERS = (0.3, 0.5, 0.7)
+
+#: ((y, n), zeta centre, sigma_eta, sigma_zeta) of the wedges beyond the sample: peaks at
+#: u = 1/2 with no events and half of them, a peak past 1/2, the benchmark panel's wedges
+#: under its narrowest and widest eta scales, a narrow prior at small n, and n = 1e6 with
+#: no events and with half of them.
+WEDGE_CELLS = [
+    ((0, 14), 0.5, 0.2, 0.5),
+    ((7, 14), 0.5, 0.2, 0.5),
+    ((12, 16), 0.5, 0.2, 0.5),
+    *(((y, n), 0.5, se, 0.5) for y, n in ((3, 16), (4, 12), (2, 10)) for se in (0.2, 1.0)),
+    ((1, 3), 0.5, 0.1, 0.3),
+    ((0, 10**6), 0.5, 0.2, 0.5),
+    ((500000, 10**6), 0.3, 0.2, 0.5),
+]
 
 #: The extreme grid's prior scales: LT's sigma_beta and sigma_psi, and dep-IB's sigma_eta = sigma_zeta.
 CORR_LT_SCALES = (0.01, 1.0, 50.0)
@@ -125,21 +156,32 @@ CORR_TEST_CELLS = [
 ]
 
 
+def _group(rng, decades: float) -> tuple[int, int]:
+    """(y, n): n log-uniform in 1..10^decades, y at 0, at n or uniform in between."""
+    n = int(round(10.0 ** rng.uniform(0.0, decades)))
+    kind = rng.integers(3)
+    return 0 if kind == 0 else n if kind == 1 else int(rng.integers(0, n + 1)), n
+
+
 def _counts(rng) -> tuple[int, int, int, int]:
     """n1 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in between."""
-    counts = []
-    for _group in range(2):
-        n = int(round(10.0 ** rng.uniform(0.0, 8.0)))
-        kind = rng.integers(3)
-        y = 0 if kind == 0 else n if kind == 1 else int(rng.integers(0, n + 1))
-        counts += [y, n]
-    return tuple(counts)
+    return _group(rng, 8.0) + _group(rng, 8.0)
 
 
 def sample() -> list[tuple[tuple[int, int, int, int], float, float]]:
     """The dep-IB slice's 100 (counts, sigma_eta, sigma_zeta) cells."""
     rng = np.random.default_rng(SEED)
     return [(_counts(rng), float(rng.choice(SIGMA_ETA)), float(rng.choice(SIGMA_ZETA))) for _ in range(100)]
+
+
+def wedge_sample() -> list[tuple[tuple[int, int], float, float, float]]:
+    """The wedge slice's ((y, n), zeta centre, sigma_eta, sigma_zeta) cells: 50 drawn, then ``WEDGE_CELLS``."""
+    rng = np.random.default_rng(WEDGE_SEED)
+    drawn = [
+        (_group(rng, 6.0), float(rng.choice(WEDGE_CENTERS)), float(rng.choice(SIGMA_ETA)), float(rng.choice(SIGMA_ZETA)))
+        for _ in range(50)
+    ]
+    return drawn + WEDGE_CELLS
 
 
 def correlation_sample() -> list[tuple[str, float, float, str | float]]:
@@ -442,6 +484,18 @@ def reference(counts, sigma_eta: float, sigma_zeta: float) -> dict[str, str]:
         return {"h0": mp.nstr(h0, DIGITS), "core": mp.nstr(core, DIGITS), "log_bf01": mp.nstr(h0 - h1, DIGITS)}
 
 
+def wedge_reference(counts, center: float, sigma_eta: float, sigma_zeta: float) -> dict[str, str]:
+    """The 30-digit reference of one wedge, as a decimal string.
+
+    The wedge is the first of study (0, n, y, n), theta1 clamped to 0,
+    under a zeta prior at ``center``.
+    """
+    y, n = counts
+    with mp.workdps(DIGITS):
+        wedge = _Reference((0, n, y, n), sigma_eta, sigma_zeta, center).wedge(y, n, mp.mpf(center))
+        return {"wedge": mp.nstr(wedge, DIGITS)}
+
+
 def _ts(f, points):
     """Tanh-sinh over the sorted, distinct ``points``, to ``REF_TOL`` absolute: f peaks at about 1."""
     val, err = mp.quad(f, sorted(set(points)), error=True, maxdegree=8)
@@ -583,6 +637,13 @@ def audit_lt_cell(counts, sigma_beta: float, sigma_psi: float, beta_prior: str, 
     return head | _checked(got, refs)
 
 
+def audit_wedge_cell(counts, center: float, sigma_eta: float, sigma_zeta: float, refs: dict[str, str]) -> dict:
+    """bf2p's log integral of one clamped wedge against its reference."""
+    got = {"wedge": _log_wedge(*counts, center, DepIBPrior(sigma_eta, sigma_zeta), -math.inf)}
+    head = {"counts": list(counts), "center": center, "sigma_eta": sigma_eta, "sigma_zeta": sigma_zeta}
+    return head | _checked(got, refs)
+
+
 def audit_correlation_cell(family: str, a: float, b: float, c, refs: dict[str, str]) -> dict:
     """bf2p's prior correlation of one cell against its reference, or the ``NumericalError`` it raised."""
     with warnings.catch_warnings():
@@ -609,6 +670,7 @@ class Slice(NamedTuple):
 SLICES = {
     "dep_ib": Slice(sample, audit_cell, ("h0", "core", "log_bf01"), REFS, reference),
     "lt": Slice(lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
+    "wedge": Slice(wedge_sample, audit_wedge_cell, ("wedge",), WEDGE_REFS, wedge_reference),
     "correlation": Slice(correlation_sample, audit_correlation_cell, ("corr",), CORR_REFS, correlation_reference),
 }
 
