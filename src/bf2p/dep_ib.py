@@ -19,7 +19,8 @@ domain splits along the clamp boundaries: on the core both rates are
 interior; a clamped wedge, where one rate sits on 0 or 1, carries
 likelihood only when that group's count sits on the same bound, and
 its prior eta integral is a difference of two normal CDFs, leaving a
-1-D integral over the free rate on ``bf2p.special``'s tanh-sinh rule.
+1-D integral over the free rate on its binomial kernel's Gauss-Jacobi
+rules, or on ``bf2p.special``'s tanh-sinh rule where they disagree.
 
 H0 and the core are integrated in the rates, with no Jacobian
 (eta = t2 - t1, zeta = (t1 + t2)/2), by Gauss-Jacobi rules whose
@@ -34,8 +35,8 @@ t1 = t2, which no polynomial in the rates follows), the engine takes
 over in log-odds coordinates, where each rate's Jacobian
 theta (1 - theta) turns its counts into (y + 1, n + 2): H0 over the
 shared rate's log odds, the core over LT's (beta, psi).  The error
-estimate sums the estimates for H0 and the core and the rule's 1e-12
-for each wedge, each weighted by its share of its marginal.
+estimate sums the estimates for H0, the core and each wedge, each
+weighted by its share of its marginal.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
 samples every family and computes every family's correlation by
@@ -208,20 +209,57 @@ def _log_core(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     return found if found is not None else _integrate(*_core(d, cfg), "dep-IB H1 core")[2:]
 
 
+def _log_wedge_rates(y: int, n: int, center: float, s_w: float, s_e: float, slope: float):
+    """(log integral, error) of a wedge's u integral on Gauss-Jacobi rules, or None.
+
+    With x = u if 2y <= n, else 1 - u, and j = min(y, n - y), the kernel x^j (1 - x)^(n - j)
+    weights the rules, and the e window's kink at u = 1/2 is taken out: the wedge is A - B, A over
+    x in (0, 1) with e in (u, 2u), or in (u, 1) reflected to 1 - e, and B the window's excess, t
+    wide, over x = (1 + t)/2 in (1/2, 1), where the kernel is 2^-(n - j) (1 - t)^(n - j) x^j.  Each
+    takes the ``RATE_NODES`` ladder, all four rules in one mass call.  None where a ladder does not
+    agree, or B > A/2 would cost over a bit; B <= 2^-(n + 1) is left out below the rounding of A.
+    """
+    j, flip = min(y, n - y), 2 * y > n
+    c = 1.0 - center if flip else center
+    rules = [_kernel_rule(j, n, m) for m in RATE_NODES] + [_jacobi_rule(n - j, 0, m) for m in RATE_NODES]
+    t = np.concatenate([r[0] for r in rules])
+    in_a = np.arange(t.size) < sum(RATE_NODES)
+    x = np.where(in_a, t, 0.5 * (1.0 + t))
+    if flip:  # 1 - e in (0, x) for A, (0, t) for B, about 1 - slope (u - center)
+        lo, hi, mid = 0.0, t, 1.0 + slope * (x - c)
+    else:  # e in (x, 2x) for A, 1 + (0, t) for B, about slope (u - center)
+        lo, hi, mid = np.where(in_a, x, 0.0), np.where(in_a, 2.0 * x, t), slope * (x - c) - np.where(in_a, 0.0, 1.0)
+    logf = np.where(in_a, 0.0, j * np.log(x)) - 0.5 * ((x - c) / s_w) ** 2 + _log_gaussian_mass(lo, hi, mid, s_e)
+    vals = [mass + _logsumexp(lw + logf[end - lw.size : end]) for (_, mass, lw), end in zip(rules, np.cumsum(2 * RATE_NODES))]
+    a = _first_agreement(vals[: len(RATE_NODES)])
+    if a is None or -(n + 1) * math.log(2.0) < a[0] + math.log(_ROUNDING):
+        return a
+    b = _first_agreement(v - (n - j + 1) * math.log(2.0) for v in vals[len(RATE_NODES) :])
+    if b is None or b[0] - a[0] > -math.log(2.0):
+        return None
+    r = math.exp(b[0] - a[0])
+    return a[0] + math.log1p(-r), (a[1] + r * b[1]) / (1.0 - r)
+
+
 def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float):
-    """(log integral, relative error) over one clamped wedge.
+    """(log integral, error estimate) over one clamped wedge.
 
     The free rate u is measured from its partner's bound (theta at 0,
     1 - theta at 1), as are its counts (y, n) and the zeta prior's
     ``center``.  Given u, e = |eta| runs over (u, min(2u, 1)) with
     zeta = u - e/2, and the product of the two priors is Gaussian in e.
-    Pieces of u that do not matter next to exp(``log_scale``) stop early.
+    The u integral runs on Gauss-Jacobi rules (``_log_wedge_rates``) or, where they disagree, on
+    tanh-sinh, whose pieces of u that do not matter next to exp(``log_scale``) stop early.
     """
     se, sz = cfg.sigma_eta, cfg.sigma_zeta
     s_w = math.hypot(sz, 0.5 * se)  # sd of u - center, marginal over e
     s_e = se * sz / s_w  # sd of e given u
     log_norm = _log_truncation_mass(-1.0, 1.0, 0.0, se) + _log_truncation_mass(0.0, 1.0, center, sz)
     log_norm += math.log(s_w) + _LN_SQRT_2PI
+    found = _log_wedge_rates(y, n, center, s_w, s_e, 0.5 * (se / s_w) ** 2)
+    if found is not None:
+        val = found[0] - log_norm
+        return val, max(found[1], _ROUNDING * (1.0 + abs(val)))
     # pieces of u in (0, 1): the e window's upper end has a kink at u = 1/2, and at
     # large n the likelihood peak near u_hat is too narrow for one piece to resolve
     ends = np.array(sorted({0.0, 0.5, (y + 1.5) / (n + 3.0), 1.0}))

@@ -5,9 +5,9 @@ remainder of SLATEC's D9LGMC, as in R's ``lbeta``); the package's one
 tanh-sinh rule, for log-space integrals over (0, 1), which every
 integrated induced density (among them the densities of the rate
 difference eta and the log odds ratio psi under independent Beta
-priors), the clamped dep-IB wedges and the fallback of the quadrature
-engine in ``bf2p.lt`` share; its one Gauss-Jacobi builder, whose rules
-carry the dep-IB marginals and, at a = b = 0, the Gauss-Legendre mean
+priors) and the fallbacks of the quadrature engine in ``bf2p.lt`` and
+of the clamped dep-IB wedges share; its one Gauss-Jacobi builder, whose
+rules carry the dep-IB marginals and, at a = b = 0, the Gauss-Legendre mean
 of a narrow Gaussian window; the closed-form psi density at a = 1; and
 the elementary log-density helpers, among them the truncated Gaussian,
 whose normal CDFs come from ``scipy.special``.

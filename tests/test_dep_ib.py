@@ -132,6 +132,30 @@ def _h1_core_route(d, cfg, monkeypatch) -> str:
     return "ladder" if "dep-IB H1 core" in seen else "rates"
 
 
+def _wedge_routes(d, cfg, monkeypatch) -> list[str]:
+    """How each clamped wedge is integrated: "pair", "pair, B skipped" or "tanh-sinh".
+
+    The pair asks ``_first_agreement`` once for A and once for B, unless it leaves B out.
+    """
+    routes, ladders = [], []
+    log_wedge_rates = dep_ib_mod._log_wedge_rates
+
+    def agreement(estimates):
+        ladders.append(estimates)
+        return lt_mod._first_agreement(estimates)
+
+    def rates(*args):
+        ladders.clear()
+        found = log_wedge_rates(*args)
+        routes.append("tanh-sinh" if found is None else "pair" if len(ladders) == 2 else "pair, B skipped")
+        return found
+
+    monkeypatch.setattr(dep_ib_mod, "_first_agreement", agreement)
+    monkeypatch.setattr(dep_ib_mod, "_log_wedge_rates", rates)
+    dep_ib_mod._log_ml_h1(d, cfg)
+    return routes
+
+
 class TestAgainstGaussLegendreOracle:
     @pytest.mark.parametrize(
         "counts, sigma_eta, zeta_center",
@@ -202,6 +226,26 @@ class TestAgainstGaussLegendreOracle:
     )
     def test_h1_core_route(self, counts, cfg, route, monkeypatch):
         assert _h1_core_route(TwoByTwoData(*counts), cfg, monkeypatch) == route
+
+    @pytest.mark.parametrize(
+        "counts, cfg, routes",
+        [
+            # the benchmark panel's wedges, under the sweep's narrowest and widest eta scales
+            *(
+                (counts, DepIBPrior(sigma_eta), ["pair"])
+                for counts in [(0, 16, 3, 16), (8, 12, 12, 12), (0, 10, 2, 10)]
+                for sigma_eta in (0.2, 1.0)
+            ),
+            # free counts (12, 16): the kernel's peak lies past u = 1/2
+            ((0, 16, 12, 16), DepIBPrior(), ["pair"]),
+            # a narrow prior at small n: its Gaussian factor in u is no polynomial's
+            ((0, 3, 1, 3), DepIBPrior(0.1, 0.3), ["tanh-sinh"]),
+            # at n = 1e6 the kernel leaves B below the rounding of A
+            ((0, 20, 7, 10**6), DepIBPrior(), ["pair, B skipped"]),
+        ],
+    )
+    def test_wedge_route(self, counts, cfg, routes, monkeypatch):
+        assert _wedge_routes(TwoByTwoData(*counts), cfg, monkeypatch) == routes
 
     @pytest.mark.parametrize(
         "counts, cfg, ref",
