@@ -299,7 +299,9 @@ def _depib_correlation_rungs(cfg: DepIBPrior):
         knee = np.minimum(2.0 * zeta, top) / se
         u, w = _parts_rule(np.hstack((np.zeros_like(knee), knee, np.full_like(knee, top / se))), m)
         w *= w_zeta * np.exp(-0.5 * u * u - 0.5 * ((np.where(flip, 1.0 - zeta, zeta) - c) / sz) ** 2)
-        w /= w.sum()
+        if not 0.0 < (total := float(w.sum())) < math.inf:  # the weights under- or overflowed
+            return
+        w /= total
         t1, t2 = np.maximum(zeta - 0.5 * se * u, 0.0), zeta + 0.5 * se * u
         mean = (w * (t1 + t2)).sum(axis=1) / 2.0
         mu = float(np.where(flip[:, 0], w.sum(axis=1) - mean, mean).sum())

@@ -241,6 +241,14 @@ class TestPriorCorrelation:
         with pytest.raises(NumericalError, match="did not converge"):
             prior_correlation(LTPrior())
 
+    def test_depib_weights_that_underflow_raise_without_a_warning(self):
+        # at the smallest subnormal scales every weight of the first rung is 0, and
+        # normalising them would divide 0 by 0 before the ladder gave up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="did not converge"):
+                prior_correlation(DepIBPrior(5e-324, 5e-324, 0.0))
+
     def test_wide_psi_scale_warns(self):
         with pytest.warns(WidePriorWarning):
             LTPrior(sigma_beta=1.0, sigma_psi=2.5)
