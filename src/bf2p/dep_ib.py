@@ -19,8 +19,7 @@ domain splits along the clamp boundaries: on the core both rates are
 interior; a clamped wedge, where one rate sits on 0 or 1, carries
 likelihood only when that group's count sits on the same bound, and
 its prior eta integral is a difference of two normal CDFs, leaving a
-1-D integral over the free rate on its binomial kernel's Gauss-Jacobi
-rules, or on ``bf2p.special``'s tanh-sinh rule where they disagree.
+1-D integral over the free rate.
 
 H0 and the core are integrated in the rates, with no Jacobian
 (eta = t2 - t1, zeta = (t1 + t2)/2), by Gauss-Jacobi rules whose
@@ -28,15 +27,16 @@ weights are the binomial kernels t^y (1 - t)^(n - y): what is left to
 integrate is the smooth product of the two truncated-Gaussian
 densities, however large n is.  Each takes a ladder of two rules
 (``RATE_NODES``, 20 and 40 nodes per rate) under the stop test and
-error floor of ``bf2p.lt``'s engine; the rules are cached per group
-count, so a sweep builds a study's rules once for its whole prior
-grid.  Where the two do not agree (a narrow eta prior's ridge along
-t1 = t2, which no polynomial in the rates follows), the engine takes
-over in log-odds coordinates, where each rate's Jacobian
-theta (1 - theta) turns its counts into (y + 1, n + 2): H0 over the
-shared rate's log odds, the core over LT's (beta, psi).  The error
-estimate sums the estimates for H0, the core and each wedge, each
-weighted by its share of its marginal.
+error floor of ``bf2p.lt``'s engine, as each wedge does on its kernel's
+rules; the rules are cached per group count, so a sweep builds a
+study's rules once for its whole prior grid.  A core whose two rules
+disagree (a narrow eta prior's ridge along t1 = t2, which no polynomial
+in the rates follows) goes to the engine in LT's (beta, psi), where each
+rate's Jacobian theta (1 - theta) turns its counts into (y + 1, n + 2);
+H0 and the wedges, 1-D integrals over a rate, go to tanh-sinh over its
+pieces (``_log_rate_pieces``), and H0 under a zeta prior narrower than
+the floats about its centre is the likelihood there.  The error estimate
+sums those for H0, the core and each wedge, each weighted by its share.
 
 Prior draws and the prior correlation come from ``bf2p.priors``, which
 samples every family and computes every family's correlation by
@@ -68,7 +68,7 @@ from .model import (
     expit,
     expit_pair,
 )
-from .priors import prior_correlation
+from .priors import _zeta_is_point, prior_correlation
 from .special import (
     _LN_SQRT_2PI,
     _TS_REL_TOL,
@@ -100,12 +100,6 @@ def _kernel_rule(y: int, n: int, m: int):
     return _jacobi_rule(n - y, y, m)
 
 
-def _log_h0_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
-    """Log integral of H0 over the shared rate by the m-point rule of the pooled counts."""
-    t, log_mass, lw = _kernel_rule(*d.pooled, m)
-    return log_mass + _logsumexp(lw + _log_prior_zeta(t, cfg))
-
-
 def _log_core_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
     """Log integral of the H1 core over the rates' unit square by the m x m tensor rule.
 
@@ -124,37 +118,58 @@ def _log_core_rates(d: TwoByTwoData, cfg: DepIBPrior, m: int) -> float:
     return (log_mass1 + log_mass2) + _logsumexp(logf.ravel())
 
 
-def _h0(d: TwoByTwoData, cfg: DepIBPrior):
-    """(log f, gradient and Hessian, Newton start) of H0 in the shared rate's log odds.
-
-    log f takes the log odds x, a float or an array, as ``lt._lt_problem``'s do.
+def _log_rate_pieces(y: int, n: int, log_prior, center: float, ends, log_scale: float, what: str):
+    """(log integral, error estimate) of u^y (1 - u)^(n - y) exp(log_prior(u, 1 - u, u - center)) over
+    u in (0, 1), H0's and the wedges' fallback: tanh-sinh on the pieces between 0, 1/2, ``center``, 1
+    and ``ends`` (clipped to [0, 1]), each measured from its end nearer to u's bound for u and 1 - u,
+    and from its end on center's side for u - center, so that all three keep their digits.  Pieces
+    that do not matter next to exp(``log_scale``) stop early; ``what`` names the problem in errors.
     """
-    y, n = d.pooled
-    zc, sz = cfg.zeta_center, cfg.sigma_zeta
+    ends = np.array(sorted({0.0, 0.5, center, 1.0, *np.clip(ends, 0.0, 1.0).tolist()}))
+    lo, hi = ends[:-1, None], ends[1:, None]
+    below, right = hi <= 0.5, lo >= center
+    with np.errstate(divide="ignore"):  # log of the piece's end nearer to u's bound 0 or 1
+        log_end, log_width = np.log(np.where(below, lo, 1.0 - hi)), np.log(hi - lo)
 
-    def logf(x):
-        return _log_binom_lik(y + 1, n + 2, x) + _log_prior_zeta(expit(x), cfg)
+    def log_f(rows, log_s, log_1m_s):
+        # below 1/2, u = lo + width s and log(1 - u) is log1p(-u); above,
+        # v = 1 - u = (1 - hi) + width (1 - s) and log u is log1p(-v)
+        low, width = below[rows], log_width[rows]
+        log_near = np.logaddexp(log_end[rows], width + np.where(low, log_s, log_1m_s))
+        log_far = np.log1p(-np.exp(log_near))
+        log_u, log_v = np.where(low, log_near, log_far), np.where(low, log_far, log_near)
+        w = np.where(right[rows], lo[rows] - center + np.exp(width + log_s), hi[rows] - center - np.exp(width + log_1m_s))
+        return y * log_u + (n - y) * log_v + log_prior(np.exp(log_u), np.exp(log_v), w) + width
 
-    def grad_hess(v):
-        t, c = expit_pair(v[0])
-        dt = t * c
-        b = -(t - zc) / sz / sz  # d log p(zeta) / d zeta
-        g, w = _binom_grad_curv(y + 1, n + 2, v[0])
-        return (g + b * dt,), (b * dt * (c - t) - dt * dt / sz / sz - w,)
-
-    return logf, grad_hess, [_empirical_logit(y + 1, n + 2)]
+    val = _logsumexp(_tanh_sinh(log_f, ends[:-1], what, log_scale))
+    return val, max(_TS_REL_TOL, _ROUNDING * (1.0 + abs(val)))
 
 
 def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
-    """(log marginal, error estimate) with eta = 0.
-
-    The ``RATE_NODES`` rules of the pooled counts come first, as for the
-    H1 core; the engine takes H0 over the shared rate's log odds when
-    they do not agree.
-    """
-    found = _first_agreement(_log_h0_rates(d, cfg, m) for m in RATE_NODES)
-    val, err = found if found is not None else _integrate(*_h0(d, cfg), "dep-IB H0")[2:]
-    return _log_coeffs(d) + val, err
+    """(log marginal, error estimate) with eta = 0: the likelihood at zeta's centre c where zeta is a
+    point mass (``bf2p.priors._zeta_is_point``), else the pooled counts' ``RATE_NODES`` rules, else
+    ``_log_rate_pieces`` (in 1 - u where c > 1/2), with ends at the integrand's peak and 16 of its
+    widths either side, stopping early against the peak's value times its width."""
+    y, n = d.pooled
+    c, sz = cfg.zeta_center, cfg.sigma_zeta
+    if _zeta_is_point(cfg):
+        val = y * math.log(c) + (n - y) * math.log1p(-c)
+        return _log_coeffs(d) + val, _ROUNDING * (1.0 + abs(val))
+    rules = (_kernel_rule(y, n, m) for m in RATE_NODES)
+    found = _first_agreement(mass + _logsumexp(lw + _log_prior_zeta(t, cfg)) for t, mass, lw in rules)
+    if found is None:
+        y, c = (n - y, 1.0 - c) if c > 0.5 else (y, c)  # u -> 1 - u: a window near 1 keeps its digits near 0
+        lo, hi = -700.0, 700.0  # log odds either side of the peak of y ln u + (n - y) ln(1 - u) + ln p(u), concave
+        for _ in range(64):
+            u, v = expit_pair(x := 0.5 * (lo + hi))
+            g = y * v - (n - y) * u - (u - c) / sz * (u / sz) * v  # its slope in x, of the sign of its slope in u
+            lo, hi = (x, hi) if g > 0.0 else (lo, x)
+        root = math.hypot(g / u / v, math.sqrt(y) / u, math.sqrt(n - y) / v, 1.0 / sz)  # 1 / the peak's width in u
+        log_norm = _log_truncation_mass(0.0, 1.0, c, sz) + math.log(sz) + _LN_SQRT_2PI
+        log_prior = lambda u, v, w: -0.5 * (w / sz) * (w / sz) - log_norm  # noqa: E731
+        log_scale = y * math.log(u) + (n - y) * math.log(v) + log_prior(u, v, u - c) - math.log(root)
+        found = _log_rate_pieces(y, n, log_prior, c, (u - 16.0 / root, u, u + 16.0 / root), log_scale, "dep-IB H0")
+    return _log_coeffs(d) + found[0], found[1]
 
 
 def _core(d: TwoByTwoData, cfg: DepIBPrior):
@@ -249,42 +264,26 @@ def _log_wedge(y: int, n: int, center: float, cfg: DepIBPrior, log_scale: float)
     ``center``.  Given u, e = |eta| runs over (u, min(2u, 1)) with
     zeta = u - e/2, and the product of the two priors is Gaussian in e.
     The u integral runs on Gauss-Jacobi rules (``_log_wedge_rates``) or, where they disagree, on
-    tanh-sinh, whose pieces of u that do not matter next to exp(``log_scale``) stop early.
+    ``_log_rate_pieces``, whose pieces that do not matter next to exp(``log_scale``) stop early.
     """
     se, sz = cfg.sigma_eta, cfg.sigma_zeta
     s_w = math.hypot(sz, 0.5 * se)  # sd of u - center, marginal over e
     s_e = se * sz / s_w  # sd of e given u
     log_norm = _log_truncation_mass(-1.0, 1.0, 0.0, se) + _log_truncation_mass(0.0, 1.0, center, sz)
     log_norm += math.log(s_w) + _LN_SQRT_2PI
-    found = _log_wedge_rates(y, n, center, s_w, s_e, 0.5 * (se / s_w) ** 2)
+    slope = 0.5 * (se / s_w) ** 2  # the mean of e given u is slope (u - center)
+    found = _log_wedge_rates(y, n, center, s_w, s_e, slope)
     if found is not None:
         val = found[0] - log_norm
         return val, max(found[1], _ROUNDING * (1.0 + abs(val)))
-    # pieces of u in (0, 1): the e window's upper end has a kink at u = 1/2, and at
-    # large n the likelihood peak near u_hat is too narrow for one piece to resolve
-    ends = np.array(sorted({0.0, 0.5, (y + 1.5) / (n + 3.0), 1.0}))
-    lo, hi = ends[:-1, None], ends[1:, None]
-    below = hi <= 0.5
-    with np.errstate(divide="ignore"):  # log of the piece's end nearer to u's bound 0 or 1
-        log_end, log_width = np.log(np.where(below, lo, 1.0 - hi)), np.log(hi - lo)
 
-    def log_f(rows, log_s, log_1m_s):
-        # below 1/2, u = lo + width s and log(1 - u) is log1p(-u); above,
-        # v = 1 - u = (1 - hi) + width (1 - s) and log u is log1p(-v)
-        low = below[rows]
-        log_near = np.logaddexp(log_end[rows], log_width[rows] + np.where(low, log_s, log_1m_s))
-        log_far = np.log1p(-np.exp(log_near))
-        log_u, log_v = np.where(low, log_near, log_far), np.where(low, log_far, log_near)
-        u, v = np.exp(log_u), np.exp(log_v)
-        w = u - center  # the mean of e given u is proportional to w
-        mean = 0.5 * (se / s_w) ** 2 * w
-        # above 1/2 the window (u, 1) is reflected to 1 - e in (0, v), which keeps its digits
+    def log_prior(u, v, w):  # above 1/2 the window (u, 1) is reflected to 1 - e in (0, v), which keeps its digits
+        low, mean = u <= 0.5, slope * (u - center)  # of one rounding with the window's ends
         lo_e, hi_e, c_e = np.where(low, u, 0.0), np.where(low, 2.0 * u, v), np.where(low, mean, 1.0 - mean)
-        log_mass = _log_gaussian_mass(lo_e, hi_e, c_e, s_e)
-        return y * log_u + (n - y) * log_v - 0.5 * (w / s_w) ** 2 + log_mass - log_norm + log_width[rows]
+        return _log_gaussian_mass(lo_e, hi_e, c_e, s_e) - 0.5 * (w / s_w) ** 2 - log_norm
 
-    val = _logsumexp(_tanh_sinh(log_f, ends[:-1], "dep-IB clamped wedge", log_scale))
-    return val, max(_TS_REL_TOL, _ROUNDING * (1.0 + abs(val)))
+    # at large n the likelihood peak near u_hat is too narrow for one piece to resolve
+    return _log_rate_pieces(y, n, log_prior, center, ((y + 1.5) / (n + 3.0),), log_scale, "dep-IB clamped wedge")
 
 
 def _log_ml_h1(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:

@@ -38,7 +38,7 @@ binomial coefficients, which each marginal adds once.  The binomial
 log likelihood is one kernel for floats and arrays, written with one
 exp and one log1p per point (``_log_binom_lik``).  ``_integrate``
 is the engine's one entry point; the dependent variant (``bf2p.dep_ib``)
-calls it too.  Estimates are fully deterministic.
+calls it for its H1 core.  Estimates are fully deterministic.
 
 The null marginal does not depend on ``sigma_psi``, so a sweep
 (``bf2p.reanalysis``) fits each study's H0 once per prior.
@@ -272,7 +272,8 @@ def _newton(logf, grad_hess, x0, what: str, max_iter: int = 200):
     with one float per coordinate, each at a new point.  Steps are halved
     until they ascend.  Where the density is not log-concave, the step
     uses -H shifted to be positive definite.  A gradient or Hessian that
-    is not finite raises NumericalError.
+    is not finite, or so large that the shifted -H rounds to singular,
+    raises NumericalError.
     """
     x, f = [float(v) for v in x0], None  # f: log f at x, once a checked step needs it
     for _ in range(max_iter):
@@ -281,12 +282,13 @@ def _newton(logf, grad_hess, x0, what: str, max_iter: int = 200):
             raise NumericalError(f"{what}: the gradient or Hessian is not finite", last_iterate=np.array(x))
         lowest = _lowest_eigenvalue([-v for v in h])
         shift = 1.0 - lowest if lowest <= 0.0 else 0.0
+        a, b, d = shift - h[0], *((-h[1], shift - h[2]) if len(x) == 2 else (0.0, 1.0))
+        if not (det := a * d - b * b) > 0.0:  # a Hessian so large that the shift rounds away
+            raise NumericalError(f"{what}: the shifted Hessian rounds to singular", last_iterate=np.array(x))
         if len(x) == 1:
-            cov = (1.0 / (shift - h[0]),)
+            cov = (1.0 / a,)
             step = [cov[0] * g[0]]
         else:  # (-H + shift I)^-1 = [[p, q], [q, r]] in closed form
-            a, b, d = shift - h[0], -h[1], shift - h[2]
-            det = a * d - b * b
             cov = (d / det, -b / det, a / det)
             step = [cov[0] * g[0] + cov[1] * g[1], cov[1] * g[0] + cov[2] * g[1]]
         dec = sum(gi * si for gi, si in zip(g, step))

@@ -261,6 +261,12 @@ def _lt_correlation_rungs(cfg: LTPrior):
         yield 2.0 * cross / square
 
 
+def _zeta_is_point(cfg: DepIBPrior) -> bool:
+    """Whether zeta is a point mass at its centre c in (0, 1): c +/- 9 scales round to c."""
+    c, half = cfg.zeta_center, _GAUSSIAN_HALF_WIDTH * cfg.sigma_zeta
+    return 0.0 < c < 1.0 and c - half == c == c + half
+
+
 def _depib_correlation_rungs(cfg: DepIBPrior):
     """The dep-IB prior correlation on ever larger tensor Gauss-Legendre rules in (zeta, eta).
 
@@ -273,11 +279,11 @@ def _depib_correlation_rungs(cfg: DepIBPrior):
     Each part is split again where the knee leaves eta's window
     [0, min(1, 9 sigma_eta)]: below that point the clamp reaches the rates
     and changes them on the scale sigma_eta.  Given zeta, eta's rule has
-    two parts, split at the knee (``_parts_rule``).  The rates come from
-    the clamp itself; the mean comes first, and the second moments are
-    taken about it.  Under scales below 1 the deviations from the mean
-    are divided by the larger scale, so that their squares cannot
-    underflow.
+    two parts, split at the knee (``_parts_rule``); a point mass at c is one
+    zeta node.  The rates come from the clamp itself; the mean comes first,
+    and the second moments are taken about it.  Under scales below 1 the
+    deviations from the mean are divided by the larger scale, so that
+    their squares cannot underflow.
     """
     c, sz, se = cfg.zeta_center, cfg.sigma_zeta, cfg.sigma_eta
     lo, hi = max(0.0, c - _GAUSSIAN_HALF_WIDTH * sz), min(1.0, c + _GAUSSIAN_HALF_WIDTH * sz)
@@ -289,16 +295,21 @@ def _depib_correlation_rungs(cfg: DepIBPrior):
         for x, y in ((0.0, 0.5 * top), (0.5 * top, 0.5))
         if max(a, x) < min(b, y)
     ]
-    if not pieces:  # a window narrower than the floats around its centre
+    point = _zeta_is_point(cfg)
+    if not (pieces or point):  # a window at 1 narrower than the floats there
         return
     ends = np.array([p[:2] for p in pieces])
     for m in _NODES:
-        zeta, w_zeta = (v.reshape(-1, 1) for v in _parts_rule(ends, m))
-        flip = np.repeat([p[2] for p in pieces], m)[:, None]
+        if point:
+            zeta, w_zeta, flip, dz = np.full((1, 1), min(c, 1.0 - c)), np.ones((1, 1)), np.full((1, 1), c > 0.5), 0.0
+        else:
+            zeta, w_zeta = (v.reshape(-1, 1) for v in _parts_rule(ends, m))
+            flip = np.repeat([p[2] for p in pieces], m)[:, None]
+            dz = ((np.where(flip, 1.0 - zeta, zeta) - c) / sz) ** 2
         # eta's rule in units of sigma_eta, so that its weights cannot underflow
         knee = np.minimum(2.0 * zeta, top) / se
         u, w = _parts_rule(np.hstack((np.zeros_like(knee), knee, np.full_like(knee, top / se))), m)
-        w *= w_zeta * np.exp(-0.5 * u * u - 0.5 * ((np.where(flip, 1.0 - zeta, zeta) - c) / sz) ** 2)
+        w *= w_zeta * np.exp(-0.5 * u * u - 0.5 * dz)
         if not 0.0 < (total := float(w.sum())) < math.inf:  # the weights under- or overflowed
             return
         w /= total

@@ -5,8 +5,9 @@ Input schema (UTF-8 CSV, header required):
     id,label,y1,n1,y2,n2
 
 Output rows carry one (study, method, parameter point) cell each and
-serialize to CSV or JSON with a fixed column order; floats are written
-with 17 significant digits so re-parsing reproduces them bit for bit.
+serialize to CSV or JSON with a fixed column order; CSV writes floats
+with 17 significant digits and JSON (``json.dumps``) in Python's
+shortest repr, so re-parsing either reproduces them bit for bit.
 Each cell is one ``averaging.evidence`` call (``avg`` cells average the
 four {IB, LT} models with equal weights).  The cells of one study share
 a memo of its marginal likelihoods, so a sweep fits each study's null
@@ -313,25 +314,7 @@ def emit(results: Iterable[SweepResult], fmt: str, path: str | Path) -> None:
                 w.writerow([_csv_field(fields[c]) for c in OUTPUT_COLUMNS])
         return
     if fmt == "json":
-        # hand-rolled so float values keep the 17-significant-digit form
-        lines = []
-        for r in results:
-            fields = _result_fields(r)
-            parts = []
-            for col in OUTPUT_COLUMNS:
-                v = fields[col]
-                if v is None:
-                    enc = "null"
-                elif isinstance(v, str):
-                    enc = json.dumps(v)
-                elif col == "study_id":
-                    enc = str(int(v))
-                else:
-                    enc = _fmt(v)
-                parts.append(f'"{col}": {enc}')
-            lines.append("  {" + ", ".join(parts) + "}")
-        body = "[\n" + ",\n".join(lines) + "\n]\n" if lines else "[]\n"
-        path.write_text(body, encoding="utf-8")
+        path.write_text(json.dumps([_result_fields(r) for r in results], indent=1) + "\n", encoding="utf-8")
         return
     raise ValidationError(f"unknown output format {fmt!r}")
 

@@ -19,7 +19,7 @@ from bf2p.dep_ib import (
 from bf2p.ib import bf01_ib
 from bf2p.model import DepIBPrior, Hypothesis, Method, TwoByTwoData
 from mc_oracle import mc_log_marginal_depib
-from bf2p.priors import sample_prior
+from bf2p.priors import _zeta_is_point, sample_prior
 from conftest import check_newton_mode, random_small_datasets
 from oracles import depib_log_marginals_gauss_legendre
 
@@ -281,6 +281,72 @@ class TestAgainstGaussLegendreOracle:
             assert res.log_ml_h1 == pytest.approx(ref.log_ml_h1, rel=1e-12)
 
 
+#: H0 cells off the pooled counts' pair: narrow zeta priors centred at 0, at 0.3 and
+#: at 1/2, on studies from (1, 1, 1, 1) to n = 2e4.
+_H0_PIECE_CELLS = [
+    ((1, 1, 1, 1), DepIBPrior(0.2, 0.001, 0.0)),
+    ((25, 25, 25, 25), DepIBPrior(0.2, 0.001, 0.0)),
+    ((2, 2, 1, 1), DepIBPrior(0.2, 0.001, 0.3)),
+    ((18, 493, 10, 488), DepIBPrior(0.2, 1e-4)),
+    ((50, 100, 60, 100), DepIBPrior(0.2, 1e-12, 0.0)),
+    ((0, 10000, 30, 10000), DepIBPrior(0.2, 1e-8, 0.0)),
+]
+
+
+def _h0_route(d, cfg, monkeypatch) -> str:
+    """How H0 is integrated: "point mass", "rates" or "pieces"; the engine must not run."""
+    seen = []
+
+    def refuse(*args):
+        raise AssertionError(f"H0 called the engine on {args[-1]}")
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(dep_ib_mod, "_integrate", refuse)
+    for name in ("_kernel_rule", "_log_rate_pieces"):
+        monkeypatch.setattr(dep_ib_mod, name, recording(getattr(dep_ib_mod, name)))
+    assert math.isfinite(dep_ib_mod._log_ml_h0(d, cfg)[0])
+    return "pieces" if "_log_rate_pieces" in seen else "rates" if seen else "point mass"
+
+
+class TestH0:
+    @pytest.mark.parametrize(
+        "counts, cfg, route",
+        [(counts, cfg, "pieces") for counts, cfg in _H0_PIECE_CELLS]
+        + [(counts, cfg, "rates") for counts, cfg in _RATE_CELLS]
+        + [
+            ((18, 493, 10, 488), DepIBPrior(0.2, 1e-300, 0.3), "point mass"),
+            ((0, 10**8, 10**8, 10**8), DepIBPrior(0.05, 1e-20, 0.7), "point mass"),
+        ],
+    )
+    def test_route_never_reaches_the_engine(self, counts, cfg, route, monkeypatch):
+        assert _h0_route(TwoByTwoData(*counts), cfg, monkeypatch) == route
+
+    @pytest.mark.parametrize("counts", [(18, 493, 10, 488), (0, 10**8, 10**8, 10**8), (3, 3, 0, 1)])
+    @pytest.mark.parametrize("center", [0.3, 0.7])
+    def test_point_mass_is_the_likelihood_at_the_centre(self, counts, center):
+        # zeta's window, 9e-300 either side of its centre, rounds to the centre
+        d = TwoByTwoData(*counts)
+        y, n = d.pooled
+        lik = y * math.log(center) + (n - y) * math.log1p(-center)
+        assert dep_ib_mod._log_ml_h0(d, DepIBPrior(0.2, 1e-300, center)) == (
+            lt_mod._log_coeffs(d) + lik,
+            lt_mod._ROUNDING * (1.0 + abs(lik)),
+        )
+
+    def test_centre_at_a_bound_is_no_point_mass(self):
+        # log 0 would lose the marginal: a window at 0 or 1 goes to the rules and the pieces
+        assert _zeta_is_point(DepIBPrior(0.2, 1e-300, 0.3))
+        assert not _zeta_is_point(DepIBPrior(0.2, 1e-300, 0.0))
+        assert not _zeta_is_point(DepIBPrior(0.2, 1e-300, 1.0))
+        assert not _zeta_is_point(DepIBPrior(0.2, 1e-15, 0.3))
+
+
 #: Interior, a count at 0 or n, rare events at large n, and n = 1e6.
 _NEWTON_STUDIES = [(3, 10, 5, 12), (0, 8, 3, 9), (7, 7, 2, 9), (26, 11034, 10, 11037), (0, 10**6, 5, 10**6)]
 _NEWTON_PRIORS = [DepIBPrior(), DepIBPrior(0.05, 0.3), DepIBPrior(1.0, 0.5, zeta_center=0.0)]
@@ -290,8 +356,7 @@ class TestFloatNewton:
     @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
     @pytest.mark.parametrize("cfg", _NEWTON_PRIORS)
     def test_mode_and_scale_match_finite_differences(self, counts, cfg):
-        for problem in (dep_ib_mod._h0, dep_ib_mod._core):
-            check_newton_mode(*problem(TwoByTwoData(*counts), cfg))
+        check_newton_mode(*dep_ib_mod._core(TwoByTwoData(*counts), cfg))
 
     @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
     @pytest.mark.parametrize("cfg", _NEWTON_PRIORS)
@@ -311,13 +376,9 @@ class TestFloatNewton:
 
             return build
 
-        for name in ("_h0", "_core"):
-            monkeypatch.setattr(dep_ib_mod, name, counting(getattr(dep_ib_mod, name)))
-        d = TwoByTwoData(*counts)
-        for hyp in (Hypothesis.H0, Hypothesis.H1):
-            points.clear()
-            dep_ib_mod._log_ml(d, hyp, cfg)
-            assert len(set(points)) == len(points), hyp
+        monkeypatch.setattr(dep_ib_mod, "_core", counting(dep_ib_mod._core))
+        dep_ib_mod._log_ml(TwoByTwoData(*counts), Hypothesis.H1, cfg)
+        assert len(set(points)) == len(points)
 
 
 class TestPriorDraws:

@@ -1,4 +1,4 @@
-"""``tools/error_audit.py``: dep-IB, LT, clamped-wedge and prior-correlation error estimates against pinned
+"""``tools/error_audit.py``: dep-IB, LT, clamped-wedge, H0 and prior-correlation error estimates against pinned
 30-digit references."""
 
 import importlib.util
@@ -102,13 +102,50 @@ def test_wedge_reference_is_reproducible(tool):
     assert tool.wedge_reference(*cell) == tool.load_refs("wedge")[tool.cell_key(*cell)]
 
 
+#: Seven cells of the H0 slice, each off the pooled pair: (25, 25, 25, 25) at a zeta window
+#: of 0.001 about 0, where the log-odds engine raised; half the events at n = 1e8; a narrow
+#: window about 1/2 at n = 2e4; windows of 1e-8 and 1e-12 about 0; and one of 1e-12 about
+#: 1/2, on which the engine divided by zero, and one of 1e-7 about 0.3, on which it returned
+#: a value 182 times its estimate off.
+H0_CELLS = [
+    ((25, 25, 25, 25), 0.001, 0.0),
+    ((25000000, 50000000, 25000000, 50000000), 0.001, 0.3),
+    ((2500, 10000, 2600, 10000), 1e-4, 0.5),
+    ((0, 10000, 30, 10000), 1e-8, 0.0),
+    ((5000, 10000, 5000, 10000), 1e-12, 0.0),
+    ((18, 493, 10, 488), 1e-12, 0.5),
+    ((0, 10, 0, 10), 1e-7, 0.3),
+]
+
+
+def test_h0_references_are_pinned_for_the_whole_sample(tool):
+    sample = tool.SLICES["h0"].sample()
+    assert len(sample) == 36
+    assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("h0"))
+    assert set(H0_CELLS) <= set(sample)
+
+
+@pytest.mark.parametrize("cell", H0_CELLS)
+def test_h0_error_estimates_cover_the_error(tool, cell):
+    row = tool.audit_h0_cell(*cell, tool.load_refs("h0")[tool.cell_key(*cell)])
+    assert row["h0"]["ratio"] <= 1.0
+
+
+def test_h0_reference_is_reproducible(tool):
+    cell = ((25, 25, 25, 25), 0.001, 0.0)
+    assert tool.h0_reference(*cell) == tool.load_refs("h0")[tool.cell_key(*cell)]
+    # 50 ln 0.001 + ln 49!!, the half-Gaussian's 50th moment, to 15 digits
+    assert float(tool.load_refs("h0")[tool.cell_key(*cell)]["h0"]) == pytest.approx(-272.242281734313, abs=1e-12)
+
+
 #: Correlation cells with an mpmath reference: LT with a Gaussian beta prior at
 #: (sigma_beta, sigma_psi) = (1, 1), (1, 3), (5, 1) and (1, 10), with a logistic
 #: one at (1, 1), and dep-IB at its defaults, at sigma_eta = 0.4 and 1 and with
 #: the zeta prior centred at 0; then LT priors far wider than the extreme grid's;
 #: then dep-IB priors whose clamp's knee leaves eta's window inside zeta's, at
 #: (sigma_eta, sigma_zeta, zeta_center) = (0.001, 0.5, 0.5), (1e-5, 0.3, 0.5),
-#: (0.05, 0.3, 0.5) and (0.01, 0.001, 0.3), and with all but flat eta priors.
+#: (0.05, 0.3, 0.5) and (0.01, 0.001, 0.3), with all but flat eta priors, and with a
+#: point-mass zeta prior.
 CORR_CELLS = [
     ("lt", 1.0, 1.0, "gaussian"),
     ("lt", 1.0, 3.0, "gaussian"),
@@ -129,12 +166,13 @@ CORR_CELLS = [
     ("dep_ib", 0.01, 0.001, 0.3),
     ("dep_ib", 10.0, 0.5, 0.5),
     ("dep_ib", 1e5, 0.5, 0.5),
+    ("dep_ib", 0.5, 1e-300, 0.3),
 ]
 
 
 def test_correlation_references_are_pinned_for_the_whole_sample(tool):
     sample = tool.correlation_sample()
-    assert len(sample) == 38
+    assert len(sample) == 39
     assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("correlation"))
     assert set(CORR_CELLS) <= set(sample)
 

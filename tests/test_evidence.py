@@ -166,3 +166,12 @@ class TestExtremePriorScales:
         # the prior precision 1/scale^2 overflows, and Newton reports the infinite Hessian
         with pytest.raises(NumericalError, match="gradient or Hessian is not finite"):
             evidence(TwoByTwoData(18, 493, 10, 488), family(**{field: scale}))
+
+    @pytest.mark.parametrize("sigma_zeta", [1e-4, 1e-12])
+    def test_tiny_depib_scales_raise_numerical_error(self, sigma_zeta):
+        # at sigma_eta = 1e-12 the core's Hessian is finite but so large that Newton's
+        # positive-definite shift rounds away, which divided by zero; H0 has a value
+        d, cfg = TwoByTwoData(18, 493, 10, 488), DepIBPrior(1e-12, sigma_zeta)
+        assert math.isfinite(dep_ib._log_ml(d, Hypothesis.H0, cfg)[0])
+        with pytest.raises(NumericalError, match="shifted Hessian rounds to singular"):
+            evidence(d, cfg)

@@ -185,6 +185,15 @@ class TestPriorCorrelation:
         expected = prior_correlation(DepIBPrior(0.01, 0.01, 0.0))
         assert prior_correlation(DepIBPrior(s, s, 0.0)) == pytest.approx(expected, abs=1e-13)
 
+    @pytest.mark.parametrize("center", [0.3, 0.7])
+    def test_depib_point_mass_zeta(self, center):
+        # a zeta window narrower than the floats around its centre is a point mass there; the
+        # 30-digit reference is the eta integral at zeta = 0.3 (the event swap gives 0.7), and
+        # a window of 1e-10, which the zeta rule still resolves, is within 1e-18 of it
+        r, err = priors_mod._prior_correlation(DepIBPrior(0.5, 1e-300, center))
+        assert abs(r - -0.981598178752357299914585337669) <= err
+        assert r == pytest.approx(prior_correlation(DepIBPrior(0.5, 1e-10, center)), abs=err)
+
     @pytest.mark.parametrize(
         "cfg", [IBPrior(), LTPrior(), LTPrior(beta_prior=LOGISTIC), DepIBPrior()], ids=["ib", "lt", "lt-logistic", "dep-ib"]
     )

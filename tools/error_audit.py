@@ -1,4 +1,4 @@
-"""Audit the dep-IB, LT, clamped-wedge and prior-correlation error estimates against 30-digit mpmath references.
+"""Audit the dep-IB, LT, clamped-wedge, dep-IB H0 and prior-correlation error estimates against 30-digit mpmath references.
 
 The dep-IB slice is a seeded sample of 100 (study, prior) cells: n1
 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in
@@ -41,6 +41,16 @@ upper end min(2u, 1) has its kink, the benchmark panel's wedges, a
 narrow prior at small n, and n = 1e6.  Its references are the H1
 references' wedges.
 
+The H0 slice checks dep-IB's H0 log integral and error estimate
+(``bf2p.dep_ib._log_ml_h0``) on cells where the pooled counts'
+Gauss-Jacobi pair does not agree, so that the shared rate's tanh-sinh
+pieces give the value: narrow zeta priors (sigma_zeta from 1e-30 to
+0.001, centred at 0, 0.3, 0.5 or 1) on studies from (1, 1, 1, 1) to
+n = 1e8, among them every study of a grid of pooled counts on which the
+log-odds engine that preceded the pieces raised.  Its references are the
+dep-IB slice's H0, whose points also split at the H0 integrand's own
+peak, at 60 digits.
+
 The correlation slice checks the H1 prior correlation of the two rates
 and its error estimate (``bf2p.priors._prior_correlation``) on the
 extreme grid's priors: LT at sigma_beta, sigma_psi in {0.01, 1, 50}
@@ -55,12 +65,14 @@ integrands scaled to peak at about 1.  LT integrates over beta and
 psi, nested, in units of their scales, split where the logistic's knee
 sits; dep-IB integrates over zeta, split at 1/2, and given zeta takes
 the eta integral piece by piece between the clamps' breaks, where both
-rates are linear in eta, from the normal CDF and density.
+rates are linear in eta, from the normal CDF and density.  A zeta prior
+whose window rounds to its centre is a point mass there, and the
+reference is the eta integral alone.
 
 The references take minutes, so they are pinned next to this file, in
 ``error_audit_refs.json`` (dep-IB), ``error_audit_lt_refs.json`` (LT),
-``error_audit_wedge_refs.json`` (wedges) and
-``error_audit_correlation_refs.json`` (correlations); ``--pin``
+``error_audit_wedge_refs.json`` (wedges), ``error_audit_h0_refs.json``
+(H0) and ``error_audit_correlation_refs.json`` (correlations); ``--pin``
 recomputes them all, and ``pin(name)`` one slice's, from Python.
 
     PYTHONPATH=src python3 tools/error_audit.py --out error_audit.json
@@ -92,6 +104,7 @@ REFS = Path(__file__).resolve().with_name("error_audit_refs.json")
 LT_REFS = Path(__file__).resolve().with_name("error_audit_lt_refs.json")
 CORR_REFS = Path(__file__).resolve().with_name("error_audit_correlation_refs.json")
 WEDGE_REFS = Path(__file__).resolve().with_name("error_audit_wedge_refs.json")
+H0_REFS = Path(__file__).resolve().with_name("error_audit_h0_refs.json")
 
 SEED = 20261019
 SIGMA_ETA = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -128,13 +141,58 @@ WEDGE_CELLS = [
     ((500000, 10**6), 0.3, 0.2, 0.5),
 ]
 
+#: (study, sigma_zeta, zeta centre) of the H0 slice, every one off the pooled pair: first the
+#: pooled counts (y, n) = (2, 2) to (50, 50) on which the log-odds engine raised, then a zeta
+#: window of 0.001 at n from 1e4 to 1e8, then narrower windows down to 1e-12 at n up to 2e4,
+#: about 0 and, finer than the rates' floats resolve near it, about 0.3 or 1/2, then windows on
+#: which the engine returned values 182 and 4 times its estimate off, and one of 1e-30 about 0.
+H0_CELLS = [
+    ((1, 1, 1, 1), 0.001, 0.0),
+    ((1, 1, 1, 1), 0.01, 0.0),
+    ((2, 2, 1, 1), 0.001, 0.3),
+    ((2, 2, 1, 1), 0.001, 0.0),
+    ((3, 3, 1, 2), 0.001, 0.0),
+    ((3, 3, 2, 2), 0.001, 0.3),
+    ((3, 3, 2, 2), 0.001, 0.0),
+    ((5, 5, 4, 5), 0.001, 0.3),
+    ((5, 5, 4, 5), 0.001, 0.0),
+    ((5, 5, 5, 5), 0.001, 0.3),
+    ((5, 5, 5, 5), 0.001, 0.0),
+    ((10, 10, 9, 10), 0.001, 0.0),
+    ((10, 10, 10, 10), 0.001, 0.3),
+    ((10, 10, 10, 10), 0.001, 0.0),
+    ((25, 25, 25, 25), 0.001, 0.0),
+    ((0, 5000, 0, 5000), 0.001, 0.5),
+    ((1250, 5000, 1250, 5000), 0.001, 0.3),
+    ((125000, 500000, 125000, 500000), 0.001, 0.5),
+    ((500000, 500000, 500000, 500000), 0.001, 0.0),
+    ((12500000, 50000000, 12500000, 50000000), 0.001, 0.0),
+    ((25000000, 50000000, 25000000, 50000000), 0.001, 0.3),
+    ((18, 493, 10, 488), 1e-4, 0.5),
+    ((18, 493, 10, 488), 1e-12, 0.0),
+    ((8, 12, 12, 12), 1e-8, 0.0),
+    ((50, 100, 60, 100), 1e-12, 0.0),
+    ((2500, 10000, 2600, 10000), 1e-4, 0.5),
+    ((0, 10000, 30, 10000), 1e-8, 0.0),
+    ((5000, 10000, 5000, 10000), 1e-12, 0.0),
+    ((50, 100, 60, 100), 1e-6, 0.3),
+    ((18, 493, 10, 488), 1e-8, 0.5),
+    ((18, 493, 10, 488), 1e-12, 0.5),
+    ((2500, 10000, 2600, 10000), 1e-10, 0.5),
+    ((18, 493, 10, 488), 1e-14, 0.3),
+    ((0, 10, 0, 10), 1e-7, 0.3),
+    ((50, 100, 60, 100), 1e-8, 1.0),
+    ((3, 10, 5, 12), 1e-30, 0.0),
+]
+
 #: The extreme grid's prior scales: LT's sigma_beta and sigma_psi, and dep-IB's sigma_eta = sigma_zeta.
 CORR_LT_SCALES = (0.01, 1.0, 50.0)
 CORR_DEPIB_SCALES = (0.01, 0.5, 1.0)
 
 #: Cells the unit tests check beyond the grid: LT, dep-IB's (sigma_eta, sigma_zeta, zeta_center),
-#: LT priors far wider than the grid's, and dep-IB priors whose clamp's knee leaves eta's
-#: window inside zeta's (sigma_eta well below sigma_zeta) or whose eta prior is all but flat.
+#: LT priors far wider than the grid's, dep-IB priors whose clamp's knee leaves eta's
+#: window inside zeta's (sigma_eta well below sigma_zeta) or whose eta prior is all but flat,
+#: and a zeta prior that is a point mass.
 CORR_TEST_CELLS = [
     ("lt", 1.0, 3.0, "gaussian"),
     ("lt", 5.0, 1.0, "gaussian"),
@@ -153,6 +211,7 @@ CORR_TEST_CELLS = [
     ("dep_ib", 0.01, 0.001, 0.3),
     ("dep_ib", 10.0, 0.5, 0.5),
     ("dep_ib", 1e5, 0.5, 0.5),
+    ("dep_ib", 0.5, 1e-300, 0.3),
 ]
 
 
@@ -260,11 +319,24 @@ class _Reference:
     def _log_p_zeta(self, z):
         return -(((z - self.zc) / self.sz) ** 2) / 2 - self.log_norm_zeta
 
+    def _h0_peak_points(self, y, n):
+        """The peak of the H0 integrand t^y (1 - t)^(n - y) p(t), which lies between the
+        likelihood's peak and the zeta prior's centre, by bisection of its slope, and points
+        1.5, 4.5, 14 and 37 of its widths either side."""
+        lo, hi = sorted((mp.mpf(y) / n, self.zc))
+        terms = lambda t, k: (y / t**k if y else 0, (n - y) / (1 - t) ** k if n - y else 0)
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            a, b = terms(mid, 1)
+            lo, hi = (mid, hi) if a - b - (mid - self.zc) / self.sz**2 > 0 else (lo, mid)
+        width = 1 / mp.sqrt(sum(terms(lo, 2)) + 1 / self.sz**2)
+        return [lo + s * k * width for k in (0, 1.5, 4.5, 14, 37) for s in (-1, 1)]
+
     def h0(self):
         y, n = self.y1 + self.y2, self.n1 + self.n2
         peak = self._log_peak(y, n)
         f = lambda t: self._lik(y, n, t, peak) * mp.exp(self._log_p_zeta(t))
-        return peak + mp.log(_quad(f, [0, 1] + _peak_points(y, n)))
+        return peak + mp.log(_quad(f, [0, 1] + _peak_points(y, n) + self._h0_peak_points(y, n)))
 
     def core(self):
         """Tensor Gauss-Jacobi rules of mpmath in the rates, whose weights carry the likelihoods.
@@ -496,6 +568,15 @@ def wedge_reference(counts, center: float, sigma_eta: float, sigma_zeta: float) 
         return {"wedge": mp.nstr(wedge, DIGITS)}
 
 
+def h0_reference(counts, sigma_zeta: float, zeta_center: float) -> dict[str, str]:
+    """The 30-digit reference of one H0 cell, as a decimal string.
+
+    It works at twice the digits: a zeta window of 1e-14 about 0.3 needs the rate to 35.
+    """
+    with mp.workdps(2 * DIGITS):
+        return {"h0": mp.nstr(_Reference(counts, 0.2, sigma_zeta, zeta_center).h0(), DIGITS)}
+
+
 def _ts(f, points):
     """Tanh-sinh over the sorted, distinct ``points``, to ``REF_TOL`` absolute: f peaks at about 1."""
     val, err = mp.quad(f, sorted(set(points)), error=True, maxdegree=8)
@@ -575,10 +656,13 @@ def _depib_correlation(sigma_eta, sigma_zeta, zeta_center):
             out[3] += a1 * a2 * p0 + (a1 * g2 + a2 * g1) * p1 + g1 * g2 * p2
         return out
 
-    points = [0, mp.mpf(1) / 2, 1] + [x for x in (zc - 3 * sz, zc + 3 * sz, se / 2, 1 - se / 2) if 0 < x < 1]
-    mass, m1, m11, m12 = (
-        _ts(lambda z: mp.exp(-(((z - zc) / sz) ** 2) / 2) * given_zeta(z)[k], points) for k in range(4)
-    )
+    if zeta_center - 9 * sigma_zeta == zeta_center == zeta_center + 9 * sigma_zeta:  # zeta is a point mass
+        mass, m1, m11, m12 = given_zeta(zc)
+    else:
+        points = [0, mp.mpf(1) / 2, 1] + [x for x in (zc - 3 * sz, zc + 3 * sz, se / 2, 1 - se / 2) if 0 < x < 1]
+        mass, m1, m11, m12 = (
+            _ts(lambda z: mp.exp(-(((z - zc) / sz) ** 2) / 2) * given_zeta(z)[k], points) for k in range(4)
+        )
     m1, m11, m12 = m1 / mass, m11 / mass, m12 / mass
     return (m12 - m1 * m1) / (m11 - m1 * m1)
 
@@ -644,6 +728,14 @@ def audit_wedge_cell(counts, center: float, sigma_eta: float, sigma_zeta: float,
     return head | _checked(got, refs)
 
 
+def audit_h0_cell(counts, sigma_zeta: float, zeta_center: float, refs: dict[str, str]) -> dict:
+    """bf2p's H0 log integral of one dep-IB cell against its reference."""
+    d = TwoByTwoData(*counts)
+    ml0, err0 = _log_ml_h0(d, DepIBPrior(0.2, sigma_zeta, zeta_center))
+    head = {"counts": list(counts), "sigma_zeta": sigma_zeta, "zeta_center": zeta_center}
+    return head | _checked({"h0": (ml0 - _log_coeffs(d), err0)}, refs)
+
+
 def audit_correlation_cell(family: str, a: float, b: float, c, refs: dict[str, str]) -> dict:
     """bf2p's prior correlation of one cell against its reference, or the ``NumericalError`` it raised."""
     with warnings.catch_warnings():
@@ -671,6 +763,7 @@ SLICES = {
     "dep_ib": Slice(sample, audit_cell, ("h0", "core", "log_bf01"), REFS, reference),
     "lt": Slice(lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
     "wedge": Slice(wedge_sample, audit_wedge_cell, ("wedge",), WEDGE_REFS, wedge_reference),
+    "h0": Slice(lambda: H0_CELLS, audit_h0_cell, ("h0",), H0_REFS, h0_reference),
     "correlation": Slice(correlation_sample, audit_correlation_cell, ("corr",), CORR_REFS, correlation_reference),
 }
 
