@@ -27,12 +27,12 @@ weights are the binomial kernels t^y (1 - t)^(n - y): what is left to
 integrate is the smooth product of the two truncated-Gaussian
 densities, however large n is.  Each takes a ladder of two rules
 (``RATE_NODES``, 20 and 40 nodes per rate) under the stop test and
-error floor of ``bf2p.lt``'s engine, as each wedge does on its kernel's
+error floor of ``bf2p.lt``'s ladders, as each wedge does on its kernel's
 rules; the rules are cached per group count, so a sweep builds a
 study's rules once for its whole prior grid.  A core whose two rules
-disagree (a narrow eta prior's ridge along t1 = t2, which no polynomial
-in the rates follows) goes to the engine in LT's (beta, psi), where each
-rate's Jacobian theta (1 - theta) turns its counts into (y + 1, n + 2);
+disagree (a prior narrower than a polynomial in the rates follows, such
+as a narrow eta prior's ridge along t1 = t2) goes to a ladder of graded
+Gauss-Legendre parts in (zeta, eta), as the prior correlation does;
 H0 and the wedges, 1-D integrals over a rate, go to tanh-sinh over its
 pieces (``_log_rate_pieces``), and H0 under a zeta prior narrower than
 the floats about its centre is the likelihood there.  The error estimate
@@ -49,26 +49,17 @@ import math
 
 import numpy as np
 
-from .lt import (
-    _ROUNDING,
-    _binom_grad_curv,
-    _empirical_logit,
-    _first_agreement,
-    _integrate,
-    _log_binom_lik,
-    _log_coeffs,
-    _logsumexp,
-)
+from .lt import _ROUNDING, _first_agreement, _log_coeffs, _logsumexp
 from .model import (
     DepIBPrior,
     EvidenceResult,
     Hypothesis,
     Method,
+    NumericalError,
     TwoByTwoData,
-    expit,
     expit_pair,
 )
-from .priors import _zeta_is_point, prior_correlation
+from .priors import _NODES, _grading, _parts_rule, _zeta_is_point, prior_correlation
 from .special import (
     _LN_SQRT_2PI,
     _TS_REL_TOL,
@@ -89,6 +80,9 @@ __all__ = [
 #: Gauss-Jacobi nodes per rate of the coarse and fine rules over H0 and the
 #: H1 core; the fine rule's value stands when the two agree.
 RATE_NODES = (20, 40)
+
+#: Nats under the integrand at the pooled peak where the H1 core's windows close; its least first part, per window.
+_WINDOW_NATS, _FINEST = 100.0, 1e-13
 
 
 def _log_prior_zeta(z, cfg: DepIBPrior):
@@ -145,6 +139,17 @@ def _log_rate_pieces(y: int, n: int, log_prior, center: float, ends, log_scale: 
     return val, max(_TS_REL_TOL, _ROUNDING * (1.0 + abs(val)))
 
 
+def _pooled_peak(y: int, n: int, c: float, sz: float):
+    """(u, 1 - u, 1 / width) at the peak of the concave y ln u + (n - y) ln(1 - u) - (u - c)^2 / (2 sz^2): 64
+    halvings of its slope's sign in the log odds; width 1 / sqrt(slope^2 + curvature) is a bound peak's decay."""
+    lo, hi = -700.0, 700.0
+    for _ in range(64):
+        u, v = expit_pair(x := 0.5 * (lo + hi))
+        g = y * v - (n - y) * u - (u - c) / sz * (u / sz) * v  # its slope in x, of the sign of its slope in u
+        lo, hi = (x, hi) if g > 0.0 else (lo, x)
+    return u, v, math.hypot(g / u / v, math.sqrt(y) / u, math.sqrt(n - y) / v, 1.0 / sz)
+
+
 def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     """(log marginal, error estimate) with eta = 0: the likelihood at zeta's centre c where zeta is a
     point mass (``bf2p.priors._zeta_is_point``), else the pooled counts' ``RATE_NODES`` rules, else
@@ -159,12 +164,7 @@ def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     found = _first_agreement(mass + _logsumexp(lw + _log_prior_zeta(t, cfg)) for t, mass, lw in rules)
     if found is None:
         y, c = (n - y, 1.0 - c) if c > 0.5 else (y, c)  # u -> 1 - u: a window near 1 keeps its digits near 0
-        lo, hi = -700.0, 700.0  # log odds either side of the peak of y ln u + (n - y) ln(1 - u) + ln p(u), concave
-        for _ in range(64):
-            u, v = expit_pair(x := 0.5 * (lo + hi))
-            g = y * v - (n - y) * u - (u - c) / sz * (u / sz) * v  # its slope in x, of the sign of its slope in u
-            lo, hi = (x, hi) if g > 0.0 else (lo, x)
-        root = math.hypot(g / u / v, math.sqrt(y) / u, math.sqrt(n - y) / v, 1.0 / sz)  # 1 / the peak's width in u
+        u, v, root = _pooled_peak(y, n, c, sz)
         log_norm = _log_truncation_mass(0.0, 1.0, c, sz) + math.log(sz) + _LN_SQRT_2PI
         log_prior = lambda u, v, w: -0.5 * (w / sz) * (w / sz) - log_norm  # noqa: E731
         log_scale = y * math.log(u) + (n - y) * math.log(v) + log_prior(u, v, u - c) - math.log(root)
@@ -172,56 +172,60 @@ def _log_ml_h0(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
     return _log_coeffs(d) + found[0], found[1]
 
 
-def _core(d: TwoByTwoData, cfg: DepIBPrior):
-    """(log f, gradient and Hessian, Newton start) of the H1 core in (beta, psi).
+def _log_core_parts(d: TwoByTwoData, cfg: DepIBPrior):
+    """Log integrals of the H1 core on ever finer graded Gauss-Legendre parts in (zeta, eta).
 
-    log f takes beta and psi, floats or arrays, as ``lt._lt_problem``'s do.
+    There the core runs over the diamond |eta| < 2 min(zeta, 1 - zeta) with no Jacobian, here in units
+    of the priors' scales (zeta = c + sigma_zeta x, eta = sigma_eta s), so that narrow priors keep their
+    digits.  Its log is concave and below the likelihoods' peaks times the priors' Gaussian factors, a
+    bound ``_WINDOW_NATS`` under the integrand at (u, 0), u the pooled peak, r scales out: there both
+    windows close.  Per x node, s's parts are graded towards the row's peak from its width there.
     """
-    (y1, n1), (y2, n2) = (d.y1 + 1, d.n1 + 2), (d.y2 + 1, d.n2 + 2)
-    zc, se, sz = cfg.zeta_center, cfg.sigma_eta, cfg.sigma_zeta
-    # Hessian of the log prior in the rates, eta = t2 - t1, zeta = (t1 + t2)/2
-    diag, off = -1.0 / se / se - 0.25 / sz / sz, 1.0 / se / se - 0.25 / sz / sz
-
-    def logf(beta, psi):
-        x1, x2 = beta - 0.5 * psi, beta + 0.5 * psi
-        t1, t2 = expit(x1), expit(x2)
-        return (
-            (_log_binom_lik(y1, n1, x1) + _log_binom_lik(y2, n2, x2))
-            + log_density_truncated_gaussian(t2 - t1, se, -1.0, 1.0)
-            + _log_prior_zeta(0.5 * (t1 + t2), cfg)
-        )
-
-    def grad_hess(v):
-        beta, psi = v
-        x1, x2 = beta - 0.5 * psi, beta + 0.5 * psi
-        (t1, c1), (t2, c2) = expit_pair(x1), expit_pair(x2)
-        dt1, dt2 = t1 * c1, t2 * c2
-        a = -(t2 - t1) / se / se  # d log p(eta) / d eta
-        b = -(0.5 * (t1 + t2) - zc) / sz / sz  # d log p(zeta) / d zeta
-        g1, w1 = _binom_grad_curv(y1, n1, x1)
-        g2, w2 = _binom_grad_curv(y2, n2, x2)
-        # gradient and Hessian in (x1, x2), then carried over to (beta, psi)
-        g1, g2 = g1 + (0.5 * b - a) * dt1, g2 + (0.5 * b + a) * dt2
-        h11 = diag * (dt1 * dt1) + ((0.5 * b - a) * dt1 * (c1 - t1) - w1)
-        h22 = diag * (dt2 * dt2) + ((0.5 * b + a) * dt2 * (c2 - t2) - w2)
-        h12 = off * (dt1 * dt2)
-        hess = ((h11 + h12) + (h12 + h22), 0.5 * ((h12 + h22) - (h11 + h12)), 0.25 * ((h11 - h12) + (h22 - h12)))
-        return (g1 + g2, 0.5 * (g2 - g1)), hess
-
-    x1, x2 = _empirical_logit(y1, n1), _empirical_logit(y2, n2)
-    return logf, grad_hess, [0.5 * (x1 + x2), x2 - x1]
+    (y1, n1), (y2, n2), c, se, sz = (d.y1, d.n1), (d.y2, d.n2), cfg.zeta_center, cfg.sigma_eta, cfg.sigma_zeta
+    if c > 0.5:  # zeta -> 1 - zeta with eta -> -eta, y -> n - y: a window near 1 keeps its digits near 0
+        y1, y2, c = n1 - y1, n2 - y2, 1.0 - c
+    # (count, 1 - rate or not, slope in s) of the likelihoods' factors t1 = zeta - se s / 2, t2 = zeta + se s / 2
+    factors = [(k, f, 0.5 * se * g) for k, f, g in ((y1, 0, -1), (n1 - y1, 1, 1), (y2, 0, 1), (n2 - y2, 1, -1)) if k]
+    u, v, root = (c, 1.0 - c, 1.0 / sz) if _zeta_is_point(cfg) else _pooled_peak(y1 + y2, n1 + n2, c, sz)
+    peaks = sum(k * math.log(k / m) for k, m in ((y1, n1), (n1 - y1, n1), (y2, n2), (n2 - y2, n2)) if k)
+    r = math.sqrt(2.0 * (_WINDOW_NATS + peaks - sum(k * math.log((u, v)[f]) for k, f, _ in factors)) + ((u - c) / sz) ** 2)
+    lo, hi, half, peak = max(-c / sz, -r), min((1.0 - c) / sz, r), (0.5 - c) / sz, (u - c) / sz
+    # x's parts are graded towards the peak (u, then the last rung's highest row) and the kink 1/2, where a
+    # rate at 0 or 1 leaves a layer 1 / (2 n) wide, and towards the tips, where the diamond cuts eta's window
+    first, tip = (_grading(max(min(1 / root, w) / sz, _FINEST * (hi - lo)), hi - lo) for w in (0.5 / (n1 + n2), se / 2))
+    fixed = np.concatenate(((lo, hi, half), half - first, half + first, -c / sz + tip, (1.0 - c) / sz - tip))
+    log_norm = _log_truncation_mass(-1.0, 1.0, 0.0, se) + _log_truncation_mass(0.0, 1.0, c, sz) + 2.0 * _LN_SQRT_2PI
+    for m in _NODES:
+        breaks = np.unique(np.clip(np.concatenate((fixed, (peak,), peak - first, peak + first)), lo, hi))
+        x, w = (a.reshape(-1, 1) for a in _parts_rule(breaks[None], m))
+        base = (c + sz * x, 1.0 - (c + sz * x))
+        s, top = 0.0 * x, np.minimum(2.0 * np.minimum(*base) / se, r)
+        for j in range(1, 53):  # the row's peak: s keeps a bit of the distance to eta's ends
+            s = np.where(sum(k * g / (base[f] + g * s) for k, f, g in factors) > s, s + top / 2**j, s - top / 2**j)
+        profile = sum(k * np.log(base[f] + g * s) for k, f, g in factors) - 0.5 * (x * x + s * s)
+        peak = float(x.flat[np.nanargmax(profile)])
+        # the profile is concave in x: rows _WINDOW_NATS below the highest, or at zeta = 0 or 1, hold nothing
+        keep = (profile > np.nanmax(profile) - _WINDOW_NATS)[:, 0]
+        x, w, s, top, base = x[keep], w[keep], s[keep], top[keep], tuple(a[keep] for a in base)
+        slopes = [k * g / (base[f] + g * s) for k, f, g in factors]
+        width = 1.0 / np.hypot(sum(slopes) - s, np.sqrt(1.0 + sum(a * a / k for a, (k, _, _) in zip(slopes, factors))))
+        steps = width * _grading(1.0, max(1.0, float(np.max(2.0 * top / width))))
+        s, w_s = _parts_rule(np.sort(np.clip(np.hstack((s - steps, s, s + steps)), -top, top), axis=1), m)
+        logf = np.log(w * w_s) - 0.5 * (x * x + s * s)
+        logf += sum(k * np.log(np.maximum(base[f] + g * s, 0.0)) for k, f, g in factors)
+        yield _logsumexp(logf.ravel()) - log_norm
 
 
 def _log_core(d: TwoByTwoData, cfg: DepIBPrior) -> tuple[float, float]:
-    """(log integral, error estimate) of the H1 core, both rates interior.
-
-    The ``RATE_NODES`` rules are a ladder under ``lt._first_agreement``;
-    where they do not agree (a narrow eta prior's ridge along t1 = t2,
-    which no polynomial in the rates follows), the engine takes the core
-    in log odds.
-    """
-    found = _first_agreement(_log_core_rates(d, cfg, m) for m in RATE_NODES)
-    return found if found is not None else _integrate(*_core(d, cfg), "dep-IB H1 core")[2:]
+    """(log integral, error estimate) of the H1 core, both rates interior: the ``RATE_NODES`` pair's,
+    or where it disagrees (a prior narrower than a polynomial in the rates follows), the parts'."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows at zeta = 0 or 1, ends of eta's windows: log 0
+        found = _first_agreement(_log_core_rates(d, cfg, m) for m in RATE_NODES)
+        if found is None and (found := _first_agreement(_log_core_parts(d, cfg))) is not None:
+            found = found[0], max(found[1], _ROUNDING * (d.n1 + d.n2))  # n counts, each log rate rounded
+    if found is None:
+        raise NumericalError("dep-IB H1 core did not converge")
+    return found
 
 
 def _log_wedge_rates(y: int, n: int, center: float, s_w: float, s_e: float, slope: float):

@@ -1,5 +1,4 @@
-"""Logit-transformation Bayes factor, and the quadrature engine that
-every non-conjugate marginal likelihood in the package shares.
+"""Logit-transformation Bayes factor, and the quadrature engine behind it.
 
 The model places priors on the grand-mean log odds ``beta`` (both
 hypotheses) and the log odds ratio ``psi`` (H1 only; the null pins
@@ -19,7 +18,8 @@ the Laplace covariance then raises its node count (21, 31, 61, 121,
 241 per dimension) until two successive log-marginal estimates agree
 to ``DEFAULT_REL_TOL``, or to the log integral's rounding if larger;
 the final gap, floored at that rounding, is the error estimate.  This
-ladder (``_first_agreement``) also runs dep-IB's Gauss-Jacobi pairs.
+ladder (``_first_agreement``) also runs dep-IB's rules and the prior
+correlations.
 Each tensor rule is built once per process in whitened coordinates z,
 from numpy's ``hermgauss``, as one read-only array per coordinate, and
 mapped to mode + L z one coordinate at a time by the closed-form
@@ -36,9 +36,9 @@ levels agree to, per dimension, floored at the same rounding.
 Everything here runs on numpy and ``math``.  The integrands leave out the
 binomial coefficients, which each marginal adds once.  The binomial
 log likelihood is one kernel for floats and arrays, written with one
-exp and one log1p per point (``_log_binom_lik``).  ``_integrate``
-is the engine's one entry point; the dependent variant (``bf2p.dep_ib``)
-calls it for its H1 core.  Estimates are fully deterministic.
+exp and one log1p per point (``_log_binom_lik``).  ``_fit`` is the
+engine's one entry point, and LT its one client.  Estimates are fully
+deterministic.
 
 The null marginal does not depend on ``sigma_psi``, so a sweep
 (``bf2p.reanalysis``) fits each study's H0 once per prior.
@@ -514,23 +514,16 @@ def _whitened_tanhsinh(logf, mode, chol, what: str) -> float:
 # --------------------------------------------------------------------------
 
 
-def _integrate(logf, grad_hess, x0, what: str):
-    """(mode, Laplace covariance, log integral, error estimate) of exp(logf) over R^k.
-
-    The engine's one entry point: Newton from ``x0``, then Gauss-Hermite
-    with the tanh-sinh fallback.  ``what`` names the problem in errors.
-    """
-    mode, cov = _newton(logf, grad_hess, x0, f"{what} mode finding")
-    return mode, cov, *_laplace_gh(logf, mode, cov, f"{what} marginal")
-
-
 def _fit(d, hypothesis, prior: LTPrior):
     """(mode, Laplace covariance, log marginal, error estimate) under one hypothesis.
 
-    The log marginal leaves out the binomial coefficients, as the
-    integrands that ``_lt_problem`` builds do.
+    Newton from the problem's start, then Gauss-Hermite with the tanh-sinh
+    fallback.  The log marginal leaves out the binomial coefficients, as
+    the integrands that ``_lt_problem`` builds do.
     """
-    return _integrate(*_lt_problem(d, hypothesis, prior), hypothesis.name)
+    logf, grad_hess, x0 = _lt_problem(d, hypothesis, prior)
+    mode, cov = _newton(logf, grad_hess, x0, f"{hypothesis.name} mode finding")
+    return mode, cov, *_laplace_gh(logf, mode, cov, f"{hypothesis.name} marginal")
 
 
 def _log_ml(d, hypothesis, prior: LTPrior):

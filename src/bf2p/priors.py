@@ -229,12 +229,15 @@ def _lt_correlation_rungs(cfg: LTPrior):
     rule converges geometrically in its nodes per part.  A rung of more
     than ``_LT_MAX_POINTS`` points ends the ladder.  Under scales below 1
     the tanh values are divided by the larger scale, so that their squares
-    cannot underflow; when both scales are below 1e-150 the ladder is
-    empty, since x at the nodes would not keep its digits.
+    cannot underflow.  Below scales of 1e-150, where x at the nodes would
+    not keep its digits, the ladder is two rungs, whose gap is 0, of the
+    limit (v - sigma_psi^2/4) / (v + sigma_psi^2/4), v the variance of beta.
     """
     sb, sp = cfg.sigma_beta, cfg.sigma_psi
     unit = min(1.0, max(sb, sp))
-    if unit < 1e-150:
+    if unit < 1e-150:  # tanh(x/2) is x/2 to the last bit: the correlation of x1 and x2
+        v, q = (sb / unit) ** 2 * (1.0 if cfg.beta_prior is BetaPriorKind.GAUSSIAN else math.pi**2 / 3), (sp / unit) ** 2 / 4
+        yield from ((v - q) / (v + q),) * 2
         return
     psi_width, beta_width = _GAUSSIAN_HALF_WIDTH * sp, _HALF_WIDTH[cfg.beta_prior] * sb
     psi_levels, beta_levels = _grading(min(1.0, sp), psi_width), _grading(min(1.0, sb), beta_width)
@@ -271,7 +274,8 @@ def _depib_correlation_rungs(cfg: DepIBPrior):
     """The dep-IB prior correlation on ever larger tensor Gauss-Legendre rules in (zeta, eta).
 
     Both theta -> 1 - theta with zeta -> 1 - zeta and eta -> -eta swap
-    the rates, so the rule runs over zeta <= 1/2 and eta >= 0, where
+    the rates, so c is taken as min(c, 1 - c), where the floats resolve a
+    narrow window, and the rule runs over zeta <= 1/2 and eta >= 0, where
     theta2 = zeta + eta/2 and theta1 = max(zeta - eta/2, 0) has one knee,
     at eta = 2 zeta.  The zeta prior's window, its centre
     +/- ``_GAUSSIAN_HALF_WIDTH`` scales within (0, 1), is split at the
@@ -285,7 +289,7 @@ def _depib_correlation_rungs(cfg: DepIBPrior):
     deviations from the mean are divided by the larger scale, so that
     their squares cannot underflow.
     """
-    c, sz, se = cfg.zeta_center, cfg.sigma_zeta, cfg.sigma_eta
+    c, sz, se = min(cfg.zeta_center, 1.0 - cfg.zeta_center), cfg.sigma_zeta, cfg.sigma_eta
     lo, hi = max(0.0, c - _GAUSSIAN_HALF_WIDTH * sz), min(1.0, c + _GAUSSIAN_HALF_WIDTH * sz)
     top, unit = min(1.0, _GAUSSIAN_HALF_WIDTH * se), min(1.0, max(se, sz))
     # (start, end, mirrored) of each piece of the window, within (0, 1/2]
@@ -296,12 +300,10 @@ def _depib_correlation_rungs(cfg: DepIBPrior):
         if max(a, x) < min(b, y)
     ]
     point = _zeta_is_point(cfg)
-    if not (pieces or point):  # a window at 1 narrower than the floats there
-        return
     ends = np.array([p[:2] for p in pieces])
     for m in _NODES:
         if point:
-            zeta, w_zeta, flip, dz = np.full((1, 1), min(c, 1.0 - c)), np.ones((1, 1)), np.full((1, 1), c > 0.5), 0.0
+            zeta, w_zeta, flip, dz = np.full((1, 1), c), np.ones((1, 1)), np.zeros((1, 1), bool), 0.0
         else:
             zeta, w_zeta = (v.reshape(-1, 1) for v in _parts_rule(ends, m))
             flip = np.repeat([p[2] for p in pieces], m)[:, None]

@@ -9,6 +9,7 @@ import pytest
 from bf2p.cli import main
 from bf2p.dep_ib import prior_correlation_depib
 from bf2p.model import DepIBPrior, NumericalError, WidePriorWarning
+from conftest import POINT_ZETA_LOG_BF01
 
 
 def run(capsys, *argv):
@@ -307,6 +308,11 @@ class TestExtremePriorScales:
         if scale == "1e300":
             assert (code, err) == (0, "")
             assert out.startswith(("BF01 = ", "psi: mean = "))
+        elif command[-1] == "dep-ib":  # H1 tends to H0, or zeta is a point mass at 1/2
+            assert (code, err) == (0, "") and out.startswith("BF01 = ")
+            res = json.loads(run(capsys, *command, *data, flag, scale, "--format", "json")[1])
+            limit = 0.0 if flag == "--sigma-eta" else POINT_ZETA_LOG_BF01
+            assert abs(res["log_bf01"] - limit) <= res["abs_error_estimate"]
         else:
             assert code == 2 and out == ""
             assert err.startswith("numerical error: ") and err.count("\n") == 1

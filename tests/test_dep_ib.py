@@ -20,7 +20,7 @@ from bf2p.ib import bf01_ib
 from bf2p.model import DepIBPrior, Hypothesis, Method, TwoByTwoData
 from mc_oracle import mc_log_marginal_depib
 from bf2p.priors import _zeta_is_point, sample_prior
-from conftest import check_newton_mode, random_small_datasets
+from conftest import random_small_datasets
 from oracles import depib_log_marginals_gauss_legendre
 
 
@@ -114,22 +114,17 @@ _RATE_CELLS = [
 
 
 def _h1_core_route(d, cfg, monkeypatch) -> str:
-    """How the H1 core is integrated: "rates", "ladder" (Gauss-Hermite) or "tanh-sinh"."""
+    """How the H1 core is integrated: "rates" (the Gauss-Jacobi pair) or "parts" (graded in (zeta, eta))."""
     seen = []
+    core_parts = dep_ib_mod._log_core_parts
 
-    def recording(fn):
-        def wrapped(*args):
-            seen.append(args[-1])  # the problem's name
-            return fn(*args)
+    def recording(*args):
+        seen.append(args)
+        return core_parts(*args)
 
-        return wrapped
-
-    monkeypatch.setattr(dep_ib_mod, "_integrate", recording(dep_ib_mod._integrate))
-    monkeypatch.setattr(lt_mod, "_whitened_tanhsinh", recording(lt_mod._whitened_tanhsinh))
+    monkeypatch.setattr(dep_ib_mod, "_log_core_parts", recording)
     dep_ib_mod._log_ml_h1(d, cfg)
-    if "dep-IB H1 core marginal" in seen:
-        return "tanh-sinh"
-    return "ladder" if "dep-IB H1 core" in seen else "rates"
+    return "parts" if seen else "rates"
 
 
 def _wedge_routes(d, cfg, monkeypatch) -> list[str]:
@@ -167,8 +162,7 @@ class TestAgainstGaussLegendreOracle:
             ((7, 7, 2, 9), 0.2, 0.5),  # theta1 clamped to 1
             ((2, 6, 4, 7), 0.2, 0.0),  # zeta prior centred at 0
             ((0, 8, 3, 9), 1.0, 0.0),
-            # Gauss-Hermite has not converged by 241 nodes here, so the
-            # tanh-sinh fallback runs
+            # the rate pair disagrees here, so the core takes its graded parts
             ((0, 3, 0, 3), 0.05, 0.5),
             ((1, 2, 0, 2), 0.05, 0.5),
             ((0, 1, 1, 1), 0.05, 0.5),
@@ -188,7 +182,7 @@ class TestAgainstGaussLegendreOracle:
         [((7, 7, 2, 9), 0.05, 0.3), ((0, 3, 0, 3), 0.05, 0.5), ((0, 2, 0, 2), 0.02, 0.5)],
     )
     def test_tanh_sinh_error_estimate_bounds_the_error(self, counts, sigma_eta, sigma_zeta):
-        # the tanh-sinh fallback and the clamped wedges run here; their error
+        # the core's graded parts and the clamped wedges run here; their error
         # estimates must cover the distance to the oracle with no slack
         d = TwoByTwoData(*counts)
         res = bf01_depib(d, DepIBPrior(sigma_eta, sigma_zeta))
@@ -208,20 +202,20 @@ class TestAgainstGaussLegendreOracle:
         [(counts, cfg, "rates") for counts, cfg in _RATE_CELLS]
         + [
             # a narrow eta prior's ridge along t1 = t2 defeats the rate pair: these
-            # cores go past the Gauss-Hermite ladder to tanh-sinh
-            ((0, 3, 0, 3), DepIBPrior(0.05), "tanh-sinh"),
-            ((1, 2, 0, 2), DepIBPrior(0.05), "tanh-sinh"),
-            ((0, 1, 1, 1), DepIBPrior(0.05), "tanh-sinh"),
-            ((7, 7, 2, 9), DepIBPrior(0.05, 0.3), "tanh-sinh"),
-            ((0, 2, 0, 2), DepIBPrior(0.02, 0.5), "tanh-sinh"),
+            # cores take the graded parts in (zeta, eta)
+            ((0, 3, 0, 3), DepIBPrior(0.05), "parts"),
+            ((1, 2, 0, 2), DepIBPrior(0.05), "parts"),
+            ((0, 1, 1, 1), DepIBPrior(0.05), "parts"),
+            ((7, 7, 2, 9), DepIBPrior(0.05, 0.3), "parts"),
+            ((0, 2, 0, 2), DepIBPrior(0.02, 0.5), "parts"),
             # interior counts, and large n with a count at 0 or n, take the rate pair
             ((3, 10, 5, 12), DepIBPrior(0.2), "rates"),
             ((18, 493, 10, 488), DepIBPrior(0.2), "rates"),
             ((0, 100, 3, 100), DepIBPrior(0.2), "rates"),
             ((0, 100, 3, 100), DepIBPrior(0.05), "rates"),  # likelihoods narrower than the ridge
-            # the ridge sends these to the Gauss-Hermite ladder, which resolves them
-            ((3, 10, 5, 12), DepIBPrior(0.05), "ladder"),
-            ((4, 16, 6, 16), DepIBPrior(0.05), "ladder"),
+            # at moderate n the ridge defeats the pair too
+            ((3, 10, 5, 12), DepIBPrior(0.05), "parts"),
+            ((4, 16, 6, 16), DepIBPrior(0.05), "parts"),
         ],
     )
     def test_h1_core_route(self, counts, cfg, route, monkeypatch):
@@ -294,11 +288,11 @@ _H0_PIECE_CELLS = [
 
 
 def _h0_route(d, cfg, monkeypatch) -> str:
-    """How H0 is integrated: "point mass", "rates" or "pieces"; the engine must not run."""
+    """How H0 is integrated: "point mass", "rates" or "pieces"; LT's engine must not run."""
     seen = []
 
-    def refuse(*args):
-        raise AssertionError(f"H0 called the engine on {args[-1]}")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"H0 called LT's Newton iteration on {args[3]}")
 
     def recording(fn):
         def wrapped(*args):
@@ -307,7 +301,7 @@ def _h0_route(d, cfg, monkeypatch) -> str:
 
         return wrapped
 
-    monkeypatch.setattr(dep_ib_mod, "_integrate", refuse)
+    monkeypatch.setattr(lt_mod, "_newton", refuse)
     for name in ("_kernel_rule", "_log_rate_pieces"):
         monkeypatch.setattr(dep_ib_mod, name, recording(getattr(dep_ib_mod, name)))
     assert math.isfinite(dep_ib_mod._log_ml_h0(d, cfg)[0])
@@ -345,40 +339,6 @@ class TestH0:
         assert not _zeta_is_point(DepIBPrior(0.2, 1e-300, 0.0))
         assert not _zeta_is_point(DepIBPrior(0.2, 1e-300, 1.0))
         assert not _zeta_is_point(DepIBPrior(0.2, 1e-15, 0.3))
-
-
-#: Interior, a count at 0 or n, rare events at large n, and n = 1e6.
-_NEWTON_STUDIES = [(3, 10, 5, 12), (0, 8, 3, 9), (7, 7, 2, 9), (26, 11034, 10, 11037), (0, 10**6, 5, 10**6)]
-_NEWTON_PRIORS = [DepIBPrior(), DepIBPrior(0.05, 0.3), DepIBPrior(1.0, 0.5, zeta_center=0.0)]
-
-
-class TestFloatNewton:
-    @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
-    @pytest.mark.parametrize("cfg", _NEWTON_PRIORS)
-    def test_mode_and_scale_match_finite_differences(self, counts, cfg):
-        check_newton_mode(*dep_ib_mod._core(TwoByTwoData(*counts), cfg))
-
-    @pytest.mark.parametrize("counts", _NEWTON_STUDIES)
-    @pytest.mark.parametrize("cfg", _NEWTON_PRIORS)
-    def test_no_point_evaluated_twice(self, counts, cfg, monkeypatch):
-        points = []
-
-        def counting(problem):
-            def build(*args):
-                logf, grad_hess, x0 = problem(*args)
-
-                def wrapped(*coords):
-                    if isinstance(coords[0], float):  # one point: a Newton step check
-                        points.append(coords)
-                    return logf(*coords)
-
-                return wrapped, grad_hess, x0
-
-            return build
-
-        monkeypatch.setattr(dep_ib_mod, "_core", counting(dep_ib_mod._core))
-        dep_ib_mod._log_ml(TwoByTwoData(*counts), Hypothesis.H1, cfg)
-        assert len(set(points)) == len(points)
 
 
 class TestPriorDraws:

@@ -1,7 +1,8 @@
-"""``tools/error_audit.py``: dep-IB, LT, clamped-wedge, H0 and prior-correlation error estimates against pinned
-30-digit references."""
+"""``tools/error_audit.py``: dep-IB, LT, clamped-wedge, H0, H1-core and prior-correlation error estimates against
+pinned 30-digit references."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "error_audit.py"
 
 #: Six cells of the audit's sample: two narrow eta priors whose H1 core goes to
-#: the engine, the pair's worst core and worst log BF01 (a clamped wedge at
+#: the graded parts, the pair's worst core and worst log BF01 (a clamped wedge at
 #: n ~ 1e6), every event at n ~ 5e7, and a core beside a wedge at small n.
 CELLS = [
     ((0, 1940, 0, 2), 0.05, 0.3),
@@ -136,6 +137,46 @@ def test_h0_reference_is_reproducible(tool):
     assert tool.h0_reference(*cell) == tool.load_refs("h0")[tool.cell_key(*cell)]
     # 50 ln 0.001 + ln 49!!, the half-Gaussian's 50th moment, to 15 digits
     assert float(tool.load_refs("h0")[tool.cell_key(*cell)]["h0"]) == pytest.approx(-272.242281734313, abs=1e-12)
+
+
+#: Six cells of the core slice, every core off its rate pair: the two anchors, zeta a point mass
+#: at 1/2, a narrow eta prior under a wide zeta prior, a narrow eta prior at small n whose core
+#: the log-odds engine took to tanh-sinh, and a core whose eta window the diamond cuts at zeta = 1.
+CORE_CELLS = [
+    ((0, 16, 3, 16), 0.2, 1e-12, 0.0),
+    ((18, 493, 10, 488), 1e-12, 1e-12, 0.0),
+    ((18, 493, 10, 488), 0.2, 1e-300, 0.5),
+    ((18, 493, 10, 488), 1e-4, 0.5, 0.5),
+    ((0, 3, 0, 3), 0.05, 0.5, 0.5),
+    ((2, 2, 4, 4), 2.5e-5, 0.1, 0.5),
+]
+
+
+def test_core_references_are_pinned_for_the_whole_sample(tool):
+    sample = tool.SLICES["core"].sample()
+    assert len(sample) == 12
+    assert [tool.cell_key(*c) for c in sample] == list(tool.load_refs("core"))
+    assert set(CORE_CELLS) <= set(sample)
+
+
+@pytest.mark.parametrize("cell", CORE_CELLS)
+def test_core_error_estimates_cover_the_error(tool, cell):
+    row = tool.audit_core_cell(*cell, tool.load_refs("core")[tool.cell_key(*cell)])
+    assert row["core"]["ratio"] <= 1.0
+
+
+def test_core_anchors(tool):
+    refs = tool.load_refs("core")
+
+    def core(*cell):
+        return float(refs[tool.cell_key(*cell)]["core"])
+
+    # a zeta window of 1e-12 at 0 leaves both rates within 1e-11 of 0, where t2^3 is all that is
+    # left of the likelihoods and p_eta(0) of the eta prior: the core is ln(24 sigma_zeta^4 p_eta(0))
+    limit = math.log(24.0) + 4 * math.log(1e-12) - math.log(0.2 * math.sqrt(2 * math.pi) * math.erf(5 / math.sqrt(2)))
+    assert core((0, 16, 3, 16), 0.2, 1e-12, 0.0) == pytest.approx(limit, abs=1e-9)
+    # the log-odds engine's value, where it converged
+    assert core((18, 493, 10, 488), 1e-12, 1e-12, 0.0) == pytest.approx(-740.5542120216, abs=5e-11)
 
 
 #: Correlation cells with an mpmath reference: LT with a Gaussian beta prior at

@@ -25,6 +25,7 @@ from bf2p.model import (
     TwoByTwoData,
     ValidationError,
 )
+from conftest import POINT_ZETA_LOG_BF01
 
 CASES = [(15, 493, 13, 488), (0, 40, 3, 37), (7, 7, 0, 9), (26, 11034, 10, 11037)]
 
@@ -161,17 +162,21 @@ class TestExtremePriorScales:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-300, 1e-170])
-    @pytest.mark.parametrize("family, field, flat", _SCALE_FIELDS)
+    @pytest.mark.parametrize("family, field, flat", _SCALE_FIELDS[:2])
     def test_tiny_scale_raises_numerical_error(self, family, field, flat, scale):
         # the prior precision 1/scale^2 overflows, and Newton reports the infinite Hessian
         with pytest.raises(NumericalError, match="gradient or Hessian is not finite"):
             evidence(TwoByTwoData(18, 493, 10, 488), family(**{field: scale}))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170])
+    @pytest.mark.parametrize("field, limit", [("sigma_eta", 0.0), ("sigma_zeta", POINT_ZETA_LOG_BF01)])
+    def test_tiny_depib_scale_is_its_limit(self, field, limit, scale):
+        # as sigma_eta -> 0 H1 tends to H0; as sigma_zeta -> 0 zeta is a point mass at 1/2
+        res = evidence(TwoByTwoData(18, 493, 10, 488), DepIBPrior(**{field: scale}))
+        assert abs(res.log_bf01 - limit) <= res.abs_error_estimate
+
     @pytest.mark.parametrize("sigma_zeta", [1e-4, 1e-12])
-    def test_tiny_depib_scales_raise_numerical_error(self, sigma_zeta):
-        # at sigma_eta = 1e-12 the core's Hessian is finite but so large that Newton's
-        # positive-definite shift rounds away, which divided by zero; H0 has a value
-        d, cfg = TwoByTwoData(18, 493, 10, 488), DepIBPrior(1e-12, sigma_zeta)
-        assert math.isfinite(dep_ib._log_ml(d, Hypothesis.H0, cfg)[0])
-        with pytest.raises(NumericalError, match="shifted Hessian rounds to singular"):
-            evidence(d, cfg)
+    def test_narrow_eta_prior_is_the_null_limit(self, sigma_zeta):
+        # at sigma_eta = 1e-12 the rates are one to 1e-12, and H1 is H0 within the estimates
+        res = evidence(TwoByTwoData(18, 493, 10, 488), DepIBPrior(1e-12, sigma_zeta))
+        assert abs(res.log_bf01) <= res.abs_error_estimate

@@ -161,12 +161,16 @@ class TestPriorCorrelation:
             (LTPrior(1e-6, 1e-6), (1.0 - 0.25) / (1.0 + 0.25)),
             (LTPrior(1e-6, 3e-6), (1.0 - 2.25) / (1.0 + 2.25)),
             (LTPrior(1e-6, 1e-6, LOGISTIC), (math.pi**2 / 3 - 0.25) / (math.pi**2 / 3 + 0.25)),
+            (LTPrior(1e-200, 1e-200), (1.0 - 0.25) / (1.0 + 0.25)),
+            (LTPrior(1e-300, 3e-300), (1.0 - 2.25) / (1.0 + 2.25)),
+            (LTPrior(1e-200, 1e-200, LOGISTIC), (math.pi**2 / 3 - 0.25) / (math.pi**2 / 3 + 0.25)),
         ],
-        ids=["dep-ib", "dep-ib-upper", "lt", "lt-wide-psi", "lt-logistic"],
+        ids=["dep-ib", "dep-ib-upper", "lt", "lt-wide-psi", "lt-logistic", "lt-1e-200", "lt-1e-300", "lt-logistic-1e-200"],
     )
     def test_linear_limit(self, cfg, expected):
         # priors so narrow that no rate is clamped and expit is linear: the rates are
-        # zeta -/+ eta/2, or 1/2 + (beta -/+ psi/2)/4, whose correlation is closed form
+        # zeta -/+ eta/2, or 1/2 + (beta -/+ psi/2)/4, whose correlation is closed form;
+        # below scales of 1e-150 LT takes that limit itself
         assert prior_correlation(cfg) == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("sigmas", [(0.2, 0.5), (0.05, 0.3), (1.0, 0.1), (0.5, 1.0)])
@@ -178,12 +182,17 @@ class TestPriorCorrelation:
         )
         assert abs(r - r_swap) <= err + err_swap
 
-    @pytest.mark.parametrize("s", [1e-9, 1e-200, 1e-300])
-    def test_depib_scale_free_at_zero(self, s):
+    @pytest.mark.parametrize(
+        "cfg, reference",
+        [(DepIBPrior(s, s, c), DepIBPrior(0.01, 0.01, 0.0)) for s in (1e-9, 1e-200, 1e-300) for c in (0.0, 1.0)]
+        + [(DepIBPrior(0.2, s, c), DepIBPrior(0.2, 1e-20, 0.0)) for s in (1e-20, 1e-300) for c in (0.0, 1.0)],
+    )
+    def test_depib_scale_free_at_zero(self, cfg, reference):
         # centred at 0 with scales far below 1/2, only the clamp at 0 reaches the rates, which
-        # then scale with s: the correlation does not depend on s, however small
-        expected = prior_correlation(DepIBPrior(0.01, 0.01, 0.0))
-        assert prior_correlation(DepIBPrior(s, s, 0.0)) == pytest.approx(expected, abs=1e-13)
+        # then scale with s: the correlation does not depend on s, however small, nor, with a
+        # zeta window alone that narrow, on sigma_zeta; a centre at 1 is the event swap of one
+        # at 0, even where its window is narrower than the floats at 1
+        assert prior_correlation(cfg) == pytest.approx(prior_correlation(reference), abs=1e-13)
 
     @pytest.mark.parametrize("center", [0.3, 0.7])
     def test_depib_point_mass_zeta(self, center):

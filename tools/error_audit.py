@@ -1,4 +1,4 @@
-"""Audit the dep-IB, LT, clamped-wedge, dep-IB H0 and prior-correlation error estimates against 30-digit mpmath references.
+"""Audit the dep-IB, LT, clamped-wedge, dep-IB H0 and H1-core and prior-correlation error estimates against 30-digit mpmath references.
 
 The dep-IB slice is a seeded sample of 100 (study, prior) cells: n1
 and n2 log-uniform in 1..1e8, each count at 0, at n or uniform in
@@ -51,6 +51,23 @@ log-odds engine that preceded the pieces raised.  Its references are the
 dep-IB slice's H0, whose points also split at the H0 integrand's own
 peak, at 60 digits.
 
+The core slice checks dep-IB's H1 core (``bf2p.dep_ib._log_core``) on
+cores whose rate pair does not agree, so that its graded parts in
+(zeta, eta) give the value: two anchors under a zeta window of 1e-12
+about 0, zeta a point mass at 1/2, cells of a narrow-prior grid
+(sigma_eta and sigma_zeta from 1e-12 to 0.5), narrow eta priors at small
+n, and a core whose eta window the diamond cuts at zeta = 1.  Its
+references integrate in (zeta, eta) themselves, where the core runs over
+the diamond |eta| < 2 min(zeta, 1 - zeta): given zeta, over eta, split at
+0, at the diamond's edges and at the peak; then over zeta, whose
+marginal is log-concave, in a window closed where it has fallen 75 nats
+below its peak, split there, at the peak and at 1/2.  Each quadrature
+runs on its points mapped to [0, 1], where mpmath's absolute error
+estimate is relative to the integrand's peak, and aims at 30 digits;
+the integrands take 45.  When they were pinned, scipy's nested ``quad``
+matched every reference but the point mass's to 2.3e-13.  The dep-IB
+slice's Gauss-Jacobi core cannot converge where the rate pair does not.
+
 The correlation slice checks the H1 prior correlation of the two rates
 and its error estimate (``bf2p.priors._prior_correlation``) on the
 extreme grid's priors: LT at sigma_beta, sigma_psi in {0.01, 1, 50}
@@ -72,7 +89,8 @@ reference is the eta integral alone.
 The references take minutes, so they are pinned next to this file, in
 ``error_audit_refs.json`` (dep-IB), ``error_audit_lt_refs.json`` (LT),
 ``error_audit_wedge_refs.json`` (wedges), ``error_audit_h0_refs.json``
-(H0) and ``error_audit_correlation_refs.json`` (correlations); ``--pin``
+(H0), ``error_audit_core_refs.json`` (cores) and
+``error_audit_correlation_refs.json`` (correlations); ``--pin``
 recomputes them all, and ``pin(name)`` one slice's, from Python.
 
     PYTHONPATH=src python3 tools/error_audit.py --out error_audit.json
@@ -105,6 +123,7 @@ LT_REFS = Path(__file__).resolve().with_name("error_audit_lt_refs.json")
 CORR_REFS = Path(__file__).resolve().with_name("error_audit_correlation_refs.json")
 WEDGE_REFS = Path(__file__).resolve().with_name("error_audit_wedge_refs.json")
 H0_REFS = Path(__file__).resolve().with_name("error_audit_h0_refs.json")
+CORE_REFS = Path(__file__).resolve().with_name("error_audit_core_refs.json")
 
 SEED = 20261019
 SIGMA_ETA = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -115,6 +134,10 @@ DIGITS, REF_TOL = 30, mp.mpf("1e-20")
 
 #: Gauss-Jacobi nodes per rate of the reference core's rules, tried in pairs.
 CORE_NODES = (48, 64, 96, 128)
+
+#: Nats below its peak at which the (zeta, eta) reference closes zeta's window, and the digits its
+#: quadratures aim at, while their integrands take the working digits.
+CLOSE_NATS, QUAD_DIGITS = 75, DIGITS
 
 
 LT_SEED = 20261020
@@ -183,6 +206,27 @@ H0_CELLS = [
     ((0, 10, 0, 10), 1e-7, 0.3),
     ((50, 100, 60, 100), 1e-8, 1.0),
     ((3, 10, 5, 12), 1e-30, 0.0),
+]
+
+#: (study, sigma_eta, sigma_zeta, zeta centre) of the core slice, every core off its rate pair:
+#: two anchors, a zeta window of 1e-12 about 0 under a wide and a narrow eta prior; zeta a point
+#: mass at 1/2; then cells of the narrow-prior grid, a narrow eta prior under a wide zeta prior,
+#: narrow zeta windows about 0 and about 1/2, and both narrow; then narrow eta priors at small n,
+#: whose cores went past the log-odds engine's Gauss-Hermite ladder to tanh-sinh; then a core
+#: whose eta window the diamond cuts at zeta = 1 (every event in both groups).
+CORE_CELLS = [
+    ((0, 16, 3, 16), 0.2, 1e-12, 0.0),
+    ((18, 493, 10, 488), 1e-12, 1e-12, 0.0),
+    ((18, 493, 10, 488), 0.2, 1e-300, 0.5),
+    ((18, 493, 10, 488), 1e-4, 0.5, 0.5),
+    ((50, 100, 60, 100), 0.2, 1e-8, 0.0),
+    ((3, 10, 5, 12), 0.2, 1e-4, 0.5),
+    ((0, 100, 3, 100), 0.01, 1e-12, 0.0),
+    ((8, 12, 12, 12), 1e-8, 1e-4, 0.5),
+    ((1, 2, 0, 2), 0.01, 0.01, 0.5),
+    ((0, 3, 0, 3), 0.05, 0.5, 0.5),
+    ((7, 7, 2, 9), 0.05, 0.3, 0.5),
+    ((2, 2, 4, 4), 2.5e-5, 0.1, 0.5),
 ]
 
 #: The extreme grid's prior scales: LT's sigma_beta and sigma_psi, and dep-IB's sigma_eta = sigma_zeta.
@@ -301,7 +345,9 @@ class _Reference:
         self.y1, self.n1, self.y2, self.n2 = counts
         self.se, self.sz, self.zc = mp.mpf(sigma_eta), mp.mpf(sigma_zeta), mp.mpf(zeta_center)
         self.log_norm_eta = mp.log(mp.ncdf(1 / self.se) - mp.ncdf(-1 / self.se)) + mp.log(self.se * mp.sqrt(2 * mp.pi))
-        self.log_norm_zeta = mp.log(mp.ncdf((1 - self.zc) / self.sz) - mp.ncdf(-self.zc / self.sz)) + mp.log(
+        # a window c +/- 9 sigma_zeta that rounds to c in floats is a point mass there, with no density
+        self.point = zeta_center - 9 * sigma_zeta == zeta_center == zeta_center + 9 * sigma_zeta
+        self.log_norm_zeta = None if self.point else mp.log(mp.ncdf((1 - self.zc) / self.sz) - mp.ncdf(-self.zc / self.sz)) + mp.log(
             self.sz * mp.sqrt(2 * mp.pi)
         )
 
@@ -356,6 +402,105 @@ class _Reference:
                 return cur
             prev = cur
         raise ArithmeticError(f"reference core rules disagree by {mp.nstr(abs(cur - prev), 3)}")
+
+    def diamond_core(self):
+        """The core in (zeta, eta), where it runs over the diamond |eta| < 2 min(zeta, 1 - zeta)
+        with no Jacobian, as nested tanh-sinh integrals.
+
+        Given zeta, the eta integral is split at 0, at the diamond's edges and at its peak (the
+        sign of its slope halved to the working precision); zeta's marginal is log-concave, so
+        golden sections find its peak, and steps that double from a quarter of the narrowest of
+        sigma_zeta, sigma_eta and 1 / n close its window where it has fallen ``CLOSE_NATS`` below
+        the peak (or at 0 or 1); the zeta integral is split there, at its peak and at the kink
+        1/2.  An eta integral's error counts at its share of the peak.  A point-mass zeta leaves
+        the eta integral at its centre.
+        """
+        peaks = self._log_peak(self.y1, self.n1) + self._log_peak(self.y2, self.n2)
+        # (count, sign of eta in its rate, the count's factor is 1 - rate) of the four factors
+        factors = [
+            (k, sign, comp)
+            for k, sign, comp in ((self.y1, -1, 0), (self.n1 - self.y1, -1, 1), (self.y2, 1, 0), (self.n2 - self.y2, 1, 1))
+            if k
+        ]
+
+        def log_f(z, e):  # relative to the likelihoods' peaks; 0 past a diamond's edge that a node rounds over
+            out = self._log_p_eta(e) - peaks
+            for k, sign, comp in factors:
+                t = z + sign * e / 2
+                if not (t := 1 - t if comp else t) > 0:
+                    return mp.ninf
+                out += k * mp.log(t)
+            return out
+
+        def slope(z, e):
+            out = -e / self.se**2
+            for k, sign, comp in factors:
+                t = z + sign * e / 2
+                out += k * sign / 2 * (-1 / (1 - t) if comp else 1 / t)
+            return out
+
+        def quad(f, points, degree):
+            """(integral, error) of f over the sorted ``points`` by mpmath's tanh-sinh at ``QUAD_DIGITS``, as
+            much as ``REF_TOL`` asks, on the points mapped to [0, 1], where its absolute error estimate is
+            relative to a peak of about 1; f is taken at the working digits."""
+            digits, a, span = mp.mp.dps, points[0], points[-1] - points[0]
+
+            def at_working_digits(t):
+                with mp.workdps(digits):
+                    return f(a + span * t)
+
+            with mp.workdps(QUAD_DIGITS):  # points that round together are one
+                val, err = mp.quad(at_working_digits, sorted({+((p - a) / span) for p in points}), error=True, maxdegree=degree)
+            return val * span, err * span
+
+        def over_eta(z):
+            """(log of the eta integral at z, its relative error)."""
+            edge = 2 * min(z, 1 - z)
+            lo, hi = -edge, edge
+            for _ in range(mp.mp.prec):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if slope(z, mid) > 0 else (lo, mid)
+            top = log_f(z, lo)
+            val, err = quad(lambda e: mp.exp(log_f(z, e) - top), sorted((-edge, mp.mpf(0), lo, edge)), 10)
+            return top + mp.log(val), err / val
+
+        if self.point:
+            val, rel = over_eta(self.zc)
+            if not rel <= REF_TOL:
+                raise ArithmeticError(f"reference eta integral reached only {mp.nstr(rel, 3)}")
+            return peaks + val
+        top, worst = mp.mpf("-inf"), mp.mpf(0)  # zeta's peak, and the largest relative error of an eta integral, weighted against it
+
+        def log_m(z):
+            nonlocal worst
+            val, rel = over_eta(z)
+            val += self._log_p_zeta(z)
+            worst = max(worst, rel * mp.exp(val - top))
+            return val
+
+        a, b, g = mp.mpf(0), mp.mpf(1), (mp.sqrt(5) - 1) / 2
+        (x1, f1), (x2, f2) = ((x, log_m(x)) for x in (b - g * (b - a), a + g * (b - a)))
+        while b - a > REF_TOL * b:
+            if f1 > f2:
+                b, (x2, f2) = x2, (x1, f1)
+                x1 = b - g * (b - a)
+                f1 = log_m(x1)
+            else:
+                a, (x1, f1) = x1, (x2, f2)
+                x2 = a + g * (b - a)
+                f2 = log_m(x2)
+        (peak, top), worst = max((x1, f1), (x2, f2), key=lambda p: p[1]), mp.mpf(0)
+        ends = []
+        for sign in (-1, 1):
+            step = min(self.sz, self.se, mp.mpf(1) / (self.n1 + self.n2)) / 4
+            while 0 < peak + sign * step < 1 and log_m(peak + sign * step) > top - CLOSE_NATS:
+                step *= 2
+            ends.append(min(max(peak + sign * step, mp.mpf(0)), mp.mpf(1)))
+        pts = sorted({ends[0], peak, ends[1]} | ({mp.mpf(1) / 2} if ends[0] < mp.mpf(1) / 2 < ends[1] else set()))
+        val, err = quad(lambda z: mp.exp(log_m(z) - top), pts, 8)
+        if not max(err / val, worst) <= REF_TOL:
+            raise ArithmeticError(f"reference core reached only {mp.nstr(max(err / val, worst), 3)}")
+        return peaks + top + mp.log(val)
 
     def wedge(self, y, n, center):
         """One clamped wedge: the free rate u from its partner's bound, e = |eta| in (u, min(2u, 1))."""
@@ -577,6 +722,16 @@ def h0_reference(counts, sigma_zeta: float, zeta_center: float) -> dict[str, str
         return {"h0": mp.nstr(_Reference(counts, 0.2, sigma_zeta, zeta_center).h0(), DIGITS)}
 
 
+def core_reference(counts, sigma_eta: float, sigma_zeta: float, zeta_center: float) -> dict[str, str]:
+    """The 30-digit reference of one H1 core in (zeta, eta), as a decimal string.
+
+    It works at 45 digits: the rates zeta -/+ eta/2 near the diamond's edges cancel.
+    """
+    with mp.workdps(DIGITS + 15):
+        core = _Reference(counts, sigma_eta, sigma_zeta, zeta_center).diamond_core()
+        return {"core": mp.nstr(core, DIGITS)}
+
+
 def _ts(f, points):
     """Tanh-sinh over the sorted, distinct ``points``, to ``REF_TOL`` absolute: f peaks at about 1."""
     val, err = mp.quad(f, sorted(set(points)), error=True, maxdegree=8)
@@ -736,6 +891,17 @@ def audit_h0_cell(counts, sigma_zeta: float, zeta_center: float, refs: dict[str,
     return head | _checked({"h0": (ml0 - _log_coeffs(d), err0)}, refs)
 
 
+def audit_core_cell(counts, sigma_eta: float, sigma_zeta: float, zeta_center: float, refs: dict[str, str]) -> dict:
+    """bf2p's log integral of one H1 core against its reference.
+
+    A zeta window of 1e-300 overflows its Gaussian kernel's square, which ``dep_ib._log_ml`` silences.
+    """
+    with np.errstate(over="ignore"):
+        got = {"core": _log_core(TwoByTwoData(*counts), DepIBPrior(sigma_eta, sigma_zeta, zeta_center))}
+    head = {"counts": list(counts), "sigma_eta": sigma_eta, "sigma_zeta": sigma_zeta, "zeta_center": zeta_center}
+    return head | _checked(got, refs)
+
+
 def audit_correlation_cell(family: str, a: float, b: float, c, refs: dict[str, str]) -> dict:
     """bf2p's prior correlation of one cell against its reference, or the ``NumericalError`` it raised."""
     with warnings.catch_warnings():
@@ -764,6 +930,7 @@ SLICES = {
     "lt": Slice(lt_sample, audit_lt_cell, ("h0", "h1", "log_bf01"), LT_REFS, lt_reference),
     "wedge": Slice(wedge_sample, audit_wedge_cell, ("wedge",), WEDGE_REFS, wedge_reference),
     "h0": Slice(lambda: H0_CELLS, audit_h0_cell, ("h0",), H0_REFS, h0_reference),
+    "core": Slice(lambda: CORE_CELLS, audit_core_cell, ("core",), CORE_REFS, core_reference),
     "correlation": Slice(correlation_sample, audit_correlation_cell, ("corr",), CORR_REFS, correlation_reference),
 }
 
