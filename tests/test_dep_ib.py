@@ -341,6 +341,39 @@ class TestH0:
         assert not _zeta_is_point(DepIBPrior(0.2, 1e-15, 0.3))
 
 
+_PEAK_STUDIES = [(3, 10, 5, 12), (0, 8, 3, 9), (7, 7, 2, 9), (26, 11034, 10, 11037), (0, 10**6, 5, 10**6)]
+_PEAK_PRIORS = [DepIBPrior(), DepIBPrior(0.05, 0.3), DepIBPrior(1.0, 0.5, zeta_center=0.0)]
+
+
+class TestPooledPeakAndParts:
+    @pytest.mark.parametrize("counts", _PEAK_STUDIES)
+    @pytest.mark.parametrize("cfg", _PEAK_PRIORS)
+    def test_peak_and_width_match_finite_differences(self, counts, cfg):
+        # the log integrand falls either side of u by about h^2 root^2 / 2, so u is its peak to 1e-3 widths,
+        # and its second difference there is -root^2: 1 / root is the peak's width
+        y, n = TwoByTwoData(*counts).pooled
+        c, sz = cfg.zeta_center, cfg.sigma_zeta
+        u, v, root = dep_ib_mod._pooled_peak(y, n, c, sz)
+        assert u + v == pytest.approx(1.0, abs=1e-15)
+        f = lambda t: y * math.log(t) + (n - y) * math.log1p(-t) - (t - c) ** 2 / (2 * sz * sz)  # noqa: E731
+        h = 1e-3 / root
+        for step in (h, -h):
+            assert f(u) - f(u + step) == pytest.approx(0.5e-6, rel=1e-3)
+        assert -(f(u + h) - 2 * f(u) + f(u - h)) / (h * root) ** 2 == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("counts", _PEAK_STUDIES)
+    @pytest.mark.parametrize("cfg", _PEAK_PRIORS)
+    def test_parts_match_a_fine_rate_rule(self, counts, cfg):
+        # the parts stand where the RATE_NODES pair disagrees (the narrow eta prior's small studies here);
+        # on every cell they must give the core of a 160-node rate rule within _log_core's estimate of them
+        d = TwoByTwoData(*counts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            found = lt_mod._first_agreement(dep_ib_mod._log_core_parts(d, cfg))
+            reference = dep_ib_mod._log_core_rates(d, cfg, 160)
+        assert found is not None
+        assert abs(found[0] - reference) <= max(found[1], lt_mod._ROUNDING * (d.n1 + d.n2))
+
+
 class TestPriorDraws:
     def test_correlation_at_default_scales(self):
         assert prior_correlation_depib(DepIBPrior(), seed=0) == pytest.approx(0.77, abs=0.01)
